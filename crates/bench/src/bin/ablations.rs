@@ -13,7 +13,7 @@ use kgqa::datasets::generate_dataset;
 use kgqa::multihop::{evaluate as qa_evaluate, QaMethod};
 use kgrag::chunk::chunk_sentences;
 use kgrag::pipeline::{RagMode, RagPipeline};
-use kgrag::vector::VectorIndex;
+use kgrag::vector::{SearchRequest, VectorIndex};
 use llmkg_bench::EXP_SEED;
 use slm::Slm;
 
@@ -73,21 +73,21 @@ fn main() {
         .map(|(q, _)| slm.embed(q))
         .collect();
     println!("{:>7} {:>10}", "probes", "recall@8");
+    let untraced = obs::Span::disabled();
+    let golds = exact_idx
+        .search(&SearchRequest::exact(&probes_queries, 8), &untraced)
+        .hits;
     for n_probe in [1usize, 2, 4, 8, 16] {
         let mut recall = 0.0;
-        for q in &probes_queries {
-            let gold: Vec<usize> = exact_idx
-                .search_exact(q, 8)
-                .into_iter()
-                .map(|(i, _)| i)
-                .collect();
-            let got: Vec<usize> = ivf
-                .search_ivf(q, 8, n_probe)
-                .into_iter()
-                .map(|(i, _)| i)
-                .collect();
-            recall +=
-                gold.iter().filter(|i| got.contains(i)).count() as f64 / gold.len().max(1) as f64;
+        let probed = ivf
+            .search(&SearchRequest::ivf(&probes_queries, 8, n_probe), &untraced)
+            .hits;
+        for (gold, got) in golds.iter().zip(&probed) {
+            let found = gold
+                .iter()
+                .filter(|&&(id, _)| got.iter().any(|&(g, _)| g == id))
+                .count();
+            recall += found as f64 / gold.len().max(1) as f64;
         }
         recall /= probes_queries.len() as f64;
         println!("{n_probe:>7} {recall:>10.3}");

@@ -5,20 +5,21 @@
 //!
 //! 1. **exact top-k**: the seed brute-force (`Vec<Vec<f32>>` storage,
 //!    full cosine — both norms recomputed per pair — and a full
-//!    O(n log n) sort; preserved in `kgrag::reference`) vs the arena
-//!    index (unit-normalized rows, chunked dot kernel, bounded-heap
-//!    top-k). Gated on identical hit-id lists per query.
+//!    O(n log n) sort; preserved in `kgrag::reference`) vs a one-query
+//!    `VectorIndex::search` (unit-normalized rows, blocked dot kernel,
+//!    bounded-heap top-k). Gated on identical hit-id lists per query.
 //! 2. **parallel sharding**: the sequential arena scan vs forced shard
 //!    counts, gated on bit-identical hits (ids and score bits). On a
 //!    single-core host this honestly measures sharding *overhead*; the
 //!    auto threshold disables it there (see `docs/retrieval.md`).
 //! 3. **IVF probe sweep**: recall@k of the k-means-quantized search
 //!    against exact, per probe count, with the scanned-vector fraction.
-//! 4. **batched query-matrix retrieval**: QPS of `search_batch` (the
+//! 4. **batched query-matrix retrieval**: QPS of a Q-query `search` (the
 //!    register-blocked `matmul_tile` kernel with runtime SIMD dispatch)
-//!    vs the single-query loop, across batch sizes. Recall is fixed by
-//!    construction — the series gates on bit-identical hits — and the
-//!    full run gates batch ≥ 3× single-query throughput at batch 16+.
+//!    vs the sequential per-query scan (`kgrag::reference::scan_exact`),
+//!    across batch sizes. Recall is fixed by construction — the series
+//!    gates on bit-identical hits — and the full run gates batch ≥ 3×
+//!    per-query throughput at batch 16+.
 //! 5. **IVF seeding**: shuffle vs k-means++ recall at fixed probes
 //!    (regression-gated), plus the elbow heuristic's `build_auto` pick.
 //!
@@ -32,8 +33,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use kgrag::reference::seed_search_exact;
-use kgrag::{IvfSeeding, SearchOptions, VectorIndex};
+use kgrag::reference::{scan_exact, seed_search_exact};
+use kgrag::vector::Hit;
+use kgrag::{IvfSeeding, SearchOptions, SearchRequest, SearchStats, Strategy, VectorIndex};
 use llmkg_bench::{header, write_report, EXP_SEED};
 use serde_json::{json, Value};
 use slm::embedding::{hash_vector, normalize, DIM};
@@ -112,6 +114,20 @@ fn blend(topic: &[f32], noise_word: &str, weight: f32) -> Vec<f32> {
     v
 }
 
+/// One query through `VectorIndex::search`, untraced.
+fn search_one(index: &VectorIndex, q: &Vec<f32>, strategy: Strategy) -> (Vec<Hit>, SearchStats) {
+    let req = SearchRequest {
+        queries: std::slice::from_ref(q),
+        k: K,
+        strategy,
+    };
+    index.search(&req, &obs::Span::disabled()).into_single()
+}
+
+fn exact_one(index: &VectorIndex, q: &Vec<f32>) -> Vec<Hit> {
+    search_one(index, q, Strategy::Exact).0
+}
+
 fn ids(hits: &[(usize, f32)]) -> Vec<usize> {
     hits.iter().map(|&(i, _)| i).collect()
 }
@@ -140,7 +156,7 @@ fn exact_series(sizes: &[usize], n_queries: usize, smoke: bool) -> Vec<Value> {
         let mut scanned = 0usize;
         let mut pushes = 0usize;
         for q in &queries {
-            let (arena_hits, stats) = index.search_exact_with_stats(q, K);
+            let (arena_hits, stats) = search_one(&index, q, Strategy::Exact);
             let seed_hits = seed_search_exact(&vectors, q, K);
             assert_eq!(
                 ids(&arena_hits),
@@ -153,12 +169,12 @@ fn exact_series(sizes: &[usize], n_queries: usize, smoke: bool) -> Vec<Value> {
 
         let iters = calibrate(smoke, || {
             for q in &queries {
-                black_box(index.search_exact(q, K));
+                black_box(exact_one(&index, q));
             }
         });
         let arena_ns = time_ns(iters, || {
             for q in &queries {
-                black_box(index.search_exact(q, K));
+                black_box(exact_one(&index, q));
             }
         }) / n_queries as f64;
         let seed_iters = calibrate(smoke, || {
@@ -203,12 +219,12 @@ fn parallel_series(n: usize, n_queries: usize, smoke: bool) -> Value {
 
     let iters = calibrate(smoke, || {
         for q in &queries {
-            black_box(sequential.search_exact(q, K));
+            black_box(exact_one(&sequential, q));
         }
     });
     let seq_ns = time_ns(iters, || {
         for q in &queries {
-            black_box(sequential.search_exact(q, K));
+            black_box(exact_one(&sequential, q));
         }
     }) / n_queries as f64;
 
@@ -232,8 +248,8 @@ fn parallel_series(n: usize, n_queries: usize, smoke: bool) -> Value {
             });
         let mut shards = 0usize;
         for q in &queries {
-            let (hits, stats) = sharded.search_exact_with_stats(q, K);
-            let seq_hits = sequential.search_exact(q, K);
+            let (hits, stats) = search_one(&sharded, q, Strategy::Exact);
+            let seq_hits = exact_one(&sequential, q);
             assert_eq!(
                 bits(&hits),
                 bits(&seq_hits),
@@ -243,7 +259,7 @@ fn parallel_series(n: usize, n_queries: usize, smoke: bool) -> Value {
         }
         let ns = time_ns(iters, || {
             for q in &queries {
-                black_box(sharded.search_exact(q, K));
+                black_box(exact_one(&sharded, q));
             }
         }) / n_queries as f64;
         let speedup = seq_ns / ns;
@@ -276,18 +292,15 @@ fn ivf_series(n: usize, n_queries: usize, smoke: bool) -> Value {
     let ivf = VectorIndex::build(vectors, TOPICS, EXP_SEED);
     assert!(ivf.ivf_enabled(), "bench corpus must quantize");
 
-    let golds: Vec<Vec<usize>> = queries
-        .iter()
-        .map(|q| ids(&exact.search_exact(q, K)))
-        .collect();
+    let golds: Vec<Vec<usize>> = queries.iter().map(|q| ids(&exact_one(&exact, q))).collect();
     let exact_iters = calibrate(smoke, || {
         for q in &queries {
-            black_box(exact.search_exact(q, K));
+            black_box(exact_one(&exact, q));
         }
     });
     let exact_ns = time_ns(exact_iters, || {
         for q in &queries {
-            black_box(exact.search_exact(q, K));
+            black_box(exact_one(&exact, q));
         }
     }) / n_queries as f64;
 
@@ -301,14 +314,14 @@ fn ivf_series(n: usize, n_queries: usize, smoke: bool) -> Value {
         let mut overlap = 0usize;
         let mut scanned = 0usize;
         for (q, gold) in queries.iter().zip(&golds) {
-            let (hits, stats) = ivf.search_ivf_with_stats(q, K, n_probe);
+            let (hits, stats) = search_one(&ivf, q, Strategy::Ivf { probes: n_probe });
             overlap += ids(&hits).iter().filter(|i| gold.contains(i)).count();
             scanned += stats.vectors_scanned;
         }
         let recall = overlap as f64 / (K * queries.len()) as f64;
         let ns = time_ns(exact_iters, || {
             for q in &queries {
-                black_box(ivf.search_ivf(q, K, n_probe));
+                black_box(search_one(&ivf, q, Strategy::Ivf { probes: n_probe }));
             }
         }) / n_queries as f64;
         let speedup = exact_ns / ns;
@@ -339,8 +352,9 @@ fn ivf_series(n: usize, n_queries: usize, smoke: bool) -> Value {
     })
 }
 
-/// Series 4: batched query-matrix retrieval vs the single-query loop,
-/// across batch sizes, bit-identical and therefore at *fixed* recall.
+/// Series 4: batched query-matrix retrieval vs the sequential per-query
+/// scan, across batch sizes, bit-identical and therefore at *fixed*
+/// recall.
 fn batch_series(n: usize, smoke: bool) -> Value {
     header("Batched query-matrix kernel (QPS at fixed recall@10)");
     let vectors = make_corpus(n, "batch");
@@ -354,31 +368,33 @@ fn batch_series(n: usize, smoke: bool) -> Value {
     let mut entries = Vec::new();
     for &batch in &[1usize, 4, 16, 64] {
         let queries = make_queries(batch, "batch");
+        let req = SearchRequest::exact(&queries, K);
+        let untraced = obs::Span::disabled();
         // correctness gate: bit-identical to the per-query exact scan,
         // so recall@10 is equal by construction at every batch size
-        let batched = index.search_batch(&queries, K);
+        let batched = index.search(&req, &untraced).hits;
         for (q, hits) in queries.iter().zip(&batched) {
             assert_eq!(
                 bits(hits),
-                bits(&index.search_exact(q, K)),
-                "search_batch diverged from search_exact at batch={batch}"
+                bits(&scan_exact(&index, q, K)),
+                "search diverged from the per-query scan at batch={batch}"
             );
         }
         let single_iters = calibrate(smoke, || {
             for q in &queries {
-                black_box(index.search_exact(q, K));
+                black_box(scan_exact(&index, q, K));
             }
         });
         let single_ns = time_ns(single_iters, || {
             for q in &queries {
-                black_box(index.search_exact(q, K));
+                black_box(scan_exact(&index, q, K));
             }
         }) / batch as f64;
         let batch_iters = calibrate(smoke, || {
-            black_box(index.search_batch(&queries, K));
+            black_box(index.search(&req, &untraced));
         });
         let batch_ns = time_ns(batch_iters, || {
-            black_box(index.search_batch(&queries, K));
+            black_box(index.search(&req, &untraced));
         }) / batch as f64;
         let speedup = single_ns / batch_ns;
         let single_qps = 1e9 / single_ns;
@@ -425,10 +441,7 @@ fn seeding_series(n: usize, n_queries: usize) -> Value {
     let vectors = make_corpus(n, "seeding");
     let queries = make_queries(n_queries, "seeding");
     let exact = VectorIndex::build(vectors.clone(), 0, EXP_SEED);
-    let golds: Vec<Vec<usize>> = queries
-        .iter()
-        .map(|q| ids(&exact.search_exact(q, K)))
-        .collect();
+    let golds: Vec<Vec<usize>> = queries.iter().map(|q| ids(&exact_one(&exact, q))).collect();
     println!("n_docs: {n}, clusters: {TOPICS}, n_probe: {N_PROBE}");
     println!(
         "{:<10} {:>10} {:>16}",
@@ -448,7 +461,7 @@ fn seeding_series(n: usize, n_queries: usize) -> Value {
         let mut overlap = 0usize;
         let mut scanned = 0usize;
         for (q, gold) in queries.iter().zip(&golds) {
-            let (hits, stats) = ivf.search_ivf_with_stats(q, K, N_PROBE);
+            let (hits, stats) = search_one(&ivf, q, Strategy::Ivf { probes: N_PROBE });
             overlap += ids(&hits).iter().filter(|i| gold.contains(i)).count();
             scanned += stats.vectors_scanned;
         }
@@ -521,7 +534,7 @@ fn main() {
             "k": K,
             "dispatch": slm::dispatch_path().label(),
             "baseline": "seed VectorIndex (Vec<Vec<f32>> rows, full cosine per pair, full sort)",
-            "candidate": "flat arena (unit-normalized rows, chunked dot kernel, bounded-heap top-k)",
+            "candidate": "flat arena (unit-normalized rows, blocked dot kernel, bounded-heap top-k)",
             "exact": Value::Array(exact),
             "parallel": parallel,
             "ivf": ivf,

@@ -80,9 +80,8 @@ pub fn normalize(v: &mut [f32]) {
 /// ([`crate::kernel::dot_scalar`]), which auto-vectorizes and stays the
 /// fastest option for a *single* 64-dim pair — the explicit SIMD paths
 /// in [`crate::kernel`] only win once their call overhead amortizes
-/// over a batch, which is why the batched entry points
-/// ([`crate::kernel::matmul_tile`] / [`crate::kernel::dot_batch`])
-/// dispatch and this one does not.
+/// over a batch, which is why the batched entry point
+/// ([`crate::kernel::matmul_tile`]) dispatches and this one does not.
 ///
 /// This is the retrieval kernel: over unit-normalized vectors the dot
 /// product *is* the cosine, at a third of [`cosine`]'s arithmetic and

@@ -1,9 +1,9 @@
 //! Batched dot-product kernels with runtime SIMD dispatch.
 //!
 //! This module is the arithmetic floor of the retrieval stack: everything
-//! that scores vectors — single-query scans, batched query-matrix scans,
-//! IVF probes — bottoms out in the three entry points here ([`dot`],
-//! [`dot_batch`], [`matmul_tile`]). All of them share one contract:
+//! that scores vectors — exact query-matrix scans, gathered-row
+//! reranking, IVF probes — bottoms out in the two entry points here
+//! ([`dot`], [`matmul_tile`]). Both share one contract:
 //!
 //! **Every dispatch path produces bit-identical results.** The scalar
 //! kernel accumulates into [`DOT_LANES`] (8) independent lanes over
@@ -179,17 +179,6 @@ pub fn dot_with_path(path: DispatchPath, a: &[f32], b: &[f32]) -> f32 {
         #[allow(unreachable_patterns)]
         other => panic!("dispatch path {} unavailable on this target", other.label()),
     }
-}
-
-/// Score many queries against one row: `out[q] = dot(queries[q], row)`.
-/// `queries` is a flat row-major `n_q × dim` matrix; `row` has length
-/// `dim`. Used by IVF member scoring, where the candidate rows arrive
-/// cluster-by-cluster rather than as one contiguous panel.
-pub fn dot_batch(queries: &[f32], dim: usize, row: &[f32], out: &mut [f32]) {
-    let n_q = out.len();
-    debug_assert!(queries.len() >= n_q * dim);
-    debug_assert_eq!(row.len(), dim);
-    matmul_tile(queries, n_q, row, 1, dim, out);
 }
 
 /// Blocked query-matrix × row-panel product:
@@ -624,19 +613,6 @@ mod tests {
             let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
             let exp: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
             assert_eq!(got, exp, "path {}", path.label());
-        }
-    }
-
-    #[test]
-    fn dot_batch_matches_per_row_dot() {
-        let dim = 64;
-        let q = vecs(7, 6, dim);
-        let row = vecs(8, 1, dim);
-        let mut out = vec![0.0f32; 6];
-        dot_batch(&q, dim, &row, &mut out);
-        for (qi, got) in out.iter().enumerate() {
-            let want = dot_scalar(&q[qi * dim..(qi + 1) * dim], &row);
-            assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 }

@@ -2,13 +2,15 @@
 //! vector searches.
 //!
 //! The serve engine runs one [`crate::VectorIndex`] under many worker
-//! threads, each issuing independent single-query searches. Every such
-//! search pays a full arena pass, but the batched kernel
-//! ([`crate::VectorIndex::search_batch`]) amortizes that pass across
-//! queries. The [`Coalescer`] bridges the two: concurrent callers that
-//! arrive within one **time/size window** are collected by the first
-//! arrival (the *leader*), serviced by a single batched kernel
-//! invocation, and handed their per-query slice back.
+//! threads, each issuing independent one-query exact searches. Every such
+//! search pays a full arena pass, but the batched kernel behind
+//! [`crate::VectorIndex::search`] amortizes that pass across the queries
+//! of one request. On an index built
+//! [`crate::VectorIndex::with_coalescing`], the crate-private coalescer
+//! bridges the two: concurrent one-query exact requests that arrive
+//! within one **time/size window** are collected by the first arrival
+//! (the *leader*), serviced by a single kernel invocation, and handed
+//! their per-query slice back.
 //!
 //! The protocol mirrors the WAL's group commit: the first thread into an
 //! empty window becomes leader and waits up to [`BatchWindow::max_wait`]
@@ -16,19 +18,20 @@
 //! queries are pending — latency is bounded by construction); followers
 //! park on a per-request slot until the leader fills it. A window with a
 //! single member degenerates to a batch of one, whose cost equals the
-//! plain exact scan, so the worst case under no concurrency is one
+//! uncoalesced search, so the worst case under no concurrency is one
 //! `max_wait` of added latency and nothing else.
 //!
-//! Results are **bit-identical** to per-query
-//! [`crate::VectorIndex::search_exact`]: the batch runs at the window's
-//! maximum `k` and each caller's hits are the first `k` of that list —
-//! a prefix, because the total-order comparator makes every top-k′ for
-//! `k′ < k` a prefix of the top-k.
+//! Results are **bit-identical** to the uncoalesced search: the batch
+//! runs at the window's maximum `k` and each caller's hits are the first
+//! `k` of that list — a prefix, because the total-order comparator makes
+//! every top-k′ for `k′ < k` a prefix of the top-k. Each caller's
+//! [`crate::SearchStats`] carry its own query's share of the scan; the
+//! leader's also carry the window size and the shards it spawned.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::vector::{Hit, VectorIndex};
+use crate::vector::{Hit, SearchResult, SearchStats, VectorIndex};
 
 /// Size/time bounds of one coalescing window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +55,8 @@ impl Default for BatchWindow {
     }
 }
 
-/// How a caller's request was serviced within its window.
+/// How a coalesced request was serviced within its window (carried on
+/// [`crate::SearchResult::role`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowRole {
     /// This caller collected the window and ran the batched kernel for
@@ -69,7 +73,7 @@ pub enum WindowRole {
 /// follower.
 #[derive(Default)]
 struct Slot {
-    result: Mutex<Option<Vec<Hit>>>,
+    result: Mutex<Option<(Vec<Hit>, SearchStats)>>,
     ready: Condvar,
 }
 
@@ -88,9 +92,7 @@ struct State {
 
 /// The shared window state: [`VectorIndex::with_coalescing`] attaches
 /// one of these behind an `Arc` so index clones coalesce together.
-///
-/// [`VectorIndex::with_coalescing`]: crate::VectorIndex::with_coalescing
-pub struct Coalescer {
+pub(crate) struct Coalescer {
     window: BatchWindow,
     state: Mutex<State>,
     /// Signalled when the pending window fills, releasing the leader
@@ -109,7 +111,7 @@ impl std::fmt::Debug for Coalescer {
 impl Coalescer {
     /// A coalescer with the given window bounds (`max_batch` is clamped
     /// to at least 1).
-    pub fn new(window: BatchWindow) -> Self {
+    pub(crate) fn new(window: BatchWindow) -> Self {
         Coalescer {
             window: BatchWindow {
                 max_batch: window.max_batch.max(1),
@@ -121,13 +123,14 @@ impl Coalescer {
     }
 
     /// The configured window bounds.
-    pub fn window(&self) -> BatchWindow {
+    pub(crate) fn window(&self) -> BatchWindow {
         self.window
     }
 
-    /// Service one query through the current window. Blocks the calling
-    /// thread for at most `max_wait` plus one batched kernel invocation.
-    pub fn run(&self, index: &VectorIndex, query: &[f32], k: usize) -> (Vec<Hit>, WindowRole) {
+    /// Service one exact query through the current window. Blocks the
+    /// calling thread for at most `max_wait` plus one batched kernel
+    /// invocation.
+    pub(crate) fn run(&self, index: &VectorIndex, query: &[f32], k: usize) -> SearchResult {
         let slot = Arc::new(Slot::default());
         let mut st = self.state.lock().expect("coalescer state poisoned");
         st.pending.push(Entry {
@@ -160,18 +163,27 @@ impl Coalescer {
             let window = batch.len();
             let k_max = batch.iter().map(|e| e.k).max().unwrap_or(0);
             let queries: Vec<Vec<f32>> = batch.iter().map(|e| e.query.clone()).collect();
-            let results = index.search_batch(&queries, k_max);
-            let mut own = Vec::new();
-            for (entry, mut hits) in batch.into_iter().zip(results) {
+            let (scans, shards) = index.exact_scan(&queries, k_max);
+            let mut own = (Vec::new(), SearchStats::default());
+            for (entry, (mut hits, stats)) in batch.into_iter().zip(scans) {
                 hits.truncate(entry.k);
                 if Arc::ptr_eq(&entry.slot, &slot) {
-                    own = hits;
+                    own = (hits, stats);
                 } else {
-                    *entry.slot.result.lock().expect("slot poisoned") = Some(hits);
+                    *entry.slot.result.lock().expect("slot poisoned") = Some((hits, stats));
                     entry.slot.ready.notify_one();
                 }
             }
-            (own, WindowRole::Leader { window })
+            let (hits, stats) = own;
+            SearchResult {
+                hits: vec![hits],
+                stats: SearchStats {
+                    parallel_shards: shards,
+                    batch_queries: window,
+                    ..stats
+                },
+                role: Some(WindowRole::Leader { window }),
+            }
         } else {
             // follower: wake the leader if we just filled the window,
             // then park until it delivers
@@ -183,7 +195,12 @@ impl Coalescer {
             while result.is_none() {
                 result = slot.ready.wait(result).expect("slot poisoned");
             }
-            (result.take().expect("checked above"), WindowRole::Follower)
+            let (hits, stats) = result.take().expect("checked above");
+            SearchResult {
+                hits: vec![hits],
+                stats,
+                role: Some(WindowRole::Follower),
+            }
         }
     }
 }
@@ -191,6 +208,8 @@ impl Coalescer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::scan_exact;
+    use crate::vector::SearchRequest;
 
     fn index(n: usize) -> VectorIndex {
         let vectors: Vec<Vec<f32>> = (0..n)
@@ -199,19 +218,26 @@ mod tests {
         VectorIndex::build(vectors, 0, 0)
     }
 
+    fn bits(hits: &[Hit]) -> Vec<(usize, u32)> {
+        hits.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+    }
+
     #[test]
     fn solo_window_matches_exact_bitwise() {
-        let idx = index(200).with_coalescing(BatchWindow {
+        let plain = index(200);
+        let idx = plain.clone().with_coalescing(BatchWindow {
             max_batch: 4,
             max_wait: Duration::from_millis(1),
         });
-        let q = slm::embedding::hash_vector("doc-3");
-        let exact = idx.search_exact(&q, 5);
-        let coalesced = idx.search_coalesced(&q, 5);
-        let bits = |hits: &[Hit]| -> Vec<(usize, u32)> {
-            hits.iter().map(|&(i, s)| (i, s.to_bits())).collect()
-        };
-        assert_eq!(bits(&exact), bits(&coalesced));
+        let q = [slm::embedding::hash_vector("doc-3")];
+        let req = SearchRequest::exact(&q, 5);
+        let direct = plain.search(&req, &obs::Span::disabled());
+        let coalesced = idx.search(&req, &obs::Span::disabled());
+        assert_eq!(coalesced.role, Some(WindowRole::Leader { window: 1 }));
+        assert_eq!(bits(&direct.hits[0]), bits(&coalesced.hits[0]));
+        assert_eq!(bits(&coalesced.hits[0]), bits(&scan_exact(&idx, &q[0], 5)));
+        // a solo window does exactly the direct request's work
+        assert_eq!(direct.stats, coalesced.stats);
     }
 
     #[test]
@@ -221,45 +247,70 @@ mod tests {
             max_wait: Duration::from_millis(200),
         }));
         let threads = 8;
-        let results: Vec<(usize, Vec<Hit>)> = crossbeam::thread::scope(|scope| {
+        let results: Vec<(usize, SearchResult)> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     let idx = std::sync::Arc::clone(&idx);
                     scope.spawn(move |_| {
-                        let q = slm::embedding::hash_vector(&format!("doc-{t}"));
+                        let q = [slm::embedding::hash_vector(&format!("doc-{t}"))];
                         // heterogeneous k exercises the truncation path
                         let k = 3 + t % 3;
-                        (t, idx.search_coalesced(&q, k))
+                        (
+                            t,
+                            idx.search(&SearchRequest::exact(&q, k), &obs::Span::disabled()),
+                        )
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         })
         .unwrap();
-        for (t, hits) in results {
+        let mut windows = 0;
+        for (t, result) in results {
             let q = slm::embedding::hash_vector(&format!("doc-{t}"));
-            let exact = idx.search_exact(&q, 3 + t % 3);
-            let bits = |hits: &[Hit]| -> Vec<(usize, u32)> {
-                hits.iter().map(|&(i, s)| (i, s.to_bits())).collect()
-            };
-            assert_eq!(bits(&exact), bits(&hits), "thread {t}");
+            let exact = scan_exact(&idx, &q, 3 + t % 3);
+            assert_eq!(bits(&exact), bits(&result.hits[0]), "thread {t}");
+            assert_eq!(result.stats.vectors_scanned, idx.len(), "thread {t}");
+            match result.role {
+                Some(WindowRole::Leader { window }) => {
+                    windows += window;
+                    assert_eq!(result.stats.batch_queries, window);
+                }
+                Some(WindowRole::Follower) => assert_eq!(result.stats.batch_queries, 0),
+                None => panic!("thread {t} bypassed the coalescer"),
+            }
         }
+        // every query rode exactly one window
+        assert_eq!(windows, threads);
     }
 
     #[test]
-    fn coalesced_observed_records_batch_counters() {
+    fn coalesced_search_records_retrieval_and_batch_counters() {
         let idx = index(64).with_coalescing(BatchWindow {
             max_batch: 2,
             max_wait: Duration::from_micros(50),
         });
-        let (tracer, _recorder) = obs::Tracer::in_memory();
+        let (tracer, recorder) = obs::Tracer::in_memory();
         let root = tracer.span("test");
-        let q = slm::embedding::hash_vector("doc-1");
-        let hits = idx.search_coalesced_observed(&q, 4, &root);
+        for i in 0..3 {
+            let q = [slm::embedding::hash_vector(&format!("doc-{i}"))];
+            let result = idx.search(&SearchRequest::exact(&q, 4), &root);
+            assert_eq!(result.hits[0].len(), 4);
+        }
         root.finish();
-        assert_eq!(hits.len(), 4);
-        assert_eq!(tracer.registry().counter("retrieval.batch.coalesced"), 1);
-        assert_eq!(tracer.registry().counter("retrieval.batch.windows"), 1);
-        assert_eq!(tracer.registry().counter("retrieval.batch.queries"), 1);
+        let registry = tracer.registry();
+        assert_eq!(registry.counter("retrieval.searches"), 3);
+        assert_eq!(registry.counter("retrieval.vectors_scanned"), 3 * 64);
+        assert!(registry.counter("retrieval.heap_pushes") >= 3 * 4);
+        assert_eq!(registry.counter("retrieval.batch.coalesced"), 3);
+        assert_eq!(registry.counter("retrieval.batch.windows"), 3);
+        assert_eq!(registry.counter("retrieval.batch.queries"), 3);
+        let span = recorder.take().pop().expect("root recorded");
+        let search = span.find("retrieval.search").expect("search span");
+        assert_eq!(
+            search.attr("batch_role").and_then(obs::AttrValue::as_str),
+            Some("leader")
+        );
+        assert_eq!(search.attr_u64("window"), Some(1));
     }
 }

@@ -14,7 +14,7 @@ use kg::term::Sym;
 use kg::Graph;
 use slm::Slm;
 
-use crate::vector::VectorIndex;
+use crate::vector::{SearchRequest, VectorIndex};
 
 /// A community of entities with its generated summary.
 #[derive(Debug, Clone)]
@@ -176,9 +176,12 @@ impl<'a> GraphRag<'a> {
         span.count("graphrag.local_questions", 1);
         // top-1 retrieval over pre-embedded summaries; ties go to the
         // lowest community id, matching the seed's first-wins scan
+        let query = [self.slm.embed(question)];
         let best = self
             .summary_index
-            .search_exact_observed(&self.slm.embed(question), 1, &span)
+            .search(&SearchRequest::exact(&query, 1), &span)
+            .into_single()
+            .0
             .first()
             .map(|&(ci, sim)| (sim, &self.communities[ci]));
         match best {
@@ -199,45 +202,6 @@ impl<'a> GraphRag<'a> {
             }
             None => slm::Answer::unknown(),
         }
-    }
-
-    /// Answer many *local* questions in one retrieval pass: every
-    /// question is routed to its community by a single batched top-1
-    /// search over the summary index
-    /// ([`VectorIndex::search_batch`]), so the summary arena is walked
-    /// once per batch instead of once per question. Routing — and
-    /// therefore every answer — is bit-identical to per-question
-    /// [`GraphRag::answer_local`].
-    pub fn answer_local_batch(&self, questions: &[&str]) -> Vec<slm::Answer> {
-        self.answer_local_batch_observed(questions, &obs::Span::disabled())
-    }
-
-    /// [`GraphRag::answer_local_batch`] under an observability span: a
-    /// `graphrag.local_batch` child wraps the one batched
-    /// `retrieval.search` and records the batch shape.
-    pub fn answer_local_batch_observed(
-        &self,
-        questions: &[&str],
-        parent: &obs::Span,
-    ) -> Vec<slm::Answer> {
-        let span = parent.child("graphrag.local_batch");
-        span.set("communities", self.communities.len());
-        span.set("questions", questions.len());
-        span.count("graphrag.local_questions", questions.len() as u64);
-        let queries: Vec<Vec<f32>> = questions.iter().map(|q| self.slm.embed(q)).collect();
-        let routed = self.summary_index.search_batch_observed(&queries, 1, &span);
-        questions
-            .iter()
-            .zip(routed)
-            .map(|(q, hits)| match hits.first() {
-                Some(&(ci, _)) => {
-                    let facts = community_facts(self.graph, &self.communities[ci].members);
-                    span.count("graphrag.facts_injected", facts.len() as u64);
-                    self.slm.answer(q, &facts)
-                }
-                None => slm::Answer::unknown(),
-            })
-            .collect()
     }
 
     /// Total number of communities.
@@ -439,44 +403,6 @@ mod tests {
         assert!(local.attr_u64("facts_injected").unwrap() > 0);
         assert!(tracer.registry().counter("graphrag.facts_injected") > 0);
         assert_eq!(tracer.registry().counter("graphrag.global_questions"), 1);
-    }
-
-    #[test]
-    fn batched_local_answers_match_per_question() {
-        let (kg, slm) = fixture();
-        let g = &kg.graph;
-        let gr = GraphRag::build(g, &slm);
-        let film_class = g
-            .pool()
-            .get_iri(&format!("{}Film", ns::SYNTH_VOCAB))
-            .unwrap();
-        let films = g.instances_of(film_class);
-        let questions: Vec<String> = films
-            .iter()
-            .take(4)
-            .map(|&f| format!("Who is {} directed by?", g.display_name(f)))
-            .chain(["what links everything here?".to_string()])
-            .collect();
-        let refs: Vec<&str> = questions.iter().map(String::as_str).collect();
-        let (tracer, _recorder) = obs::Tracer::in_memory();
-        let root = tracer.span("test");
-        let batch = gr.answer_local_batch_observed(&refs, &root);
-        root.finish();
-        assert_eq!(batch.len(), refs.len());
-        for (q, b) in refs.iter().zip(&batch) {
-            let solo = gr.answer_local(q);
-            assert_eq!(solo.text, b.text, "{q}");
-            assert_eq!(solo.hallucinated, b.hallucinated, "{q}");
-        }
-        assert_eq!(
-            tracer.registry().counter("graphrag.local_questions"),
-            refs.len() as u64
-        );
-        assert_eq!(tracer.registry().counter("retrieval.batch.searches"), 1);
-        assert_eq!(
-            tracer.registry().counter("retrieval.batch.queries"),
-            refs.len() as u64
-        );
     }
 
     #[test]

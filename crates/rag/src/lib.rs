@@ -6,11 +6,14 @@
 //! makes "does retrieval reduce hallucination?" a measurable question:
 //!
 //! * [`chunk`] — sentence-window chunking with overlap,
-//! * [`vector`] — a vector index over a flat pre-normalized arena:
-//!   exact dot-product scan with bounded-heap top-k (optionally sharded
-//!   across threads) plus an IVF-lite variant (seeded k-means coarse
-//!   quantizer with cluster probing); the seed brute-force survives in
-//!   [`mod@reference`] as a differential oracle,
+//! * [`vector`] — a vector index over a flat pre-normalized arena behind
+//!   one entrypoint, [`VectorIndex::search`]: exact top-k through a
+//!   batched dot-product kernel with bounded-heap top-k (optionally
+//!   sharded across threads, optionally coalescing concurrent callers —
+//!   see [`batch`]) plus an IVF-lite variant (seeded k-means coarse
+//!   quantizer with cluster probing); the seed brute force and the
+//!   per-query arena scan survive in [`mod@reference`] as differential
+//!   oracles,
 //! * [`inject`] — K-BERT-sim \[60\] triple injection into prompts and
 //!   Dict-BERT-sim \[93\] rare-term definitions,
 //! * [`pipeline`] — the RAG ladder \[30\]: closed-book, Naive RAG
@@ -29,9 +32,12 @@ pub mod pipeline;
 pub mod reference;
 pub mod vector;
 
-pub use batch::{BatchWindow, Coalescer, WindowRole};
+pub use batch::{BatchWindow, WindowRole};
 pub use chunk::{chunk_sentences, Chunk};
 pub use graphrag::GraphRag;
 pub use inject::{inject_knowledge, rare_term_definitions};
 pub use pipeline::{RagAnswer, RagMode, RagPipeline};
-pub use vector::{IvfFallback, IvfSeeding, SearchOptions, SearchStats, VectorIndex};
+pub use vector::{
+    IvfFallback, IvfSeeding, SearchOptions, SearchRequest, SearchResult, SearchStats, Strategy,
+    VectorIndex,
+};

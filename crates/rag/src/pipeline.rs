@@ -13,7 +13,7 @@ use resilience::{CancelToken, DegradationTrace, FaultInjector, FaultPoint, NoFau
 use slm::Slm;
 
 use crate::chunk::Chunk;
-use crate::vector::VectorIndex;
+use crate::vector::{Hit, SearchRequest, VectorIndex};
 
 /// The production default injector.
 static NO_FAULTS: NoFaults = NoFaults;
@@ -207,9 +207,7 @@ impl<'a> RagPipeline<'a> {
                     fall(span, trace, "vector", "fault injected: exec");
                     return self.closed_book_rung(question, span, trace);
                 }
-                let hits =
-                    self.index
-                        .search_coalesced_observed(&self.slm.embed(question), self.k, span);
+                let hits = self.retrieve(&[self.slm.embed(question)], self.k, span);
                 let candidates = hits.len();
                 self.vector_rung(question, &hits, candidates, span, trace)
             }
@@ -220,8 +218,8 @@ impl<'a> RagPipeline<'a> {
                 }
                 // round 1: retrieve, harvest expansion terms (the question
                 // embedding is reused for the semantic rerank leg below)
-                let q_vec = self.slm.embed(question);
-                let first = self.index.search_coalesced_observed(&q_vec, self.k, span);
+                let q_vec = [self.slm.embed(question)];
+                let first = self.retrieve(&q_vec, self.k, span);
                 let mut expanded = question.to_string();
                 for &(id, _) in first.iter().take(2) {
                     for term in slm::task::capitalized_spans(&self.chunks[id].text) {
@@ -234,11 +232,7 @@ impl<'a> RagPipeline<'a> {
                 span.set("expanded_query_chars", expanded.len());
                 // round 2: retrieve with the expanded query, then rerank by
                 // blended semantic + lexical score against the ORIGINAL query
-                let candidates = self.index.search_coalesced_observed(
-                    &self.slm.embed(&expanded),
-                    self.k * 2,
-                    span,
-                );
+                let candidates = self.retrieve(&[self.slm.embed(&expanded)], self.k * 2, span);
                 let lexical = slm::EvidenceIndex::from_sentences(
                     candidates
                         .iter()
@@ -255,7 +249,7 @@ impl<'a> RagPipeline<'a> {
                 // measure similarity to the expanded query, not the one
                 // the user asked)
                 let ids: Vec<usize> = candidates.iter().map(|&(id, _)| id).collect();
-                let sem = self.index.score_docs(&q_vec, &ids);
+                let sem = self.index.score_docs(&q_vec[0], &ids);
                 let mut reranked: Vec<(usize, f32)> = ids
                     .iter()
                     .zip(&sem)
@@ -336,13 +330,20 @@ impl<'a> RagPipeline<'a> {
                     fall(span, trace, "vector", "fault injected: exec");
                     return self.closed_book_rung(question, span, trace);
                 }
-                let hits =
-                    self.index
-                        .search_coalesced_observed(&self.slm.embed(question), self.k, span);
+                let hits = self.retrieve(&[self.slm.embed(question)], self.k, span);
                 let candidates = hits.len();
                 self.vector_rung(question, &hits, candidates, span, trace)
             }
         }
+    }
+
+    /// Exact top-`k` chunks for one query embedding, through the
+    /// coalescing window when one is attached.
+    fn retrieve(&self, query: &[Vec<f32>; 1], k: usize, span: &obs::Span) -> Vec<Hit> {
+        self.index
+            .search(&SearchRequest::exact(query, k), span)
+            .into_single()
+            .0
     }
 
     /// The vector-retrieval rung: generate over the retrieved chunks,

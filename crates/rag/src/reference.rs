@@ -1,11 +1,18 @@
-//! The seed brute-force retrieval, preserved as a differential oracle.
+//! Retrieval oracles: the scans the arena kernel replaced, preserved for
+//! differential testing and as bench baselines.
 //!
-//! This is the implementation [`crate::vector::VectorIndex`] replaced:
-//! vectors stay as `Vec<Vec<f32>>` (one allocation per document), every
-//! query/document pair pays a full cosine — sequential multiply-add with
-//! both norms recomputed — and top-k is a full sort over all n scores.
-//! `retrieval_bench` times it as the baseline and the differential
-//! proptest in `crates/rag/tests` pins the arena index to its output.
+//! * [`seed_search_exact`] — the seed brute force. Vectors stay as
+//!   `Vec<Vec<f32>>` (one allocation per document), every query/document
+//!   pair pays a full cosine — sequential multiply-add with both norms
+//!   recomputed — and top-k is a full sort over all n scores.
+//!   `retrieval_bench` times it as the exact series' baseline, and the
+//!   differential proptest in `tests/properties.rs` pins the arena index
+//!   to its ranking.
+//! * [`scan_exact`] — the arena's sequential per-query scan: one
+//!   [`slm::embedding::dot`] per stored row through a bounded top-k heap.
+//!   [`crate::VectorIndex::search`] must match it **bit for bit** on
+//!   every query (ids and score bits), and `retrieval_bench`'s batch
+//!   series times it as the per-query baseline.
 //!
 //! One deliberate deviation from the seed: hits are ordered with the same
 //! NaN-safe total-order comparator the arena uses, not the seed's
@@ -15,8 +22,9 @@
 //! could not pin the fix.
 
 use kgquery::exec::compare_f64_total;
+use slm::embedding::dot;
 
-use crate::vector::Hit;
+use crate::vector::{Hit, TopK, VectorIndex};
 
 /// Sequential cosine similarity, written exactly as the seed kernel was:
 /// one fused `zip().map().sum()` pass per norm and dot, no lane splitting.
@@ -46,6 +54,21 @@ pub fn seed_search_exact(vectors: &[Vec<f32>], query: &[f32], k: usize) -> Vec<H
     });
     hits.truncate(k);
     hits
+}
+
+/// Sequential per-query exact search over the index's arena: the query
+/// prepared as the index prepares it, one [`dot`] per document in id
+/// order, offered to one bounded top-k heap. No sharding, no batching.
+pub fn scan_exact(index: &VectorIndex, query: &[f32], k: usize) -> Vec<Hit> {
+    if index.is_empty() || k == 0 {
+        return Vec::new();
+    }
+    let q = index.prepare_query(query);
+    let mut top = TopK::new(k);
+    for doc in 0..index.len() {
+        top.offer((doc, dot(&q, index.row(doc))));
+    }
+    top.into_sorted()
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
-//! Vector index over a flat arena: exact dot-product scan with a bounded
-//! heap top-k, optional crossbeam-sharded parallel search, and an
-//! IVF-lite approximate variant (seeded k-means coarse quantizer,
-//! probe-nearest-clusters) sharing the same arena and kernel.
+//! Vector index over a flat arena with one retrieval entrypoint,
+//! [`VectorIndex::search`]: exact top-k through a register-blocked
+//! batched kernel (optionally sharded across crossbeam-scoped threads),
+//! or an IVF-lite approximate variant (seeded k-means coarse quantizer,
+//! probe-nearest-clusters) sharing the same arena.
 //!
 //! # Layout
 //!
@@ -22,31 +23,39 @@
 //! so zero-vector or garbage embeddings can never make the hit order
 //! depend on scan order.
 //!
+//! # Exact search
+//!
+//! An exact [`SearchRequest`] of Q queries is serviced in **one arena
+//! pass**: the queries are packed into a flat Q×dim matrix and scored
+//! tile-by-tile through the SIMD-dispatched
+//! [`slm::kernel::matmul_tile`], so each arena cache line is touched once
+//! per query *group* instead of once per query. A single query takes the
+//! same route — the kernel's row-block layout beats a plain dot loop even
+//! with nothing to share. Every per-query result is **bit-identical** to
+//! the sequential per-query scan kept in [`crate::reference::scan_exact`]:
+//! the kernel preserves the scalar accumulation order and the total-order
+//! heap makes the top-k set unique regardless of offer order. On an index
+//! built [`VectorIndex::with_coalescing`], a one-query exact request joins
+//! a coalescing window instead (see [`crate::batch`]), with the same hits.
+//!
 //! # Parallelism
 //!
-//! Above [`SearchOptions::parallel_threshold`] documents, an exact scan
-//! shards the arena across crossbeam-scoped threads. Each shard keeps its
-//! own top-k heap; the ≤ `shards × k` survivors are merged with the same
-//! total-order comparator, so the parallel result is **bit-identical** to
-//! the sequential scan. The default threshold is derived from the host's
-//! core count exactly like `kgquery::exec::default_parallel_threshold`
-//! (`None` on a single core — sharding is pure overhead there).
+//! Above [`SearchOptions::parallel_threshold`] documents, the exact pass
+//! shards the **arena** (not the query set) across crossbeam-scoped
+//! threads: every query visits every shard, each shard keeps one top-k
+//! heap per query, and the ≤ `shards × k` survivors per query merge under
+//! the same total-order comparator — so the parallel result is
+//! bit-identical to the sequential pass. The default threshold is derived
+//! from the host's core count exactly like
+//! `kgquery::exec::default_parallel_threshold` (`None` on a single core —
+//! sharding is pure overhead there).
 //!
-//! # Batched search
+//! # IVF
 //!
-//! [`VectorIndex::search_batch`] services Q queries in one arena pass:
-//! queries are packed into a flat Q×dim matrix and scored tile-by-tile
-//! through the register-blocked, SIMD-dispatched
-//! [`slm::kernel::matmul_tile`], so each arena cache line is touched once
-//! per query *group* instead of once per query. Every per-query result
-//! is **bit-identical** to [`VectorIndex::search_exact`] on the same
-//! query: the kernel preserves the scalar accumulation order and the
-//! total-order heap makes the top-k set unique regardless of offer
-//! order. Parallel batch scans shard by **arena tiles, not by query**
-//! (all queries visit every shard), merged per query under the same
-//! comparator. [`VectorIndex::search_batch_ivf`] batches the coarse
-//! quantizer the same way, then scores each probed cluster's members
-//! once for every query probing it via [`slm::kernel::dot_batch`].
+//! [`Strategy::Ivf`] runs the probe loop once per query: score the
+//! centroids, then the members of the `probes` nearest clusters through
+//! one heap. It falls back to the exact pass when the index has no
+//! quantizer.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -57,9 +66,11 @@ use rand::SeedableRng;
 
 use kgquery::exec::compare_f64_total;
 use slm::embedding::{dot, normalize};
-use slm::kernel::{dot_batch, matmul_tile};
+use slm::kernel::matmul_tile;
 
-/// Arena rows scored per [`slm::kernel::matmul_tile`] call in batched
+use crate::batch::{BatchWindow, Coalescer, WindowRole};
+
+/// Arena rows scored per [`slm::kernel::matmul_tile`] call in exact
 /// scans: the per-tile score buffer stays small (`Q × 1024` floats)
 /// while each call still amortizes dispatch overhead over many rows.
 const BATCH_TILE: usize = 1024;
@@ -162,29 +173,99 @@ impl IvfFallback {
 }
 
 /// Work counters of one search, surfaced as `retrieval.*` observability
-/// counters by the `_observed` search variants (catalogue in
+/// counters by [`VectorIndex::search`] (catalogue in
 /// `docs/observability.md`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Vectors scored (documents plus, for IVF, centroids). A batched
-    /// search counts each document once **per query** so the totals stay
-    /// comparable with the single-query path it replaces.
+    /// Vectors scored (documents plus, for IVF, centroids), summed over
+    /// the request's queries: an exact pass counts each document once
+    /// **per query**. A coalesced request counts its own query's share.
     pub vectors_scanned: usize,
     /// Insertions into a top-k heap (pushes that displaced or grew the
     /// candidate set). Scheduling-sensitive: a sharded scan keeps one
     /// heap per shard, so this may exceed the sequential count while the
-    /// returned hits are bit-identical.
+    /// returned hits are bit-identical. A coalesced request counts the
+    /// pushes of its query's heap at the window's largest `k`.
     pub heap_pushes: usize,
-    /// Worker shards spawned; zero for sequential scans.
+    /// Worker shards spawned; zero for sequential scans and for
+    /// coalescing followers (their leader spawned them).
     pub parallel_shards: usize,
     /// Clusters probed by an IVF search; zero for exact scans.
     pub ivf_probes: usize,
-    /// Queries serviced by one batched kernel invocation; zero for the
-    /// single-query paths.
+    /// Queries serviced by the batched kernel invocation this request
+    /// ran: Q for a direct exact request, the window size for a
+    /// coalescing leader, zero for a follower and for IVF probing.
     pub batch_queries: usize,
     /// Structured reason when an IVF search fell back to exact;
     /// `None` for exact searches and healthy IVF searches.
     pub ivf_fallback: Option<IvfFallback>,
+}
+
+/// How a [`SearchRequest`] finds its hits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Strategy {
+    /// Score every document in one batched kernel pass.
+    Exact,
+    /// Score the members of the `probes` nearest IVF clusters, per query
+    /// (at least one cluster). Runs exactly when the index has no
+    /// quantizer, recording [`SearchStats::ivf_fallback`].
+    Ivf {
+        /// Clusters probed per query.
+        probes: usize,
+    },
+}
+
+/// One retrieval call: 1..Q query embeddings, a depth `k`, a strategy.
+/// Queries are zero-padded or truncated to the index dimension and
+/// unit-normalized before scoring.
+#[derive(Debug, Clone, Copy)]
+pub struct SearchRequest<'a> {
+    /// The query embeddings, answered in order.
+    pub queries: &'a [Vec<f32>],
+    /// Hits to return per query.
+    pub k: usize,
+    /// Exact or IVF.
+    pub strategy: Strategy,
+}
+
+impl<'a> SearchRequest<'a> {
+    /// Exact top-`k` for every query.
+    pub fn exact(queries: &'a [Vec<f32>], k: usize) -> Self {
+        SearchRequest {
+            queries,
+            k,
+            strategy: Strategy::Exact,
+        }
+    }
+
+    /// Approximate top-`k` for every query, probing `probes` IVF
+    /// clusters each.
+    pub fn ivf(queries: &'a [Vec<f32>], k: usize, probes: usize) -> Self {
+        SearchRequest {
+            queries,
+            k,
+            strategy: Strategy::Ivf { probes },
+        }
+    }
+}
+
+/// The answer to a [`SearchRequest`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SearchResult {
+    /// One best-first hit list per query, in request order.
+    pub hits: Vec<Vec<Hit>>,
+    /// The request's work counters.
+    pub stats: SearchStats,
+    /// How a coalescing window served the request; `None` when it ran
+    /// directly.
+    pub role: Option<WindowRole>,
+}
+
+impl SearchResult {
+    /// The hits and work counters of a one-query request.
+    pub fn into_single(self) -> (Vec<Hit>, SearchStats) {
+        (self.hits.into_iter().next().unwrap_or_default(), self.stats)
+    }
 }
 
 /// Ranking order of two hits, best first: score descending under the
@@ -223,14 +304,14 @@ impl Ord for Worst {
 
 /// A bounded top-k accumulator: O(log k) per displacing insert, O(1) per
 /// rejected candidate (one comparison against the current worst).
-struct TopK {
+pub(crate) struct TopK {
     k: usize,
     heap: BinaryHeap<Worst>,
     pushes: usize,
 }
 
 impl TopK {
-    fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         TopK {
             k,
             heap: BinaryHeap::with_capacity(k.min(1024) + 1),
@@ -238,7 +319,7 @@ impl TopK {
         }
     }
 
-    fn offer(&mut self, hit: Hit) {
+    pub(crate) fn offer(&mut self, hit: Hit) {
         if self.k == 0 {
             return;
         }
@@ -255,7 +336,7 @@ impl TopK {
     }
 
     /// The worst retained score once the heap is full (`None` before
-    /// that). Backs the batch scan's IEEE fast-reject: any candidate
+    /// that). Backs the exact scan's IEEE fast-reject: any candidate
     /// `<=` this value under plain f32 comparison is guaranteed to be
     /// rejected by [`TopK::offer`], while NaN (incomparable, ranked
     /// best by the total order) never satisfies `<=` and so always
@@ -269,10 +350,16 @@ impl TopK {
     }
 
     /// Drain into best-first order.
-    fn into_sorted(self) -> Vec<Hit> {
+    pub(crate) fn into_sorted(self) -> Vec<Hit> {
         let mut hits: Vec<Hit> = self.heap.into_iter().map(|w| w.0).collect();
         sort_hits(&mut hits);
         hits
+    }
+
+    /// Drain into best-first order alongside the heap pushes it cost.
+    pub(crate) fn into_scan(self) -> (Vec<Hit>, usize) {
+        let pushes = self.pushes;
+        (self.into_sorted(), pushes)
     }
 }
 
@@ -295,10 +382,9 @@ pub struct VectorIndex {
     ivf_fallback: Option<IvfFallback>,
     options: SearchOptions,
     /// Optional request coalescer shared by clones of this index (see
-    /// [`crate::batch::Coalescer`]): concurrent single-query searches
-    /// inside one time/size window collapse into one batched kernel
-    /// invocation.
-    coalescer: Option<std::sync::Arc<crate::batch::Coalescer>>,
+    /// [`crate::batch`]): concurrent one-query exact searches inside one
+    /// time/size window collapse into one batched kernel invocation.
+    coalescer: Option<std::sync::Arc<Coalescer>>,
 }
 
 impl VectorIndex {
@@ -418,16 +504,17 @@ impl VectorIndex {
         self.ivf_fallback
     }
 
-    /// Attach a request coalescer: concurrent [`VectorIndex::search_coalesced`]
-    /// calls inside one `window` collapse into a single batched kernel
-    /// invocation. Clones of the index share the same window.
-    pub fn with_coalescing(mut self, window: crate::batch::BatchWindow) -> Self {
-        self.coalescer = Some(std::sync::Arc::new(crate::batch::Coalescer::new(window)));
+    /// Attach a request coalescer: concurrent one-query exact
+    /// [`VectorIndex::search`] calls inside one `window` collapse into a
+    /// single batched kernel invocation. Clones of the index share the
+    /// same window.
+    pub fn with_coalescing(mut self, window: BatchWindow) -> Self {
+        self.coalescer = Some(std::sync::Arc::new(Coalescer::new(window)));
         self
     }
 
     /// The coalescing window, when one is attached.
-    pub fn coalescing_window(&self) -> Option<crate::batch::BatchWindow> {
+    pub fn coalescing_window(&self) -> Option<BatchWindow> {
         self.coalescer.as_ref().map(|c| c.window())
     }
 
@@ -437,13 +524,13 @@ impl VectorIndex {
     }
 
     /// The unit-normalized arena row of a document.
-    fn row(&self, doc: usize) -> &[f32] {
+    pub(crate) fn row(&self, doc: usize) -> &[f32] {
         &self.data[doc * self.dim..(doc + 1) * self.dim]
     }
 
     /// Copy the query into a `dim`-sized unit-normalized buffer (done
     /// once per search; every scanned document then costs one dot).
-    fn prepare_query(&self, query: &[f32]) -> Vec<f32> {
+    pub(crate) fn prepare_query(&self, query: &[f32]) -> Vec<f32> {
         debug_assert!(
             query.len() == self.dim || self.n_docs == 0,
             "query dim {} != index dim {}",
@@ -457,157 +544,57 @@ impl VectorIndex {
         q
     }
 
-    /// Exact top-k by cosine similarity.
-    pub fn search_exact(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        self.search_exact_with_stats(query, k).0
+    /// Run a [`SearchRequest`] — the one retrieval entrypoint.
+    ///
+    /// [`Strategy::Exact`] scores every query in one batched kernel pass
+    /// (or, for a one-query request on a coalescing index, joins the
+    /// current window); [`Strategy::Ivf`] probes per query, falling back
+    /// to the exact pass when the index has no quantizer. Exact hits are
+    /// bit-identical to [`crate::reference::scan_exact`] on every query.
+    ///
+    /// `span` receives one `retrieval.search` child carrying the request
+    /// shape and work counters, and the `retrieval.*` counters accumulate
+    /// in its tracer (catalogue in `docs/observability.md`); pass
+    /// [`obs::Span::disabled`] when untraced.
+    ///
+    /// ```
+    /// use kgrag::{SearchRequest, VectorIndex};
+    ///
+    /// let docs = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.7, 0.7]];
+    /// let index = VectorIndex::build(docs, 0, 7);
+    /// let queries = [vec![1.0, 0.1]];
+    /// let result = index.search(&SearchRequest::exact(&queries, 2), &obs::Span::disabled());
+    /// let ids: Vec<usize> = result.hits[0].iter().map(|&(id, _)| id).collect();
+    /// assert_eq!(ids, [0, 2]);
+    /// assert_eq!(result.stats.vectors_scanned, 3);
+    /// ```
+    pub fn search(&self, req: &SearchRequest<'_>, span: &obs::Span) -> SearchResult {
+        let ivf_probes = match req.strategy {
+            Strategy::Ivf { probes } if self.ivf_enabled() => Some(probes),
+            _ => None,
+        };
+        let mut result = match (ivf_probes, &self.coalescer, req.queries) {
+            (Some(probes), _, _) => self.ivf_search(req.queries, req.k, probes),
+            (None, Some(coalescer), [query]) => coalescer.run(self, query, req.k),
+            (None, _, _) => self.exact_search(req.queries, req.k),
+        };
+        if matches!(req.strategy, Strategy::Ivf { .. }) {
+            result.stats.ivf_fallback = self.ivf_fallback;
+        }
+        let kind = if ivf_probes.is_some() { "ivf" } else { "exact" };
+        record_search(span, kind, self, req, &result);
+        result
     }
 
-    /// Exact top-k, returning the scan's work counters.
+    /// Exact top-k of one query, with the scan's work counters: a
+    /// one-query [`VectorIndex::search`], kept because the `perfbench`
+    /// replay calls it.
     pub fn search_exact_with_stats(&self, query: &[f32], k: usize) -> (Vec<Hit>, SearchStats) {
-        let mut stats = SearchStats::default();
-        if self.n_docs == 0 || k == 0 {
-            return (Vec::new(), stats);
-        }
-        let q = self.prepare_query(query);
-        let hits = self.scan_range(&q, 0, self.n_docs, k, &mut stats);
-        (hits, stats)
-    }
-
-    /// [`VectorIndex::search_exact`] under an observability span: a
-    /// `retrieval.search` child carries the scan shape and the
-    /// `retrieval.*` counters accumulate across searches.
-    pub fn search_exact_observed(&self, query: &[f32], k: usize, parent: &obs::Span) -> Vec<Hit> {
-        let (hits, stats) = self.search_exact_with_stats(query, k);
-        record_search(parent, "exact", self, k, hits.len(), &stats);
-        hits
-    }
-
-    /// Scan `[start, end)` of the arena, sharding across threads when the
-    /// range crosses the parallel threshold.
-    fn scan_range(
-        &self,
-        q: &[f32],
-        start: usize,
-        end: usize,
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Hit> {
-        let n = end - start;
-        let parallel = match self.options.parallel_threshold {
-            Some(threshold) => n >= threshold.max(1),
-            None => false,
-        };
-        if parallel {
-            if let Some(hits) = self.scan_range_parallel(q, start, end, k, stats) {
-                return hits;
-            }
-        }
-        let mut top = TopK::new(k);
-        for doc in start..end {
-            top.offer((doc, dot(q, self.row(doc))));
-        }
-        stats.vectors_scanned += n;
-        stats.heap_pushes += top.pushes;
-        top.into_sorted()
-    }
-
-    /// Sharded scan. Each worker keeps a local top-k over a contiguous
-    /// arena slice; the survivors are merged under the same total-order
-    /// comparator, so the result is bit-identical to the sequential scan
-    /// (the global top-k is a subset of the union of shard top-ks).
-    /// Returns `None` when the effective worker count is 1.
-    fn scan_range_parallel(
-        &self,
-        q: &[f32],
-        start: usize,
-        end: usize,
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Option<Vec<Hit>> {
-        let n = end - start;
-        let workers = self.options.shard_count.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        let shards = workers.min(n);
-        if shards <= 1 {
-            return None;
-        }
-        let chunk = n.div_ceil(shards);
-        let results: Vec<(Vec<Hit>, usize)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let lo = start + s * chunk;
-                    let hi = (lo + chunk).min(end);
-                    scope.spawn(move |_| {
-                        let mut top = TopK::new(k);
-                        for doc in lo..hi {
-                            top.offer((doc, dot(q, self.row(doc))));
-                        }
-                        let pushes = top.pushes;
-                        (top.into_sorted(), pushes)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked"))
-                .collect()
-        })
-        .expect("scan scope");
-        stats.vectors_scanned += n;
-        stats.parallel_shards += results.len();
-        let mut merged: Vec<Hit> = Vec::with_capacity(results.len() * k.min(n));
-        for (hits, pushes) in results {
-            stats.heap_pushes += pushes;
-            merged.extend(hits);
-        }
-        sort_hits(&mut merged);
-        merged.truncate(k);
-        Some(merged)
-    }
-
-    /// Exact top-k for a batch of queries in **one arena pass**: the
-    /// blocked [`slm::kernel::matmul_tile`] streams each arena tile
-    /// through all queries, so memory traffic is amortized across the
-    /// batch. Per-query results are bit-identical to
-    /// [`VectorIndex::search_exact`] on the same query.
-    pub fn search_batch(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Hit>> {
-        self.search_batch_with_stats(queries, k).0
-    }
-
-    /// Batched exact top-k, returning aggregated work counters.
-    pub fn search_batch_with_stats(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-    ) -> (Vec<Vec<Hit>>, SearchStats) {
-        let mut stats = SearchStats {
-            batch_queries: queries.len(),
-            ..SearchStats::default()
-        };
-        if self.n_docs == 0 || k == 0 || queries.is_empty() {
-            return (vec![Vec::new(); queries.len()], stats);
-        }
-        let qmat = self.prepare_batch(queries);
-        let hits = self.batch_scan(&qmat, queries.len(), k, &mut stats);
-        (hits, stats)
-    }
-
-    /// [`VectorIndex::search_batch`] under an observability span: one
-    /// `retrieval.search` child of kind `batch` carrying the window size,
-    /// with `retrieval.batch.*` counters alongside the usual totals.
-    pub fn search_batch_observed(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        parent: &obs::Span,
-    ) -> Vec<Vec<Hit>> {
-        let (hits, stats) = self.search_batch_with_stats(queries, k);
-        let returned: usize = hits.iter().map(Vec::len).sum();
-        record_search(parent, "batch", self, k, returned, &stats);
-        hits
+        self.search(
+            &SearchRequest::exact(&[query.to_vec()], k),
+            &obs::Span::disabled(),
+        )
+        .into_single()
     }
 
     /// Score a gathered set of stored rows against one query in a single
@@ -636,6 +623,88 @@ impl VectorIndex {
         out
     }
 
+    /// A direct exact request: one kernel pass for all queries, the
+    /// per-query counters summed.
+    fn exact_search(&self, queries: &[Vec<f32>], k: usize) -> SearchResult {
+        let (scans, shards) = self.exact_scan(queries, k);
+        let mut stats = SearchStats {
+            parallel_shards: shards,
+            batch_queries: queries.len(),
+            ..SearchStats::default()
+        };
+        let hits = scans
+            .into_iter()
+            .map(|(hits, own)| {
+                stats.vectors_scanned += own.vectors_scanned;
+                stats.heap_pushes += own.heap_pushes;
+                hits
+            })
+            .collect();
+        SearchResult {
+            hits,
+            stats,
+            role: None,
+        }
+    }
+
+    /// Exact top-k of every query in **one arena pass**, tile-sharded
+    /// across threads past the parallel threshold. Returns each query's
+    /// hits with its own share of the work (`vectors_scanned`,
+    /// `heap_pushes`), plus the worker shards the pass spawned (zero when
+    /// it ran sequentially). The coalescer hands these shares out to the
+    /// window's callers.
+    pub(crate) fn exact_scan(
+        &self,
+        queries: &[Vec<f32>],
+        k: usize,
+    ) -> (Vec<(Vec<Hit>, SearchStats)>, usize) {
+        if self.n_docs == 0 || k == 0 || queries.is_empty() {
+            return (vec![(Vec::new(), SearchStats::default()); queries.len()], 0);
+        }
+        let qmat = self.prepare_batch(queries);
+        let n_q = queries.len();
+        let shards = self.scan_shards();
+        let scans = if shards > 1 {
+            self.batch_scan_parallel(&qmat, n_q, k, shards)
+        } else {
+            self.batch_scan_range(&qmat, n_q, 0, self.n_docs, k)
+                .into_iter()
+                .map(TopK::into_scan)
+                .collect()
+        };
+        let per_query = scans
+            .into_iter()
+            .map(|(hits, heap_pushes)| {
+                let own = SearchStats {
+                    vectors_scanned: self.n_docs,
+                    heap_pushes,
+                    ..SearchStats::default()
+                };
+                (hits, own)
+            })
+            .collect();
+        (per_query, if shards > 1 { shards } else { 0 })
+    }
+
+    /// Worker count for an exact pass over the whole arena: 1 (run
+    /// sequentially) below the parallel threshold, otherwise the pinned
+    /// or available worker count, capped at the document count.
+    fn scan_shards(&self) -> usize {
+        let parallel = self
+            .options
+            .parallel_threshold
+            .is_some_and(|threshold| self.n_docs >= threshold.max(1));
+        if !parallel {
+            return 1;
+        }
+        let workers = self.options.shard_count.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        });
+        workers.min(self.n_docs)
+    }
+
     /// Pack queries into a flat row-major `Q × dim` matrix, each row
     /// prepared exactly like [`VectorIndex::prepare_query`] (zero-pad /
     /// truncate to `dim`, unit-normalize).
@@ -647,35 +716,6 @@ impl VectorIndex {
             normalize(row);
         }
         qmat
-    }
-
-    /// Batched scan over the whole arena: tile-sharded across threads
-    /// when past the parallel threshold, otherwise one sequential tile
-    /// walk.
-    fn batch_scan(
-        &self,
-        qmat: &[f32],
-        n_q: usize,
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Hit>> {
-        let parallel = match self.options.parallel_threshold {
-            Some(threshold) => self.n_docs >= threshold.max(1),
-            None => false,
-        };
-        if parallel {
-            if let Some(hits) = self.batch_scan_parallel(qmat, n_q, k, stats) {
-                return hits;
-            }
-        }
-        let tops = self.batch_scan_range(qmat, n_q, 0, self.n_docs, k);
-        stats.vectors_scanned += self.n_docs * n_q;
-        tops.into_iter()
-            .map(|top| {
-                stats.heap_pushes += top.pushes;
-                top.into_sorted()
-            })
-            .collect()
     }
 
     /// Score arena rows `[start, end)` against all `n_q` queries,
@@ -729,30 +769,20 @@ impl VectorIndex {
         tops
     }
 
-    /// Tile-sharded batched scan: the **arena** is split into contiguous
-    /// row ranges across workers (every query visits every shard — the
-    /// dual of sharding by query, which would forfeit the amortized
-    /// arena pass). Per-shard, per-query top-k survivors merge under the
+    /// Tile-sharded exact pass: the **arena** is split into `shards`
+    /// contiguous row ranges (every query visits every shard — the dual
+    /// of sharding by query, which would forfeit the amortized arena
+    /// pass). Per-shard, per-query top-k survivors merge under the
     /// total-order comparator, so results are bit-identical to the
-    /// sequential batch scan. Returns `None` when the effective worker
-    /// count is 1.
+    /// sequential pass; each query's pushes sum over its shard heaps.
     fn batch_scan_parallel(
         &self,
         qmat: &[f32],
         n_q: usize,
         k: usize,
-        stats: &mut SearchStats,
-    ) -> Option<Vec<Vec<Hit>>> {
+        shards: usize,
+    ) -> Vec<(Vec<Hit>, usize)> {
         let n = self.n_docs;
-        let workers = self.options.shard_count.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        let shards = workers.min(n);
-        if shards <= 1 {
-            return None;
-        }
         let chunk = n.div_ceil(shards);
         let results: Vec<Vec<(Vec<Hit>, usize)>> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..shards)
@@ -762,10 +792,7 @@ impl VectorIndex {
                     scope.spawn(move |_| {
                         self.batch_scan_range(qmat, n_q, lo, hi, k)
                             .into_iter()
-                            .map(|top| {
-                                let pushes = top.pushes;
-                                (top.into_sorted(), pushes)
-                            })
+                            .map(TopK::into_scan)
                             .collect()
                     })
                 })
@@ -776,211 +803,47 @@ impl VectorIndex {
                 .collect()
         })
         .expect("batch scan scope");
-        stats.vectors_scanned += n * n_q;
-        stats.parallel_shards += results.len();
-        let mut merged: Vec<Vec<Hit>> = (0..n_q).map(|_| Vec::with_capacity(shards * k)).collect();
+        let mut merged: Vec<(Vec<Hit>, usize)> = (0..n_q)
+            .map(|_| (Vec::with_capacity(shards * k), 0))
+            .collect();
         for shard in results {
-            for (qi, (hits, pushes)) in shard.into_iter().enumerate() {
-                stats.heap_pushes += pushes;
-                merged[qi].extend(hits);
+            for ((hits, pushes), (shard_hits, shard_pushes)) in merged.iter_mut().zip(shard) {
+                hits.extend(shard_hits);
+                *pushes += shard_pushes;
             }
         }
-        for hits in &mut merged {
+        for (hits, _) in &mut merged {
             sort_hits(hits);
             hits.truncate(k);
         }
-        Some(merged)
+        merged
     }
 
-    /// Approximate batched top-k: one batched coarse-quantizer pass, then
-    /// each probed cluster's members are scored once for **all** queries
-    /// probing that cluster ([`slm::kernel::dot_batch`] — each member row
-    /// is loaded once per cluster, not once per query). Per-query results
-    /// are bit-identical to [`VectorIndex::search_ivf`]. Falls back to
-    /// the batched exact scan when IVF is disabled.
-    pub fn search_batch_ivf(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        n_probe: usize,
-    ) -> Vec<Vec<Hit>> {
-        self.search_batch_ivf_with_stats(queries, k, n_probe).0
-    }
-
-    /// Batched IVF top-k, returning aggregated work counters.
-    pub fn search_batch_ivf_with_stats(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        n_probe: usize,
-    ) -> (Vec<Vec<Hit>>, SearchStats) {
-        if self.centroids.is_empty() {
-            let (hits, mut stats) = self.search_batch_with_stats(queries, k);
-            stats.ivf_fallback = self.ivf_fallback;
-            return (hits, stats);
-        }
-        let mut stats = SearchStats {
-            batch_queries: queries.len(),
-            ..SearchStats::default()
-        };
-        let n_q = queries.len();
-        if self.n_docs == 0 || k == 0 || n_q == 0 {
-            return (vec![Vec::new(); n_q], stats);
-        }
-        let qmat = self.prepare_batch(queries);
-        let n_clusters = self.clusters.len();
-        // batched coarse quantizer: Q × C scores in one kernel call
-        let mut cscores = vec![0.0f32; n_q * n_clusters];
-        matmul_tile(
-            &qmat,
-            n_q,
-            &self.centroids,
-            n_clusters,
-            self.dim,
-            &mut cscores,
-        );
-        stats.vectors_scanned += n_clusters * n_q;
-        // per query: nearest n_probe clusters (same heap as search_ivf,
-        // so the probed set is identical); then invert to cluster →
-        // probing queries
-        let mut probers: Vec<Vec<usize>> = vec![Vec::new(); n_clusters];
-        for qi in 0..n_q {
-            let mut nearest = TopK::new(n_probe.max(1));
-            for (ci, &s) in cscores[qi * n_clusters..(qi + 1) * n_clusters]
-                .iter()
-                .enumerate()
-            {
-                nearest.offer((ci, s));
-            }
-            let probed = nearest.into_sorted();
-            stats.ivf_probes += probed.len();
-            for (ci, _) in probed {
-                probers[ci].push(qi);
-            }
-        }
-        // fine scan: per cluster, gather the probing queries into a
-        // contiguous sub-matrix and score every member row once for all
-        // of them
-        let mut tops: Vec<TopK> = (0..n_q).map(|_| TopK::new(k)).collect();
-        let mut qsub: Vec<f32> = Vec::new();
-        let mut out: Vec<f32> = Vec::new();
-        for (ci, qis) in probers.iter().enumerate() {
-            if qis.is_empty() {
-                continue;
-            }
-            qsub.clear();
-            for &qi in qis {
-                qsub.extend_from_slice(&qmat[qi * self.dim..(qi + 1) * self.dim]);
-            }
-            out.resize(qis.len(), 0.0);
-            for &doc in &self.clusters[ci] {
-                dot_batch(&qsub, self.dim, self.row(doc), &mut out);
-                for (slot, &qi) in out.iter().zip(qis) {
-                    tops[qi].offer((doc, *slot));
-                }
-            }
-            stats.vectors_scanned += self.clusters[ci].len() * qis.len();
-        }
-        let hits = tops
-            .into_iter()
-            .map(|top| {
-                stats.heap_pushes += top.pushes;
-                top.into_sorted()
-            })
-            .collect();
-        (hits, stats)
-    }
-
-    /// [`VectorIndex::search_batch_ivf`] under an observability span.
-    pub fn search_batch_ivf_observed(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        n_probe: usize,
-        parent: &obs::Span,
-    ) -> Vec<Vec<Hit>> {
-        let (hits, stats) = self.search_batch_ivf_with_stats(queries, k, n_probe);
-        let kind = if self.ivf_enabled() {
-            "batch_ivf"
-        } else {
-            "batch"
-        };
-        let returned: usize = hits.iter().map(Vec::len).sum();
-        record_search(parent, kind, self, k, returned, &stats);
-        hits
-    }
-
-    /// Single-query search that opportunistically rides a batched kernel
-    /// invocation: when a coalescer is attached
-    /// ([`VectorIndex::with_coalescing`]) and other threads search within
-    /// the same window, all window members are serviced by **one**
-    /// [`VectorIndex::search_batch`] call. Results are bit-identical to
-    /// [`VectorIndex::search_exact`] either way (a batched top-k at the
-    /// window's max k truncates to each caller's k — a prefix under the
-    /// total order).
-    pub fn search_coalesced(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        match &self.coalescer {
-            Some(c) => c.run(self, query, k).0,
-            None => self.search_exact(query, k),
-        }
-    }
-
-    /// [`VectorIndex::search_coalesced`] under an observability span:
-    /// the `retrieval.search` child carries the caller's window role
-    /// (`leader`/`follower`) and window size, and `retrieval.batch.*`
-    /// counters track coalescing behaviour.
-    pub fn search_coalesced_observed(
-        &self,
-        query: &[f32],
-        k: usize,
-        parent: &obs::Span,
-    ) -> Vec<Hit> {
-        let coalescer = match &self.coalescer {
-            Some(c) => c,
-            None => return self.search_exact_observed(query, k, parent),
-        };
-        let (hits, role) = coalescer.run(self, query, k);
-        let span = parent.child("retrieval.search");
-        span.set("kind", "coalesced");
-        span.set("docs_indexed", self.len());
-        span.set("k", k);
-        span.set("hits", hits.len());
-        span.count("retrieval.batch.coalesced", 1);
-        match role {
-            crate::batch::WindowRole::Leader { window } => {
-                span.set("batch_role", "leader");
-                span.set("window", window);
-                span.count("retrieval.batch.windows", 1);
-                span.count("retrieval.batch.queries", window as u64);
-            }
-            crate::batch::WindowRole::Follower => {
-                span.set("batch_role", "follower");
-            }
-        }
-        hits
-    }
-
-    /// Approximate top-k: probe the `n_probe` nearest clusters. Falls
-    /// back to exact search when IVF is disabled.
-    pub fn search_ivf(&self, query: &[f32], k: usize, n_probe: usize) -> Vec<Hit> {
-        self.search_ivf_with_stats(query, k, n_probe).0
-    }
-
-    /// Approximate top-k, returning the search's work counters.
-    pub fn search_ivf_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-        n_probe: usize,
-    ) -> (Vec<Hit>, SearchStats) {
-        if self.centroids.is_empty() {
-            let (hits, mut stats) = self.search_exact_with_stats(query, k);
-            stats.ivf_fallback = self.ivf_fallback;
-            return (hits, stats);
-        }
+    /// Approximate top-k for every query, one probe loop each.
+    fn ivf_search(&self, queries: &[Vec<f32>], k: usize, n_probe: usize) -> SearchResult {
         let mut stats = SearchStats::default();
+        let hits = queries
+            .iter()
+            .map(|q| self.ivf_probe(q, k, n_probe, &mut stats))
+            .collect();
+        SearchResult {
+            hits,
+            stats,
+            role: None,
+        }
+    }
+
+    /// One query's IVF probe: score the centroids, then the members of
+    /// the `n_probe` nearest clusters through one heap.
+    fn ivf_probe(
+        &self,
+        query: &[f32],
+        k: usize,
+        n_probe: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<Hit> {
         if self.n_docs == 0 || k == 0 {
-            return (Vec::new(), stats);
+            return Vec::new();
         }
         let q = self.prepare_query(query);
         let n_clusters = self.clusters.len();
@@ -1001,44 +864,34 @@ impl VectorIndex {
             stats.vectors_scanned += self.clusters[ci].len();
         }
         stats.heap_pushes += top.pushes;
-        (top.into_sorted(), stats)
-    }
-
-    /// [`VectorIndex::search_ivf`] under an observability span; counts a
-    /// `retrieval.ivf_disabled` fallback when IVF was requested at build
-    /// time but silently impossible.
-    pub fn search_ivf_observed(
-        &self,
-        query: &[f32],
-        k: usize,
-        n_probe: usize,
-        parent: &obs::Span,
-    ) -> Vec<Hit> {
-        let (hits, stats) = self.search_ivf_with_stats(query, k, n_probe);
-        let kind = if self.ivf_enabled() { "ivf" } else { "exact" };
-        record_search(parent, kind, self, k, hits.len(), &stats);
-        hits
+        top.into_sorted()
     }
 }
 
-/// Record one search on a `retrieval.search` child span and bump the
-/// `retrieval.*` counters (catalogue in `docs/observability.md`).
-/// Batched searches additionally bump `retrieval.batch.searches` /
-/// `retrieval.batch.queries`; IVF fallbacks carry their structured
-/// reason as the `ivf_fallback` attribute.
+/// Record one [`VectorIndex::search`] on a `retrieval.search` child span
+/// and bump the `retrieval.*` counters (catalogue in
+/// `docs/observability.md`). Kernel invocations add
+/// `retrieval.batch.searches` / `retrieval.batch.queries`; a coalesced
+/// request adds `retrieval.batch.coalesced`, plus
+/// `retrieval.batch.windows` when it led its window; IVF fallbacks carry
+/// their structured reason as the `ivf_fallback` attribute.
 fn record_search(
     parent: &obs::Span,
     kind: &str,
     index: &VectorIndex,
-    k: usize,
-    hits_returned: usize,
-    stats: &SearchStats,
+    req: &SearchRequest<'_>,
+    result: &SearchResult,
 ) {
+    if !parent.enabled() {
+        return;
+    }
+    let stats = &result.stats;
     let span = parent.child("retrieval.search");
     span.set("kind", kind);
     span.set("docs_indexed", index.len());
-    span.set("k", k);
-    span.set("hits", hits_returned);
+    span.set("k", req.k);
+    span.set("queries", req.queries.len());
+    span.set("hits", result.hits.iter().map(Vec::len).sum::<usize>());
     span.set("vectors_scanned", stats.vectors_scanned);
     span.set("heap_pushes", stats.heap_pushes);
     span.set("parallel_shards", stats.parallel_shards);
@@ -1054,6 +907,19 @@ fn record_search(
         span.set("batch_queries", stats.batch_queries);
         span.count("retrieval.batch.searches", 1);
         span.count("retrieval.batch.queries", stats.batch_queries as u64);
+    }
+    match result.role {
+        Some(WindowRole::Leader { window }) => {
+            span.set("batch_role", "leader");
+            span.set("window", window);
+            span.count("retrieval.batch.coalesced", 1);
+            span.count("retrieval.batch.windows", 1);
+        }
+        Some(WindowRole::Follower) => {
+            span.set("batch_role", "follower");
+            span.count("retrieval.batch.coalesced", 1);
+        }
+        None => {}
     }
     if let Some(fallback) = stats.ivf_fallback {
         span.set("ivf_disabled", true);
@@ -1271,6 +1137,7 @@ fn kmeanspp_seeds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::scan_exact;
     use slm::Embedder;
 
     fn corpus_index(n_clusters: usize) -> (VectorIndex, Embedder, Vec<String>) {
@@ -1288,10 +1155,39 @@ mod tests {
         (VectorIndex::build(vectors, n_clusters, 7), e, docs)
     }
 
+    /// A one-query request under `strategy`, untraced.
+    fn search_one(idx: &VectorIndex, q: &[f32], k: usize, strategy: Strategy) -> SearchResult {
+        let queries = [q.to_vec()];
+        let req = SearchRequest {
+            queries: &queries,
+            k,
+            strategy,
+        };
+        idx.search(&req, &obs::Span::disabled())
+    }
+
+    fn exact(idx: &VectorIndex, q: &[f32], k: usize) -> Vec<Hit> {
+        search_one(idx, q, k, Strategy::Exact).into_single().0
+    }
+
+    fn ivf(idx: &VectorIndex, q: &[f32], k: usize, probes: usize) -> Vec<Hit> {
+        search_one(idx, q, k, Strategy::Ivf { probes })
+            .into_single()
+            .0
+    }
+
+    fn ids(hits: &[Hit]) -> Vec<usize> {
+        hits.iter().map(|&(i, _)| i).collect()
+    }
+
+    fn hit_bits(hits: &[Hit]) -> Vec<(usize, u32)> {
+        hits.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+    }
+
     #[test]
     fn exact_search_finds_relevant_docs() {
         let (idx, e, docs) = corpus_index(0);
-        let hits = idx.search_exact(&e.embed("a drama film about love"), 5);
+        let hits = exact(&idx, &e.embed("a drama film about love"), 5);
         assert_eq!(hits.len(), 5);
         for (id, _) in &hits {
             assert!(docs[*id].contains("drama"), "{}", docs[*id]);
@@ -1302,16 +1198,8 @@ mod tests {
     fn ivf_recall_overlaps_exact() {
         let (idx, e, _) = corpus_index(4);
         let q = e.embed("database query papers");
-        let exact: Vec<usize> = idx
-            .search_exact(&q, 5)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect();
-        let approx: Vec<usize> = idx
-            .search_ivf(&q, 5, 2)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect();
+        let exact = ids(&exact(&idx, &q, 5));
+        let approx = ids(&ivf(&idx, &q, 5, 2));
         let overlap = exact.iter().filter(|i| approx.contains(i)).count();
         assert!(overlap >= 3, "IVF recall too low: {overlap}/5");
     }
@@ -1320,31 +1208,39 @@ mod tests {
     fn ivf_probing_more_clusters_cannot_reduce_recall() {
         let (idx, e, _) = corpus_index(4);
         let q = e.embed("drama love story");
-        let exact: Vec<usize> = idx
-            .search_exact(&q, 5)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect();
-        let few: Vec<usize> = idx
-            .search_ivf(&q, 5, 1)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect();
-        let all: Vec<usize> = idx
-            .search_ivf(&q, 5, 4)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect();
+        let exact = ids(&exact(&idx, &q, 5));
+        let few = ids(&ivf(&idx, &q, 5, 1));
+        let all = ids(&ivf(&idx, &q, 5, 4));
         let recall = |v: &[usize]| exact.iter().filter(|i| v.contains(i)).count();
         assert!(recall(&all) >= recall(&few));
         assert_eq!(recall(&all), 5, "probing all clusters must equal exact");
     }
 
     #[test]
+    fn multi_query_ivf_request_probes_each_query() {
+        let (idx, e, _) = corpus_index(4);
+        let queries: Vec<Vec<f32>> = ["drama about love", "database query papers"]
+            .iter()
+            .map(|q| e.embed(q))
+            .collect();
+        let result = idx.search(&SearchRequest::ivf(&queries, 5, 2), &obs::Span::disabled());
+        let mut summed = SearchStats::default();
+        for (q, hits) in queries.iter().zip(&result.hits) {
+            let (solo, stats) = search_one(&idx, q, 5, Strategy::Ivf { probes: 2 }).into_single();
+            assert_eq!(hit_bits(hits), hit_bits(&solo));
+            summed.vectors_scanned += stats.vectors_scanned;
+            summed.ivf_probes += stats.ivf_probes;
+        }
+        assert_eq!(result.stats.vectors_scanned, summed.vectors_scanned);
+        assert_eq!(result.stats.ivf_probes, 4);
+        assert_eq!(result.stats.batch_queries, 0);
+    }
+
+    #[test]
     fn empty_index_returns_nothing() {
         let idx = VectorIndex::build(Vec::new(), 0, 0);
         assert!(idx.is_empty());
-        assert!(idx.search_exact(&[0.0; 4], 3).is_empty());
+        assert!(exact(&idx, &[0.0; 4], 3).is_empty());
     }
 
     #[test]
@@ -1352,7 +1248,7 @@ mod tests {
         let (a, e, _) = corpus_index(4);
         let (b, _, _) = corpus_index(4);
         let q = e.embed("drama");
-        assert_eq!(a.search_ivf(&q, 3, 2), b.search_ivf(&q, 3, 2));
+        assert_eq!(ivf(&a, &q, 3, 2), ivf(&b, &q, 3, 2));
     }
 
     #[test]
@@ -1363,14 +1259,14 @@ mod tests {
         let mut all: Vec<Hit> = (0..idx.len()).map(|i| (i, dot(&q, idx.row(i)))).collect();
         sort_hits(&mut all);
         all.truncate(7);
-        let hits = idx.search_exact(&e.embed("databases"), 7);
+        let hits = exact(&idx, &e.embed("databases"), 7);
         assert_eq!(hits, all);
     }
 
     #[test]
     fn k_larger_than_corpus_returns_everything_ranked() {
         let (idx, e, _) = corpus_index(0);
-        let hits = idx.search_exact(&e.embed("anything"), 1000);
+        let hits = exact(&idx, &e.embed("anything"), 1000);
         assert_eq!(hits.len(), idx.len());
         for w in hits.windows(2) {
             assert_eq!(cmp_hits(&w[0], &w[1]), Ordering::Less);
@@ -1380,9 +1276,8 @@ mod tests {
     #[test]
     fn zero_query_ranks_by_doc_id() {
         let (idx, _, _) = corpus_index(0);
-        let hits = idx.search_exact(&vec![0.0; idx.dim()], 5);
-        let ids: Vec<usize> = hits.iter().map(|&(i, _)| i).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        let hits = exact(&idx, &vec![0.0; idx.dim()], 5);
+        assert_eq!(ids(&hits), vec![0, 1, 2, 3, 4]);
         assert!(hits.iter().all(|&(_, s)| s == 0.0));
     }
 
@@ -1403,7 +1298,7 @@ mod tests {
         };
         let q = [1.0, 0.2, 0.0, 0.0];
         for nan_at in 0..4 {
-            let hits = mk(nan_at).search_exact(&q, 4);
+            let hits = exact(&mk(nan_at), &q, 4);
             assert!(hits[0].1.is_nan(), "NaN ranks first: {hits:?}");
             assert_eq!(hits[0].0, nan_at);
             // the real hits keep their relative order below it
@@ -1417,33 +1312,31 @@ mod tests {
     #[test]
     fn forced_sharding_is_bit_identical_to_sequential() {
         let (idx, e, _) = corpus_index(0);
-        let q = e.embed("a drama about databases");
-        let seq = idx
-            .clone()
-            .with_options(SearchOptions::sequential())
-            .search_exact_with_stats(&q, 6);
-        let par = idx
-            .with_options(SearchOptions {
-                parallel_threshold: Some(1),
-                shard_count: Some(4),
-            })
-            .search_exact_with_stats(&q, 6);
-        let bits = |hits: &[Hit]| -> Vec<(usize, u32)> {
-            hits.iter().map(|&(i, s)| (i, s.to_bits())).collect()
-        };
-        assert_eq!(bits(&seq.0), bits(&par.0));
-        assert_eq!(par.1.parallel_shards, 4);
-        assert_eq!(seq.1.parallel_shards, 0);
-        assert_eq!(seq.1.vectors_scanned, par.1.vectors_scanned);
-    }
-
-    fn hit_bits(hits: &[Hit]) -> Vec<(usize, u32)> {
-        hits.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+        let sequential = idx.clone().with_options(SearchOptions::sequential());
+        let sharded = idx.with_options(SearchOptions {
+            parallel_threshold: Some(1),
+            shard_count: Some(3),
+        });
+        for n_q in [1, 5] {
+            let queries: Vec<Vec<f32>> = (0..n_q).map(|i| e.embed(&format!("topic {i}"))).collect();
+            let req = SearchRequest::exact(&queries, 4);
+            let seq = sequential.search(&req, &obs::Span::disabled());
+            let par = sharded.search(&req, &obs::Span::disabled());
+            for (s, p) in seq.hits.iter().zip(&par.hits) {
+                assert_eq!(hit_bits(s), hit_bits(p));
+            }
+            assert_eq!(par.stats.parallel_shards, 3);
+            assert_eq!(seq.stats.parallel_shards, 0);
+            assert_eq!(seq.stats.vectors_scanned, par.stats.vectors_scanned);
+            assert_eq!(seq.stats.batch_queries, n_q);
+        }
     }
 
     #[test]
-    fn batch_search_is_bit_identical_to_per_query_exact() {
+    fn search_is_bit_identical_to_reference_scan() {
         let (idx, e, _) = corpus_index(0);
+        let mut nan_q = e.embed("drama");
+        nan_q[3] = f32::NAN;
         let queries: Vec<Vec<f32>> = [
             "a drama about love",
             "databases and queries",
@@ -1452,86 +1345,37 @@ mod tests {
         ]
         .iter()
         .map(|q| e.embed(q))
+        .chain([nan_q])
         .collect();
-        let batch = idx.search_batch(&queries, 6);
-        assert_eq!(batch.len(), queries.len());
-        for (q, hits) in queries.iter().zip(&batch) {
-            assert_eq!(hit_bits(hits), hit_bits(&idx.search_exact(q, 6)));
+        let result = idx.search(&SearchRequest::exact(&queries, 6), &obs::Span::disabled());
+        assert_eq!(result.hits.len(), queries.len());
+        for (q, hits) in queries.iter().zip(&result.hits) {
+            assert_eq!(hit_bits(hits), hit_bits(&scan_exact(&idx, q, 6)));
         }
+        assert_eq!(result.stats.vectors_scanned, idx.len() * queries.len());
+        assert_eq!(result.role, None);
     }
 
     #[test]
-    fn batch_tile_sharding_is_bit_identical() {
+    fn search_handles_empty_request_and_empty_index() {
         let (idx, e, _) = corpus_index(0);
-        let queries: Vec<Vec<f32>> = (0..5).map(|i| e.embed(&format!("topic {i}"))).collect();
-        let seq = idx
-            .clone()
-            .with_options(SearchOptions::sequential())
-            .search_batch_with_stats(&queries, 4);
-        let par = idx
-            .with_options(SearchOptions {
-                parallel_threshold: Some(1),
-                shard_count: Some(3),
-            })
-            .search_batch_with_stats(&queries, 4);
-        for (s, p) in seq.0.iter().zip(&par.0) {
-            assert_eq!(hit_bits(s), hit_bits(p));
-        }
-        assert_eq!(par.1.parallel_shards, 3);
-        assert_eq!(seq.1.parallel_shards, 0);
-        assert_eq!(seq.1.vectors_scanned, par.1.vectors_scanned);
-        assert_eq!(seq.1.batch_queries, 5);
-    }
-
-    #[test]
-    fn batch_ivf_is_bit_identical_to_per_query_ivf() {
-        let (idx, e, _) = corpus_index(4);
-        let queries: Vec<Vec<f32>> = [
-            "drama about love",
-            "database query papers",
-            "paper number nine",
-        ]
-        .iter()
-        .map(|q| e.embed(q))
-        .collect();
-        for n_probe in [1, 2, 4] {
-            let batch = idx.search_batch_ivf(&queries, 5, n_probe);
-            for (q, hits) in queries.iter().zip(&batch) {
-                assert_eq!(
-                    hit_bits(hits),
-                    hit_bits(&idx.search_ivf(q, 5, n_probe)),
-                    "n_probe {n_probe}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_search_handles_empty_batch_and_empty_index() {
-        let (idx, e, _) = corpus_index(0);
-        assert!(idx.search_batch(&[], 5).is_empty());
+        let none = idx.search(&SearchRequest::exact(&[], 5), &obs::Span::disabled());
+        assert!(none.hits.is_empty());
         let empty = VectorIndex::build(Vec::new(), 0, 0);
-        let out = empty.search_batch(&[e.embed("x")], 5);
-        assert_eq!(out, vec![Vec::new()]);
-    }
-
-    #[test]
-    fn batch_with_nan_query_matches_exact() {
-        let (idx, e, _) = corpus_index(0);
-        let mut nan_q = e.embed("drama");
-        nan_q[3] = f32::NAN;
-        let queries = vec![nan_q.clone(), e.embed("databases")];
-        let batch = idx.search_batch(&queries, 5);
-        assert_eq!(hit_bits(&batch[0]), hit_bits(&idx.search_exact(&nan_q, 5)));
+        let out = empty.search(
+            &SearchRequest::exact(&[e.embed("x")], 5),
+            &obs::Span::disabled(),
+        );
+        assert_eq!(out.hits, vec![Vec::new()]);
+        assert_eq!(out.stats.vectors_scanned, 0);
     }
 
     #[test]
     fn score_docs_is_bit_identical_to_exact_scores() {
         let (idx, e, _) = corpus_index(0);
         let q = e.embed("a drama about love");
-        let exact = idx.search_exact(&q, 8);
-        let docs: Vec<usize> = exact.iter().map(|&(id, _)| id).collect();
-        let scores = idx.score_docs(&q, &docs);
+        let exact = exact(&idx, &q, 8);
+        let scores = idx.score_docs(&q, &ids(&exact));
         for ((_, s), batched) in exact.iter().zip(&scores) {
             assert_eq!(s.to_bits(), batched.to_bits());
         }
@@ -1541,23 +1385,25 @@ mod tests {
     }
 
     #[test]
-    fn batch_observed_records_batch_counters() {
+    fn multi_query_search_records_batch_counters() {
         let (idx, e, _) = corpus_index(0);
         let (tracer, recorder) = obs::Tracer::in_memory();
         let root = tracer.span("test");
         let queries = vec![e.embed("drama"), e.embed("papers")];
-        idx.search_batch_observed(&queries, 5, &root);
+        idx.search(&SearchRequest::exact(&queries, 5), &root);
         root.finish();
         assert_eq!(tracer.registry().counter("retrieval.batch.searches"), 1);
         assert_eq!(tracer.registry().counter("retrieval.batch.queries"), 2);
         assert_eq!(tracer.registry().counter("retrieval.searches"), 1);
         assert_eq!(tracer.registry().counter("retrieval.vectors_scanned"), 80);
+        assert_eq!(tracer.registry().counter("retrieval.batch.coalesced"), 0);
         let span = recorder.take().pop().expect("root recorded");
         let search = span.find("retrieval.search").expect("search span");
         assert_eq!(
             search.attr("kind").and_then(obs::AttrValue::as_str),
-            Some("batch")
+            Some("exact")
         );
+        assert_eq!(search.attr_u64("queries"), Some(2));
         assert_eq!(search.attr_u64("batch_queries"), Some(2));
     }
 
@@ -1567,7 +1413,7 @@ mod tests {
         let q = e.embed("drama");
         // deterministic: same seed, same clustering
         let (b, _, _) = corpus_index(4);
-        assert_eq!(a.search_ivf(&q, 3, 2), b.search_ivf(&q, 3, 2));
+        assert_eq!(ivf(&a, &q, 3, 2), ivf(&b, &q, 3, 2));
         // both seedings produce a working quantizer on this corpus
         let docs: Vec<String> = (0..40).map(|i| format!("doc number {i}")).collect();
         let vectors: Vec<Vec<f32>> = docs.iter().map(|d| e.embed(d)).collect();
@@ -1618,12 +1464,17 @@ mod tests {
         );
         assert_eq!(fallback.reason(), "corpus_too_small");
         assert!(fallback.describe().contains("6 docs < 8"));
-        let (_, stats) = idx.search_ivf_with_stats(&slm::embedding::hash_vector("q"), 3, 2);
+        let q = slm::embedding::hash_vector("q");
+        let stats = search_one(&idx, &q, 3, Strategy::Ivf { probes: 2 }).stats;
         assert_eq!(stats.ivf_fallback, Some(fallback));
-        // healthy IVF and plain exact searches carry no reason
+        // exact requests, healthy IVF searches carry no reason
+        assert_eq!(
+            search_one(&idx, &q, 3, Strategy::Exact).stats.ivf_fallback,
+            None
+        );
         let (healthy, _, _) = corpus_index(4);
         assert_eq!(healthy.ivf_fallback(), None);
-        let (_, stats) = healthy.search_ivf_with_stats(&slm::embedding::hash_vector("q"), 3, 2);
+        let stats = search_one(&healthy, &q, 3, Strategy::Ivf { probes: 2 }).stats;
         assert_eq!(stats.ivf_fallback, None);
     }
 
@@ -1638,10 +1489,10 @@ mod tests {
         assert!(!idx.ivf_enabled());
         let (tracer, recorder) = obs::Tracer::in_memory();
         let root = tracer.span("test");
-        let q = slm::embedding::hash_vector("doc-0");
-        let hits = idx.search_ivf_observed(&q, 3, 2, &root);
+        let q = [slm::embedding::hash_vector("doc-0")];
+        let result = idx.search(&SearchRequest::ivf(&q, 3, 2), &root);
         root.finish();
-        assert_eq!(hits.len(), 3);
+        assert_eq!(result.hits[0].len(), 3);
         assert_eq!(tracer.registry().counter("retrieval.ivf_disabled"), 1);
         let span = recorder.take().pop().expect("root recorded");
         let search = span.find("retrieval.search").expect("search span");
@@ -1656,12 +1507,12 @@ mod tests {
     }
 
     #[test]
-    fn observed_search_records_counters() {
+    fn traced_search_records_counters() {
         let (idx, e, _) = corpus_index(4);
         let (tracer, recorder) = obs::Tracer::in_memory();
         let root = tracer.span("test");
-        idx.search_exact_observed(&e.embed("drama"), 5, &root);
-        idx.search_ivf_observed(&e.embed("papers"), 5, 2, &root);
+        idx.search(&SearchRequest::exact(&[e.embed("drama")], 5), &root);
+        idx.search(&SearchRequest::ivf(&[e.embed("papers")], 5, 2), &root);
         root.finish();
         assert_eq!(tracer.registry().counter("retrieval.searches"), 2);
         assert!(tracer.registry().counter("retrieval.vectors_scanned") >= 40);

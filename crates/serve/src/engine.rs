@@ -899,6 +899,43 @@ mod tests {
     }
 
     #[test]
+    fn coalesced_rag_requests_count_their_retrieval_work() {
+        // Coalescing is serve's default; every naive `rag` request must
+        // still land on the retrieval counters the stats reply reports.
+        let wb = wb();
+        let engine = Engine::new(&wb).with_coalescing(kgrag::BatchWindow::default());
+        let cancel = CancelToken::new();
+        let n = 5;
+        for i in 0..n {
+            let r = engine.handle(
+                &req(Scenario::Rag, &format!("what happens in film number {i}?")),
+                Grade::Normal,
+                &cancel,
+            );
+            assert_eq!(
+                r.as_object().unwrap().get("ok").and_then(Value::as_bool),
+                Some(true)
+            );
+        }
+        let v = engine.stats_reply(&req(Scenario::Stats, ""), 0, 0);
+        let obj = v.as_object().unwrap();
+        let docs = obj
+            .get("retrieval")
+            .and_then(|r| r.get("docs_indexed"))
+            .and_then(Value::as_u64)
+            .unwrap();
+        let counters = obj.get("counters").and_then(Value::as_object).unwrap();
+        let counter = |name: &str| counters.get(name).and_then(Value::as_u64).unwrap_or(0);
+        assert_eq!(counter("retrieval.searches"), n);
+        assert_eq!(counter("retrieval.batch.coalesced"), n);
+        assert_eq!(counter("retrieval.batch.queries"), n);
+        assert_eq!(counter("retrieval.vectors_scanned"), n * docs);
+        assert!(counter("retrieval.heap_pushes") >= n);
+        // one request at a time: each leads a window of one
+        assert_eq!(counter("retrieval.batch.windows"), n);
+    }
+
+    #[test]
     fn stats_reply_carries_counters_and_quantiles() {
         let wb = wb();
         let engine = Engine::new(&wb);

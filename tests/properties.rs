@@ -737,11 +737,14 @@ proptest! {
         k in 0usize..12,
     ) {
         use llmkg::kgrag::reference::seed_search_exact;
-        use llmkg::kgrag::{SearchOptions, VectorIndex};
+        use llmkg::kgrag::{SearchOptions, SearchRequest, VectorIndex};
         let index = VectorIndex::build(vectors.clone(), 0, 0)
             .with_options(SearchOptions::sequential());
-        let arena = index.search_exact(&query, k);
-        let seed = seed_search_exact(&vectors, &query, k);
+        let queries = [query];
+        let (arena, _) = index
+            .search(&SearchRequest::exact(&queries, k), &llmkg::obs::Span::disabled())
+            .into_single();
+        let seed = seed_search_exact(&vectors, &queries[0], k);
         prop_assert_eq!(arena.len(), seed.len());
         for (pos, (a, s)) in arena.iter().zip(&seed).enumerate() {
             if a.0 != s.0 {
@@ -754,41 +757,11 @@ proptest! {
         }
     }
 
-    /// A forced-shard parallel scan is bit-identical to the sequential
-    /// scan — same ids, same score bit patterns — for any worker count,
-    /// because per-shard top-k heaps merge under a total order that never
-    /// compares two distinct docs equal.
-    #[test]
-    fn forced_sharding_matches_sequential_bitwise(
-        vectors in doc_vectors_strategy(),
-        query in vector_strategy(),
-        workers in 2usize..5,
-        k in 1usize..8,
-    ) {
-        use llmkg::kgrag::{SearchOptions, VectorIndex};
-        let sequential = VectorIndex::build(vectors.clone(), 0, 0)
-            .with_options(SearchOptions::sequential());
-        let sharded = VectorIndex::build(vectors, 0, 0).with_options(SearchOptions {
-            parallel_threshold: Some(1),
-            shard_count: Some(workers),
-        });
-        let seq: Vec<(usize, u32)> = sequential
-            .search_exact(&query, k)
-            .into_iter()
-            .map(|(i, s)| (i, s.to_bits()))
-            .collect();
-        let par: Vec<(usize, u32)> = sharded
-            .search_exact(&query, k)
-            .into_iter()
-            .map(|(i, s)| (i, s.to_bits()))
-            .collect();
-        prop_assert_eq!(seq, par);
-    }
-
-    /// The Q×D batched kernel path is bit-identical to running each query
-    /// through `search_exact` one at a time — same ids, same score bit
-    /// patterns — over corpora that include exact zero vectors and
-    /// queries that include NaN components. The batch path tiles queries
+    /// A Q-query exact `search` (Q = 0..6, so one-query requests are
+    /// covered) is bit-identical to running each query through the
+    /// sequential per-query scan in `kgrag::reference` — same ids, same
+    /// score bit patterns — over corpora that include exact zero vectors
+    /// and queries that include NaN components. The kernel tiles queries
     /// through `matmul_tile` and fast-rejects against a cached heap
     /// floor, so any rounding or comparator drift shows up here as a bit
     /// mismatch rather than a near-tie.
@@ -798,14 +771,16 @@ proptest! {
         queries in proptest::collection::vec(query_strategy(), 0..6),
         k in 0usize..10,
     ) {
-        use llmkg::kgrag::{SearchOptions, VectorIndex};
+        use llmkg::kgrag::reference::scan_exact;
+        use llmkg::kgrag::{SearchOptions, SearchRequest, VectorIndex};
         let index = VectorIndex::build(vectors, 0, 0)
             .with_options(SearchOptions::sequential());
-        let batch = index.search_batch(&queries, k);
+        let batch = index
+            .search(&SearchRequest::exact(&queries, k), &llmkg::obs::Span::disabled())
+            .hits;
         prop_assert_eq!(batch.len(), queries.len());
         for (qi, (q, hits)) in queries.iter().zip(&batch).enumerate() {
-            let single: Vec<(usize, u32)> = index
-                .search_exact(q, k)
+            let single: Vec<(usize, u32)> = scan_exact(&index, q, k)
                 .into_iter()
                 .map(|(i, s)| (i, s.to_bits()))
                 .collect();
@@ -819,9 +794,12 @@ proptest! {
         }
     }
 
-    /// Batched search under a forced shard count merges per-tile heaps
-    /// into exactly the sequential batch result for every query — the
-    /// shard merge and the fast-reject floor commute bitwise.
+    /// Exact search under a forced shard count merges per-tile heaps
+    /// into exactly the sequential result for every query, for 1..5
+    /// queries and any worker count — the shard merge and the
+    /// fast-reject floor commute bitwise, because per-shard top-k heaps
+    /// merge under a total order that never compares two distinct docs
+    /// equal.
     #[test]
     fn batch_forced_sharding_matches_sequential_batch_bitwise(
         vectors in doc_vectors_strategy(),
@@ -829,15 +807,17 @@ proptest! {
         workers in 2usize..5,
         k in 1usize..8,
     ) {
-        use llmkg::kgrag::{SearchOptions, VectorIndex};
+        use llmkg::kgrag::{SearchOptions, SearchRequest, VectorIndex};
         let sequential = VectorIndex::build(vectors.clone(), 0, 0)
             .with_options(SearchOptions::sequential());
         let sharded = VectorIndex::build(vectors, 0, 0).with_options(SearchOptions {
             parallel_threshold: Some(1),
             shard_count: Some(workers),
         });
-        let seq = sequential.search_batch(&queries, k);
-        let par = sharded.search_batch(&queries, k);
+        let req = SearchRequest::exact(&queries, k);
+        let untraced = llmkg::obs::Span::disabled();
+        let seq = sequential.search(&req, &untraced).hits;
+        let par = sharded.search(&req, &untraced).hits;
         for (qi, (s, p)) in seq.iter().zip(&par).enumerate() {
             let s: Vec<(usize, u32)> = s.iter().map(|&(i, x)| (i, x.to_bits())).collect();
             let p: Vec<(usize, u32)> = p.iter().map(|&(i, x)| (i, x.to_bits())).collect();
