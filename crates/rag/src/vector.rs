@@ -882,9 +882,6 @@ fn record_search(
     req: &SearchRequest<'_>,
     result: &SearchResult,
 ) {
-    if !parent.enabled() {
-        return;
-    }
     let stats = &result.stats;
     let span = parent.child("retrieval.search");
     span.set("kind", kind);
