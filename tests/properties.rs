@@ -757,6 +757,34 @@ proptest! {
         }
     }
 
+    /// A forced-shard parallel one-query scan is bit-identical to the
+    /// sequential scan — same ids, same score bit patterns — for any
+    /// worker count, because per-shard top-k heaps merge under a total
+    /// order that never compares two distinct docs equal.
+    #[test]
+    fn forced_sharding_matches_sequential_bitwise(
+        vectors in doc_vectors_strategy(),
+        query in vector_strategy(),
+        workers in 2usize..5,
+        k in 1usize..8,
+    ) {
+        use llmkg::kgrag::{SearchOptions, SearchRequest, VectorIndex};
+        let sequential = VectorIndex::build(vectors.clone(), 0, 0)
+            .with_options(SearchOptions::sequential());
+        let sharded = VectorIndex::build(vectors, 0, 0).with_options(SearchOptions {
+            parallel_threshold: Some(1),
+            shard_count: Some(workers),
+        });
+        let queries = [query];
+        let req = SearchRequest::exact(&queries, k);
+        let untraced = llmkg::obs::Span::disabled();
+        let (seq, _) = sequential.search(&req, &untraced).into_single();
+        let (par, _) = sharded.search(&req, &untraced).into_single();
+        let seq: Vec<(usize, u32)> = seq.into_iter().map(|(i, s)| (i, s.to_bits())).collect();
+        let par: Vec<(usize, u32)> = par.into_iter().map(|(i, s)| (i, s.to_bits())).collect();
+        prop_assert_eq!(seq, par);
+    }
+
     /// A Q-query exact `search` (Q = 0..6, so one-query requests are
     /// covered) is bit-identical to running each query through the
     /// sequential per-query scan in `kgrag::reference` — same ids, same
