@@ -16,6 +16,10 @@
 //! IEEE-754 arithmetic is deterministic per operation, so identical
 //! operation order means identical bits — which is what lets the
 //! deterministic top-k layer above treat the kernel choice as invisible.
+//! (The AVX2 [`matmul_tile`] runs that tree for eight dots at once with
+//! vector adds, whose operand order may differ. That changes nothing
+//! unless the sum is NaN, where it could pick a different NaN payload,
+//! so a NaN sum is recomputed with the scalar tree.)
 //!
 //! Dispatch is decided once per process ([`dispatch_path`]): AVX2 via
 //! `is_x86_feature_detected!` on x86_64, NEON unconditionally on aarch64
@@ -24,12 +28,14 @@
 //! [`matmul_tile_with_path`] and enumerate what the host supports with
 //! [`DispatchPath::available`].
 //!
-//! The batched kernels are register-blocked: [`matmul_tile`] walks the
-//! row arena in panels small enough to stay cache-resident and streams
-//! groups of [`Q_TILE`] query rows over each panel, so each arena cache
-//! line is touched once per query *group* instead of once per query.
-//! That turns Q independent memory-bound scans into one pass at
-//! ~Q/[`Q_TILE`] of the DRAM traffic — the whole point of batching.
+//! The batched kernels are cache-blocked: [`matmul_tile`] walks the row
+//! arena in panels small enough to stay cache-resident and streams every
+//! query over each panel, so each arena cache line comes from memory once
+//! per call instead of once per query. That turns Q independent
+//! memory-bound scans into one pass — the whole point of batching. Inside
+//! a panel the AVX2 path scores one query against eight rows per
+//! register block; the scalar and NEON paths score [`Q_TILE`] queries
+//! against one row.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -39,14 +45,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// instead of a serial dependency chain.
 pub const DOT_LANES: usize = 8;
 
-/// Query rows processed together against each arena row in the blocked
-/// kernels. Four query accumulators plus one row register fit
-/// comfortably in the 16 available vector registers with room for loads.
+/// Query rows processed together against each arena row in the scalar
+/// and NEON blocked kernels.
 pub const Q_TILE: usize = 4;
 
 /// Arena rows per cache panel in [`matmul_tile`]. At the workspace's
-/// 64-dim `f32` rows this is 32 KiB — sized for L1/L2 residency while a
-/// query group streams over it.
+/// 64-dim `f32` rows this is 32 KiB — sized for L1/L2 residency while
+/// the queries stream over it.
 const ROW_BLOCK: usize = 128;
 
 /// Which SIMD implementation services the kernels.
@@ -187,11 +192,11 @@ pub fn dot_with_path(path: DispatchPath, a: &[f32], b: &[f32]) -> f32 {
 /// stride `dim`; `out` must hold `n_q * n_rows` elements.
 ///
 /// The kernel walks `rows` in `ROW_BLOCK` (128)-row panels and streams
-/// [`Q_TILE`]-query groups over each panel, so a panel is loaded from
-/// DRAM once per group rather than once per query. Each individual
-/// `(q, r)` score follows the exact lane structure and reduction order
-/// of [`dot`], so the output is bit-identical to `n_q × n_rows`
-/// independent [`dot`] calls on every dispatch path.
+/// every query over each panel, so a panel is loaded from DRAM once per
+/// call rather than once per query. Each individual `(q, r)` score
+/// follows the exact lane structure and reduction order of [`dot`], so
+/// the output is bit-identical to `n_q × n_rows` independent [`dot`]
+/// calls on every dispatch path.
 pub fn matmul_tile(
     queries: &[f32],
     n_q: usize,
@@ -233,6 +238,26 @@ pub fn matmul_tile_with_path(
         #[allow(unreachable_patterns)]
         other => panic!("dispatch path {} unavailable on this target", other.label()),
     }
+}
+
+/// Index of the first score that is not `<= floor` (greater, or NaN),
+/// or `None` when every score is `<= floor`. A top-k scan uses it to skip
+/// the run of scores its heap would reject. Comparisons do not round, so
+/// every path returns the same index; the AVX2 path tests eight scores
+/// per instruction.
+pub fn first_above(scores: &[f32], floor: f32) -> Option<usize> {
+    match dispatch_path() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the dispatcher only selects AVX2 after detecting it.
+        DispatchPath::Avx2 => unsafe { avx2::first_above(scores, floor) },
+        _ => scores.iter().position(|&s| above(s, floor)),
+    }
+}
+
+/// `!(score <= floor)`: greater, or either side NaN.
+fn above(score: f32, floor: f32) -> bool {
+    use std::cmp::Ordering::{Equal, Less};
+    !matches!(score.partial_cmp(&floor), Some(Less | Equal))
 }
 
 /// The portable reference kernel: 8 independent accumulator lanes over
@@ -293,7 +318,11 @@ mod avx2 {
 
     use core::arch::x86_64::*;
 
-    use super::{Q_TILE, ROW_BLOCK};
+    use super::ROW_BLOCK;
+    use crate::embedding::DIM;
+
+    /// Arena rows scored per query in one register block.
+    const ROWS: usize = 8;
 
     /// 8-lane AVX2 dot with the scalar kernel's reduction order.
     ///
@@ -326,9 +355,36 @@ mod avx2 {
         super::reduce_lanes(&lanes)
     }
 
-    /// Blocked matmul: row panels stream through a group of up to
-    /// [`Q_TILE`] query accumulators, so each panel cache line is read
-    /// once per group.
+    /// [`super::first_above`], eight scores per compare: `NLE_UQ` is
+    /// true exactly when `!(score <= floor)`, NaN included.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn first_above(scores: &[f32], floor: f32) -> Option<usize> {
+        let f = _mm256_set1_ps(floor);
+        let chunks = scores.chunks_exact(8);
+        let rest = chunks.remainder();
+        for (c, chunk) in chunks.enumerate() {
+            let above = _mm256_cmp_ps::<_CMP_NLE_UQ>(_mm256_loadu_ps(chunk.as_ptr()), f);
+            let mask = _mm256_movemask_ps(above);
+            if mask != 0 {
+                return Some(c * 8 + mask.trailing_zeros() as usize);
+            }
+        }
+        let done = scores.len() - rest.len();
+        rest.iter()
+            .position(|&s| super::above(s, floor))
+            .map(|i| done + i)
+    }
+
+    /// Blocked matmul: each query sweeps a cache panel [`ROWS`] rows at
+    /// a time through [`octet`], so one query-chunk load feeds eight
+    /// independent row accumulators and the eight finished dots reduce
+    /// together in registers. Rows of the workspace's embedding width
+    /// ([`DIM`]) take a copy of [`octet`] whose chunk count is a
+    /// compile-time constant, so its chunk loop unrolls into straight
+    /// loads at fixed offsets.
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available and that `queries`, `rows`,
@@ -343,73 +399,98 @@ mod avx2 {
         dim: usize,
         out: &mut [f32],
     ) {
-        let chunks = dim / 8;
         let mut r0 = 0;
         while r0 < n_rows {
             let r1 = (r0 + ROW_BLOCK).min(n_rows);
-            let mut q0 = 0;
-            while q0 < n_q {
-                let qn = (n_q - q0).min(Q_TILE);
-                for r in r0..r1 {
-                    let row = rows.as_ptr().add(r * dim);
-                    if qn == Q_TILE {
-                        quad(queries, q0, row, dim, chunks, &mut out[..], n_rows, r);
+            for q in 0..n_q {
+                let qs = &queries[q * dim..(q + 1) * dim];
+                let scores = &mut out[q * n_rows..(q + 1) * n_rows];
+                let mut r = r0;
+                while r + ROWS <= r1 {
+                    let block = rows.as_ptr().add(r * dim);
+                    let out = &mut scores[r..r + ROWS];
+                    if dim == DIM {
+                        octet::<{ DIM / 8 }>(qs, block, out);
                     } else {
-                        for q in q0..q0 + qn {
-                            let qs =
-                                core::slice::from_raw_parts(queries.as_ptr().add(q * dim), dim);
-                            let rs = core::slice::from_raw_parts(row, dim);
-                            out[q * n_rows + r] = dot(qs, rs);
-                        }
+                        octet::<0>(qs, block, out);
                     }
+                    r += ROWS;
                 }
-                q0 += qn;
+                for r in r..r1 {
+                    scores[r] = dot(qs, &rows[r * dim..(r + 1) * dim]);
+                }
             }
             r0 = r1;
         }
     }
 
-    /// Four query rows against one arena row: the row chunk is loaded
-    /// once and multiplied into four independent accumulators.
+    /// One query against [`ROWS`] consecutive arena rows (stride
+    /// `q.len()`): the query chunk is loaded once and multiplied into
+    /// eight independent accumulators, then [`reduce8`] folds all eight
+    /// with vector adds in the shared tree order. `CHUNKS` is the number
+    /// of 8-wide chunks per row when known at compile time, or 0 to take
+    /// it from `q.len()`.
+    ///
+    /// A NaN-free sum is the same number whatever order each addition
+    /// takes its operands in, so those results are bit-identical to the
+    /// scalar tree. A NaN result is recomputed through [`reduce`], the
+    /// spill-and-scalar-tree path [`dot`] takes, because which NaN
+    /// payload survives an addition depends on operand order.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available and that `rows` covers
+    /// `ROWS × q.len()` elements.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn quad(
-        queries: &[f32],
-        q0: usize,
-        row: *const f32,
-        dim: usize,
-        chunks: usize,
-        out: &mut [f32],
-        n_rows: usize,
-        r: usize,
-    ) {
-        let p0 = queries.as_ptr().add(q0 * dim);
-        let p1 = queries.as_ptr().add((q0 + 1) * dim);
-        let p2 = queries.as_ptr().add((q0 + 2) * dim);
-        let p3 = queries.as_ptr().add((q0 + 3) * dim);
-        let mut a0 = _mm256_setzero_ps();
-        let mut a1 = _mm256_setzero_ps();
-        let mut a2 = _mm256_setzero_ps();
-        let mut a3 = _mm256_setzero_ps();
+    unsafe fn octet<const CHUNKS: usize>(q: &[f32], rows: *const f32, out: &mut [f32]) {
+        let dim = q.len();
+        let chunks = if CHUNKS > 0 { CHUNKS } else { dim / 8 };
+        let row: [*const f32; ROWS] = core::array::from_fn(|j| rows.add(j * dim));
+        let mut acc = [_mm256_setzero_ps(); ROWS];
         for c in 0..chunks {
-            let rv = _mm256_loadu_ps(row.add(c * 8));
-            a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_loadu_ps(p0.add(c * 8)), rv));
-            a1 = _mm256_add_ps(a1, _mm256_mul_ps(_mm256_loadu_ps(p1.add(c * 8)), rv));
-            a2 = _mm256_add_ps(a2, _mm256_mul_ps(_mm256_loadu_ps(p2.add(c * 8)), rv));
-            a3 = _mm256_add_ps(a3, _mm256_mul_ps(_mm256_loadu_ps(p3.add(c * 8)), rv));
+            let qv = _mm256_loadu_ps(q.as_ptr().add(c * 8));
+            for (a, r) in acc.iter_mut().zip(row) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, _mm256_loadu_ps(r.add(c * 8))));
+            }
         }
-        let mut tails = [0.0f32; Q_TILE];
-        for i in chunks * 8..dim {
-            let rx = *row.add(i);
-            tails[0] += *p0.add(i) * rx;
-            tails[1] += *p1.add(i) * rx;
-            tails[2] += *p2.add(i) * rx;
-            tails[3] += *p3.add(i) * rx;
+        let mut tails = [0.0f32; ROWS];
+        for (i, &qx) in q.iter().enumerate().skip(chunks * 8) {
+            for (t, r) in tails.iter_mut().zip(row) {
+                *t += qx * *r.add(i);
+            }
         }
-        out[q0 * n_rows + r] = reduce(a0) + tails[0];
-        out[(q0 + 1) * n_rows + r] = reduce(a1) + tails[1];
-        out[(q0 + 2) * n_rows + r] = reduce(a2) + tails[2];
-        out[(q0 + 3) * n_rows + r] = reduce(a3) + tails[3];
+        let total = _mm256_add_ps(reduce8(&acc), _mm256_loadu_ps(tails.as_ptr()));
+        if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(total, total)) == 0 {
+            _mm256_storeu_ps(out.as_mut_ptr(), total);
+        } else {
+            for ((o, a), t) in out.iter_mut().zip(acc).zip(tails) {
+                *o = reduce(a) + t;
+            }
+        }
+    }
+
+    /// Reduce eight lane accumulators at once: lane `j` of the result is
+    /// `((a0 + a4) + (a1 + a5)) + ((a2 + a6) + (a3 + a7))` over `acc[j]`,
+    /// the tree of [`super::reduce_lanes`]. Pairing `acc[j]` with
+    /// `acc[j + 4]` in one register forms the first level for both with
+    /// one add; a 4×4 transpose per 128-bit half lines up the rest.
+    #[target_feature(enable = "avx2")]
+    unsafe fn reduce8(acc: &[__m256; ROWS]) -> __m256 {
+        let s: [__m256; 4] = core::array::from_fn(|j| {
+            let (x, y) = (acc[j], acc[j + 4]);
+            _mm256_add_ps(
+                _mm256_permute2f128_ps::<0x20>(x, y),
+                _mm256_permute2f128_ps::<0x31>(x, y),
+            )
+        });
+        let u0 = _mm256_unpacklo_ps(s[0], s[1]);
+        let u1 = _mm256_unpackhi_ps(s[0], s[1]);
+        let u2 = _mm256_unpacklo_ps(s[2], s[3]);
+        let u3 = _mm256_unpackhi_ps(s[2], s[3]);
+        let l0 = _mm256_shuffle_ps::<0x44>(u0, u2);
+        let l1 = _mm256_shuffle_ps::<0xEE>(u0, u2);
+        let l2 = _mm256_shuffle_ps::<0x44>(u1, u3);
+        let l3 = _mm256_shuffle_ps::<0xEE>(u1, u3);
+        _mm256_add_ps(_mm256_add_ps(l0, l1), _mm256_add_ps(l2, l3))
     }
 }
 
@@ -594,22 +675,45 @@ mod tests {
     }
 
     #[test]
+    fn first_above_finds_the_first_score_not_below_the_floor() {
+        let mut scores = vecs(7, 1, 37);
+        scores[20] = f32::NAN;
+        for floor in [-2.0, -0.5, 0.0, 0.5, 0.99, 2.0, f32::NAN] {
+            for start in [0, 1, 8, 13, 21, 30, 37] {
+                let tail = &scores[start..];
+                // the top-k scan's reject test, verbatim: skip while `<=`
+                let want = tail.iter().position(|&s| match s <= floor {
+                    true => false,
+                    false => true,
+                });
+                assert_eq!(
+                    first_above(tail, floor),
+                    want,
+                    "floor {floor} start {start}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn nan_and_inf_propagate_identically() {
         let dim = 64;
-        let mut a = vecs(5, 2, dim);
+        // eleven rows: one eight-row register block plus three single dots
+        let (n_q, n_rows) = (2, 11);
+        let mut a = vecs(5, n_q, dim);
         a[3] = f32::NAN;
         a[70] = f32::INFINITY;
-        let rows = vecs(6, 3, dim);
-        let mut want = vec![0.0f32; 2 * 3];
-        for qi in 0..2 {
-            for r in 0..3 {
-                want[qi * 3 + r] =
+        let rows = vecs(6, n_rows, dim);
+        let mut want = vec![0.0f32; n_q * n_rows];
+        for qi in 0..n_q {
+            for r in 0..n_rows {
+                want[qi * n_rows + r] =
                     dot_scalar(&a[qi * dim..(qi + 1) * dim], &rows[r * dim..(r + 1) * dim]);
             }
         }
         for path in DispatchPath::available() {
-            let mut out = vec![0.0f32; 2 * 3];
-            matmul_tile_with_path(path, &a, 2, &rows, 3, dim, &mut out);
+            let mut out = vec![0.0f32; n_q * n_rows];
+            matmul_tile_with_path(path, &a, n_q, &rows, n_rows, dim, &mut out);
             let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
             let exp: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
             assert_eq!(got, exp, "path {}", path.label());

@@ -60,11 +60,8 @@ impl Default for BatchWindow {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowRole {
     /// This caller collected the window and ran the batched kernel for
-    /// `window` queries (its own included).
-    Leader {
-        /// Number of queries serviced by the one kernel invocation.
-        window: usize,
-    },
+    /// it; [`crate::SearchStats::batch_queries`] carries the window size.
+    Leader,
     /// Another caller's kernel invocation serviced this request.
     Follower,
 }
@@ -164,9 +161,15 @@ impl Coalescer {
             let k_max = batch.iter().map(|e| e.k).max().unwrap_or(0);
             let queries: Vec<Vec<f32>> = batch.iter().map(|e| e.query.clone()).collect();
             let (scans, shards) = index.exact_scan(&queries, k_max);
+            let scanned = if k_max == 0 { 0 } else { index.len() };
             let mut own = (Vec::new(), SearchStats::default());
-            for (entry, (mut hits, stats)) in batch.into_iter().zip(scans) {
+            for (entry, (mut hits, heap_pushes)) in batch.into_iter().zip(scans) {
                 hits.truncate(entry.k);
+                let stats = SearchStats {
+                    vectors_scanned: scanned,
+                    heap_pushes,
+                    ..SearchStats::default()
+                };
                 if Arc::ptr_eq(&entry.slot, &slot) {
                     own = (hits, stats);
                 } else {
@@ -182,7 +185,7 @@ impl Coalescer {
                     batch_queries: window,
                     ..stats
                 },
-                role: Some(WindowRole::Leader { window }),
+                role: Some(WindowRole::Leader),
             }
         } else {
             // follower: wake the leader if we just filled the window,
@@ -233,7 +236,8 @@ mod tests {
         let req = SearchRequest::exact(&q, 5);
         let direct = plain.search(&req, &obs::Span::disabled());
         let coalesced = idx.search(&req, &obs::Span::disabled());
-        assert_eq!(coalesced.role, Some(WindowRole::Leader { window: 1 }));
+        assert_eq!(coalesced.role, Some(WindowRole::Leader));
+        assert_eq!(coalesced.stats.batch_queries, 1);
         assert_eq!(bits(&direct.hits[0]), bits(&coalesced.hits[0]));
         assert_eq!(bits(&coalesced.hits[0]), bits(&scan_exact(&idx, &q[0], 5)));
         // a solo window does exactly the direct request's work
@@ -272,10 +276,7 @@ mod tests {
             assert_eq!(bits(&exact), bits(&result.hits[0]), "thread {t}");
             assert_eq!(result.stats.vectors_scanned, idx.len(), "thread {t}");
             match result.role {
-                Some(WindowRole::Leader { window }) => {
-                    windows += window;
-                    assert_eq!(result.stats.batch_queries, window);
-                }
+                Some(WindowRole::Leader) => windows += result.stats.batch_queries,
                 Some(WindowRole::Follower) => assert_eq!(result.stats.batch_queries, 0),
                 None => panic!("thread {t} bypassed the coalescer"),
             }
@@ -311,6 +312,6 @@ mod tests {
             search.attr("batch_role").and_then(obs::AttrValue::as_str),
             Some("leader")
         );
-        assert_eq!(search.attr_u64("window"), Some(1));
+        assert_eq!(search.attr_u64("batch_queries"), Some(1));
     }
 }

@@ -66,7 +66,7 @@ use rand::SeedableRng;
 
 use kgquery::exec::compare_f64_total;
 use slm::embedding::{dot, normalize};
-use slm::kernel::matmul_tile;
+use slm::kernel::{first_above, matmul_tile};
 
 use crate::batch::{BatchWindow, Coalescer, WindowRole};
 
@@ -627,6 +627,7 @@ impl VectorIndex {
     /// per-query counters summed.
     fn exact_search(&self, queries: &[Vec<f32>], k: usize) -> SearchResult {
         let (scans, shards) = self.exact_scan(queries, k);
+        let scanned = if k == 0 { 0 } else { self.n_docs };
         let mut stats = SearchStats {
             parallel_shards: shards,
             batch_queries: queries.len(),
@@ -634,9 +635,9 @@ impl VectorIndex {
         };
         let hits = scans
             .into_iter()
-            .map(|(hits, own)| {
-                stats.vectors_scanned += own.vectors_scanned;
-                stats.heap_pushes += own.heap_pushes;
+            .map(|(hits, pushes)| {
+                stats.vectors_scanned += scanned;
+                stats.heap_pushes += pushes;
                 hits
             })
             .collect();
@@ -649,41 +650,27 @@ impl VectorIndex {
 
     /// Exact top-k of every query in **one arena pass**, tile-sharded
     /// across threads past the parallel threshold. Returns each query's
-    /// hits with its own share of the work (`vectors_scanned`,
-    /// `heap_pushes`), plus the worker shards the pass spawned (zero when
-    /// it ran sequentially). The coalescer hands these shares out to the
-    /// window's callers.
+    /// hits with its heap pushes, plus the worker shards the pass spawned
+    /// (zero when it ran sequentially). Unless `k` is 0, every query
+    /// scanned all `n_docs` rows. The coalescer hands these shares out to
+    /// the window's callers.
     pub(crate) fn exact_scan(
         &self,
         queries: &[Vec<f32>],
         k: usize,
-    ) -> (Vec<(Vec<Hit>, SearchStats)>, usize) {
+    ) -> (Vec<(Vec<Hit>, usize)>, usize) {
         if self.n_docs == 0 || k == 0 || queries.is_empty() {
-            return (vec![(Vec::new(), SearchStats::default()); queries.len()], 0);
+            return (vec![(Vec::new(), 0); queries.len()], 0);
         }
         let qmat = self.prepare_batch(queries);
         let n_q = queries.len();
         let shards = self.scan_shards();
-        let scans = if shards > 1 {
-            self.batch_scan_parallel(&qmat, n_q, k, shards)
+        if shards > 1 {
+            (self.batch_scan_parallel(&qmat, n_q, k, shards), shards)
         } else {
-            self.batch_scan_range(&qmat, n_q, 0, self.n_docs, k)
-                .into_iter()
-                .map(TopK::into_scan)
-                .collect()
-        };
-        let per_query = scans
-            .into_iter()
-            .map(|(hits, heap_pushes)| {
-                let own = SearchStats {
-                    vectors_scanned: self.n_docs,
-                    heap_pushes,
-                    ..SearchStats::default()
-                };
-                (hits, own)
-            })
-            .collect();
-        (per_query, if shards > 1 { shards } else { 0 })
+            let tops = self.batch_scan_range(&qmat, n_q, 0, self.n_docs, k);
+            (tops.into_iter().map(TopK::into_scan).collect(), 0)
+        }
     }
 
     /// Worker count for an exact pass over the whole arena: 1 (run
@@ -752,16 +739,21 @@ impl VectorIndex {
                 // the O(1) f32 compare skips the f64 total-order compare
                 // without changing which offers succeed. NaN falls through
                 // (`NaN <= w` is false) and takes the slow path, where the
-                // total order ranks it.
+                // total order ranks it. `first_above` skips a whole run of
+                // losers at once, several scores per compare.
+                let row_scores = &scores[qi * n_rows..(qi + 1) * n_rows];
                 let mut worst = top.worst_score_if_full();
-                for (r, &score) in scores[qi * n_rows..(qi + 1) * n_rows].iter().enumerate() {
+                let mut r = 0;
+                while r < n_rows {
                     if let Some(w) = worst {
-                        if score <= w {
-                            continue;
+                        match first_above(&row_scores[r..], w) {
+                            Some(skip) => r += skip,
+                            None => break,
                         }
                     }
-                    top.offer((t0 + r, score));
+                    top.offer((t0 + r, row_scores[r]));
                     worst = top.worst_score_if_full();
+                    r += 1;
                 }
             }
             t0 = t1;
@@ -906,9 +898,8 @@ fn record_search(
         span.count("retrieval.batch.queries", stats.batch_queries as u64);
     }
     match result.role {
-        Some(WindowRole::Leader { window }) => {
+        Some(WindowRole::Leader) => {
             span.set("batch_role", "leader");
-            span.set("window", window);
             span.count("retrieval.batch.coalesced", 1);
             span.count("retrieval.batch.windows", 1);
         }
