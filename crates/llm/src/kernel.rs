@@ -407,6 +407,8 @@ mod avx2 {
                 let scores = &mut out[q * n_rows..(q + 1) * n_rows];
                 let mut r = r0;
                 while r + ROWS <= r1 {
+                    // SAFETY: r + ROWS <= r1 <= n_rows, and the caller
+                    // guarantees `rows` covers n_rows × dim elements.
                     let block = rows.as_ptr().add(r * dim);
                     let out = &mut scores[r..r + ROWS];
                     if dim == DIM {
@@ -438,8 +440,9 @@ mod avx2 {
     /// payload survives an addition depends on operand order.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available and that `rows` covers
-    /// `ROWS × q.len()` elements.
+    /// Caller must ensure AVX2 is available, that `rows` covers
+    /// `ROWS × q.len()` elements, that `out` holds at least `ROWS`, and
+    /// that `CHUNKS` is 0 or `q.len() / 8`.
     #[target_feature(enable = "avx2")]
     unsafe fn octet<const CHUNKS: usize>(q: &[f32], rows: *const f32, out: &mut [f32]) {
         let dim = q.len();
@@ -473,6 +476,9 @@ mod avx2 {
     /// the tree of [`super::reduce_lanes`]. Pairing `acc[j]` with
     /// `acc[j + 4]` in one register forms the first level for both with
     /// one add; a 4×4 transpose per 128-bit half lines up the rest.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
     unsafe fn reduce8(acc: &[__m256; ROWS]) -> __m256 {
         let s: [__m256; 4] = core::array::from_fn(|j| {
