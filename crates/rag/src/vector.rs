@@ -1271,28 +1271,31 @@ mod tests {
 
     #[test]
     fn nan_scores_order_deterministically() {
-        // doc 1 carries NaN components: its score against any query is
+        // one doc carries NaN components: its score against any query is
         // NaN, which the total order ranks above every real score —
-        // deterministically, wherever the doc sits in the corpus.
+        // deterministically, wherever the doc sits in the corpus. At
+        // k = 2 the heap is full long before a late NaN doc arrives, so
+        // the scan's fast-reject must let it through.
         let nan_row = vec![f32::NAN; 4];
         let mk = |nan_at: usize| {
-            let mut vs = vec![
-                vec![1.0, 0.0, 0.0, 0.0],
-                vec![0.0, 1.0, 0.0, 0.0],
-                vec![0.5, 0.5, 0.0, 0.0],
-            ];
+            let mut vs: Vec<Vec<f32>> = (0..12)
+                .map(|i| vec![1.0, i as f32 * 0.1, 0.0, 0.0])
+                .collect();
             vs.insert(nan_at, nan_row.clone());
             VectorIndex::build(vs, 0, 0)
         };
         let q = [1.0, 0.2, 0.0, 0.0];
-        for nan_at in 0..4 {
-            let hits = exact(&mk(nan_at), &q, 4);
-            assert!(hits[0].1.is_nan(), "NaN ranks first: {hits:?}");
-            assert_eq!(hits[0].0, nan_at);
-            // the real hits keep their relative order below it
-            let rest: Vec<f32> = hits[1..].iter().map(|&(_, s)| s).collect();
-            for w in rest.windows(2) {
-                assert!(w[0] >= w[1], "{hits:?}");
+        for k in [2, 13] {
+            for nan_at in [0, 3, 9, 12] {
+                let hits = exact(&mk(nan_at), &q, k);
+                assert_eq!(hits.len(), k);
+                assert!(hits[0].1.is_nan(), "NaN ranks first: {hits:?}");
+                assert_eq!(hits[0].0, nan_at);
+                // the real hits keep their relative order below it
+                let rest: Vec<f32> = hits[1..].iter().map(|&(_, s)| s).collect();
+                for w in rest.windows(2) {
+                    assert!(w[0] >= w[1], "{hits:?}");
+                }
             }
         }
     }

@@ -880,18 +880,25 @@ proptest! {
 
     /// Every SIMD path computes the full Q×D score tile bit-identically
     /// to the scalar kernel — same mul/add order, same reduction tree —
-    /// for arbitrary query/row counts and dims (including 0).
+    /// for arbitrary query/row counts and dims (including 0). Row counts
+    /// reach past eight (the AVX2 register block plus a remainder), and
+    /// dims include 64, the embedding width the AVX2 kernel unrolls.
     #[test]
     fn simd_matmul_paths_match_scalar_bitwise(
         n_q in 0usize..5,
-        n_rows in 0usize..7,
-        dim in 0usize..20,
+        n_rows in 0usize..20,
+        dim in (0usize..24).prop_map(|d| if d < 20 { d } else { 64 }),
         seed_cells in proptest::collection::vec(kernel_cell_strategy(), 0..140),
+        keep_nan in 0u8..2,
     ) {
         use llmkg::slm::kernel::{matmul_tile_with_path, DispatchPath};
+        // half the cases replace NaN cells: a NaN anywhere in a wide row
+        // makes every dot with it NaN, which would leave NaN-free sums
+        // in wide tiles almost untested
         let fill = |len: usize| -> Vec<f32> {
             (0..len)
                 .map(|i| seed_cells.get(i % seed_cells.len().max(1)).copied().unwrap_or(0.0))
+                .map(|x| if keep_nan == 0 && x.is_nan() { 0.5 } else { x })
                 .collect()
         };
         let queries = fill(n_q * dim);
