@@ -1,6 +1,5 @@
 //! Entity linking and cross-KG entity alignment (§2.1.2, \[59\]).
 
-use kg::namespace as ns;
 use kg::term::Sym;
 use kg::Graph;
 use slm::Slm;
@@ -49,11 +48,10 @@ pub fn string_similarity(a: &str, b: &str) -> f64 {
     1.0 - edit_distance(&la, &lb) as f64 / max_len as f64
 }
 
-/// Links textual mentions to entities of a target KG.
+/// Links textual mentions to the entities a target KG indexes by name
+/// ([`Graph::entity_names`]).
 pub struct EntityLinker<'a> {
     graph: &'a Graph,
-    /// `(display name, entity)` pairs for all linkable entities.
-    catalog: Vec<(String, Sym)>,
     /// Optional LM for embedding-based disambiguation.
     slm: Option<&'a Slm>,
 }
@@ -61,22 +59,7 @@ pub struct EntityLinker<'a> {
 impl<'a> EntityLinker<'a> {
     /// Build a linker over all synthetic-namespace entities of a graph.
     pub fn new(graph: &'a Graph) -> Self {
-        let catalog: Vec<(String, Sym)> = graph
-            .entities()
-            .into_iter()
-            .filter(|&e| {
-                graph
-                    .resolve(e)
-                    .as_iri()
-                    .is_some_and(|i| i.starts_with(ns::SYNTH_ENTITY))
-            })
-            .map(|e| (graph.display_name(e), e))
-            .collect();
-        EntityLinker {
-            graph,
-            catalog,
-            slm: None,
-        }
+        EntityLinker { graph, slm: None }
     }
 
     /// Attach an LM for embedding-assisted disambiguation.
@@ -95,24 +78,26 @@ impl<'a> EntityLinker<'a> {
     /// below the 0.55 confidence floor.
     pub fn link(&self, mention: &str) -> Option<LinkedMention> {
         // exact (case-insensitive)
-        for (name, e) in &self.catalog {
-            if name.eq_ignore_ascii_case(mention) {
-                return Some(LinkedMention {
-                    mention: mention.to_string(),
-                    entity: *e,
-                    confidence: 1.0,
-                });
-            }
+        let entries = self.graph.entity_names().entries();
+        if let Some(e) = entries
+            .iter()
+            .find(|e| e.name.eq_ignore_ascii_case(mention))
+        {
+            return Some(LinkedMention {
+                mention: mention.to_string(),
+                entity: e.sym,
+                confidence: 1.0,
+            });
         }
         let mut best: Option<(f64, Sym)> = None;
-        for (name, e) in &self.catalog {
-            let mut score = string_similarity(mention, name);
+        for e in entries {
+            let mut score = string_similarity(mention, &e.name);
             if let Some(m) = self.slm {
-                score = 0.7 * score + 0.3 * f64::from(m.similarity(mention, name));
+                score = 0.7 * score + 0.3 * f64::from(m.similarity(mention, &e.name));
             }
             match best {
                 Some((b, _)) if score <= b => {}
-                _ => best = Some((score, *e)),
+                _ => best = Some((score, e.sym)),
             }
         }
         best.filter(|&(s, _)| s >= 0.55)
@@ -139,27 +124,25 @@ pub struct AlignmentPair {
 /// re-scored with neighborhood (shared neighbor-label) evidence — the
 /// label+structure recipe of LLM-assisted alignment \[59\].
 pub fn align_graphs(left: &Graph, right: &Graph, threshold: f64) -> Vec<AlignmentPair> {
-    let left_entities: Vec<(String, Sym)> = catalog(left);
-    let right_entities: Vec<(String, Sym)> = catalog(right);
     let mut out = Vec::new();
-    for (ln, le) in &left_entities {
+    for l in left.entity_names().entries() {
         let mut best: Option<(f64, Sym)> = None;
-        for (rn, re) in &right_entities {
-            let label_sim = string_similarity(ln, rn);
+        for r in right.entity_names().entries() {
+            let label_sim = string_similarity(&l.name, &r.name);
             if label_sim < 0.5 {
                 continue;
             }
-            let neigh = neighborhood_overlap(left, *le, right, *re);
+            let neigh = neighborhood_overlap(left, l.sym, right, r.sym);
             let score = 0.7 * label_sim + 0.3 * neigh;
             match best {
                 Some((b, _)) if score <= b => {}
-                _ => best = Some((score, *re)),
+                _ => best = Some((score, r.sym)),
             }
         }
         if let Some((score, re)) = best {
             if score >= threshold {
                 out.push(AlignmentPair {
-                    left: *le,
+                    left: l.sym,
                     right: re,
                     score,
                 });
@@ -167,18 +150,6 @@ pub fn align_graphs(left: &Graph, right: &Graph, threshold: f64) -> Vec<Alignmen
         }
     }
     out
-}
-
-fn catalog(g: &Graph) -> Vec<(String, Sym)> {
-    g.entities()
-        .into_iter()
-        .filter(|&e| {
-            g.resolve(e)
-                .as_iri()
-                .is_some_and(|i| i.starts_with(ns::SYNTH_ENTITY))
-        })
-        .map(|e| (g.display_name(e), e))
-        .collect()
 }
 
 /// Jaccard overlap of neighbor display names.
@@ -228,7 +199,8 @@ mod tests {
     fn linker_exact_and_fuzzy() {
         let kg = movies(31, Scale::tiny());
         let linker = EntityLinker::new(&kg.graph);
-        let (name, entity) = linker.catalog[0].clone();
+        let first = &kg.graph.entity_names().entries()[0];
+        let (name, entity) = (first.name.clone(), first.sym);
         let exact = linker.link(&name).expect("exact link");
         assert_eq!(exact.entity, entity);
         assert_eq!(exact.confidence, 1.0);
@@ -266,7 +238,7 @@ mod tests {
         // clone where nothing changed but the pool object
         let kg2 = movies(31, Scale::tiny());
         let pairs = align_graphs(&kg.graph, &kg2.graph, 0.8);
-        let entities = catalog(&kg.graph).len();
+        let entities = kg.graph.entity_names().entries().len();
         assert!(
             pairs.len() >= entities * 9 / 10,
             "aligned {} of {}",

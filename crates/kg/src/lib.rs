@@ -6,6 +6,8 @@
 //! * interned RDF-style terms ([`Term`], [`Sym`], [`TermPool`]),
 //! * an indexed in-memory triple store ([`Graph`]) with pattern matching
 //!   over all eight subject/predicate/object binding shapes,
+//! * an entity-name index ([`EntityNames`]) that finds the entities a text
+//!   mentions in one pass over the text,
 //! * an ontology / schema model ([`ontology::Ontology`]) with the constraint
 //!   vocabulary needed for KG validation (domain/range, disjointness,
 //!   functional properties, cardinality, …),
@@ -22,6 +24,7 @@ pub mod baseline;
 pub mod corrupt;
 pub mod dataset;
 pub mod error;
+pub mod names;
 pub mod namespace;
 pub mod ontology;
 pub mod store;
@@ -32,6 +35,7 @@ pub mod turtle;
 pub use baseline::BaselineGraph;
 pub use dataset::Dataset;
 pub use error::KgError;
+pub use names::{EntityName, EntityNames};
 pub use ontology::Ontology;
 pub use store::{
     Graph, MergeMatches, MergeProbe, PatternScan, PredicateCard, Triple, TriplePattern,

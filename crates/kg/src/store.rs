@@ -11,7 +11,9 @@
 //! compaction. See `docs/storage.md` for the full layout.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
+use crate::names::EntityNames;
 use crate::namespace;
 use crate::term::{Sym, Term, TermPool};
 
@@ -202,6 +204,9 @@ pub struct Graph {
     /// Live triple count at the last epoch bump, the basis of the
     /// relative drift threshold.
     epoch_len: usize,
+    /// Entity-name index, built on first use by [`Graph::entity_names`].
+    /// Every mutation that changes a triple drops it.
+    names: OnceLock<EntityNames>,
 }
 
 impl Graph {
@@ -327,6 +332,7 @@ impl Graph {
         card.distinct_objects += usize::from(new_po);
         self.subject_card += usize::from(new_subject);
         self.object_card += usize::from(new_object);
+        self.names.take();
         self.note_stats_drift(1);
         self.maybe_compact();
         true
@@ -376,6 +382,7 @@ impl Graph {
         }
         self.subject_card -= usize::from(gone_subject);
         self.object_card -= usize::from(gone_object);
+        self.names.take();
         self.note_stats_drift(1);
         self.maybe_compact();
         true
@@ -408,6 +415,7 @@ impl Graph {
             // the recount can move every histogram at once, so any plan
             // compiled against the old statistics is stale
             self.bump_stats_epoch();
+            self.names.take();
         }
         inserted
     }
@@ -794,6 +802,13 @@ impl Graph {
             }
         }
         namespace::humanize(self.pool.label(entity))
+    }
+
+    /// The entity-name index of this graph: built on first use, then
+    /// shared until a triple changes (which drops it, so it never answers
+    /// for an older graph).
+    pub fn entity_names(&self) -> &EntityNames {
+        self.names.get_or_init(|| EntityNames::build(self))
     }
 
     /// Merge all triples of `other` into `self`, translating ids across

@@ -22,6 +22,17 @@ pub struct Retrieved {
     pub score: f64,
 }
 
+/// The stemmed words a query is scored on: its content words, or every
+/// word when it has none.
+fn query_words(query: &str) -> Vec<String> {
+    let cw = stemmed_content_words(query);
+    if cw.is_empty() {
+        tokenize_words(query).iter().map(|w| stem(w)).collect()
+    } else {
+        cw
+    }
+}
+
 /// An inverted-index over sentences with IDF-weighted overlap scoring.
 #[derive(Debug, Default, Clone)]
 pub struct EvidenceIndex {
@@ -117,14 +128,10 @@ impl EvidenceIndex {
     /// Retrieve the top-`k` sentences for a query, sorted by descending
     /// score then ascending id (deterministic).
     pub fn retrieve(&self, query: &str, k: usize) -> Vec<Retrieved> {
-        let qwords = {
-            let cw = stemmed_content_words(query);
-            if cw.is_empty() {
-                tokenize_words(query).iter().map(|w| stem(w)).collect()
-            } else {
-                cw
-            }
-        };
+        if k == 0 {
+            return Vec::new();
+        }
+        let qwords = query_words(query);
         // candidate set: sentences sharing at least one query word
         let mut candidates: Vec<usize> = Vec::new();
         for w in &qwords {
@@ -134,23 +141,31 @@ impl EvidenceIndex {
         }
         candidates.sort_unstable();
         candidates.dedup();
-        let mut scored: Vec<Retrieved> = candidates
+        let mut scored: Vec<(f64, usize)> = candidates
             .into_iter()
-            .map(|id| Retrieved {
+            .map(|id| (self.overlap_score(&qwords, id), id))
+            .filter(|&(score, _)| score > 0.0)
+            .collect();
+        // the filter drops NaN and ids are unique, so this order is total:
+        // selecting the top k first keeps exactly the sorted prefix
+        let rank = |a: &(f64, usize), b: &(f64, usize)| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        };
+        if k < scored.len() {
+            scored.select_nth_unstable_by(k - 1, rank);
+            scored.truncate(k);
+        }
+        scored.sort_by(rank);
+        scored
+            .into_iter()
+            .map(|(score, id)| Retrieved {
                 id,
                 text: self.sentences[id].clone(),
-                score: self.overlap_score(&qwords, id),
+                score,
             })
-            .filter(|r| r.score > 0.0)
-            .collect();
-        scored.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
-        scored.truncate(k);
-        scored
+            .collect()
     }
 
     /// How strongly the corpus supports a claim: the best single-sentence
@@ -215,6 +230,53 @@ mod tests {
             "Carol directed The Big Film",
             "The Big Film stars Bob",
         ])
+    }
+
+    /// The selection `retrieve` replaced: score and clone every
+    /// sentence, sort them all, then truncate.
+    fn sort_then_truncate(idx: &EvidenceIndex, query: &str, k: usize) -> Vec<Retrieved> {
+        let qwords = query_words(query);
+        let mut scored: Vec<Retrieved> = (0..idx.sentences.len())
+            .map(|id| Retrieved {
+                id,
+                text: idx.sentences[id].clone(),
+                score: idx.overlap_score(&qwords, id),
+            })
+            .filter(|r| r.score > 0.0)
+            .collect();
+        scored.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.id.cmp(&b.id))
+        });
+        scored.truncate(k);
+        scored
+    }
+
+    #[test]
+    fn retrieve_selects_the_sorted_prefix_under_ties() {
+        // duplicates and same-shaped sentences tie on score
+        let idx = EvidenceIndex::from_sentences([
+            "Bob works at Initech",
+            "Alice works at Acme",
+            "Bob works at Initech",
+            "Carol works at Acme",
+            "Bob works at Initech",
+            "Dave knows Bob",
+            "Alice works at Acme",
+            "nothing relevant here",
+        ]);
+        for query in ["Bob works at Acme", "who works", "Alice", "zzz"] {
+            let n = sort_then_truncate(&idx, query, usize::MAX).len();
+            for k in [0, 1, 2, n, n + 3] {
+                assert_eq!(
+                    idx.retrieve(query, k),
+                    sort_then_truncate(&idx, query, k),
+                    "query {query:?}, k = {k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -165,6 +165,9 @@ impl<'a> ChatBot<'a> {
             span.set("pronoun_resolved", true);
             span.count("chatbot.pronoun_resolutions", 1);
         }
+        // the entity the turn names: it moves the focus whichever rung
+        // answers, and anchors the entity-lookup rung
+        let mentioned = self.graph.entity_names().longest_mention(&resolved);
         let mut trace = DegradationTrace::new();
 
         // rung 1: text-to-SPARQL + KG execution
@@ -189,8 +192,7 @@ impl<'a> ChatBot<'a> {
                             .iter()
                             .map(|t| self.term_name(t))
                             .collect();
-                        // update focus to the mentioned entity
-                        self.focus = self.find_entity(&resolved).or(self.focus);
+                        self.focus = mentioned.or(self.focus);
                         let text = names.join(", ");
                         self.session.push(Message::assistant(text.clone()));
                         trace.serve("text2sparql");
@@ -233,8 +235,7 @@ impl<'a> ChatBot<'a> {
             fall(&span, &mut trace, "text2sparql", "no query generated");
         }
 
-        // a mentioned entity still updates focus, whichever rung answers
-        self.focus = self.find_entity(&resolved).or(self.focus);
+        self.focus = mentioned.or(self.focus);
 
         // rung 2: direct entity fact lookup (template QA)
         if self.fault(&span, FaultPoint::Retrieval) {
@@ -244,7 +245,7 @@ impl<'a> ChatBot<'a> {
                 "entity-lookup",
                 "fault injected: retrieval",
             );
-        } else if let Some(text) = self.entity_lookup(&resolved) {
+        } else if let Some(text) = mentioned.and_then(|e| self.entity_lookup(e, &resolved)) {
             self.session.push(Message::assistant(text.clone()));
             trace.serve("entity-lookup");
             span.count("chatbot.entity_lookups", 1);
@@ -368,11 +369,10 @@ impl<'a> ChatBot<'a> {
         }
     }
 
-    /// The template-QA rung: find an entity mention and a predicate whose
+    /// The template-QA rung: find a predicate of the mentioned entity whose
     /// humanized name occurs in the utterance, and answer with the stored
     /// objects directly — no query generation, no LLM.
-    fn entity_lookup(&self, resolved: &str) -> Option<String> {
-        let entity = self.find_entity(resolved)?;
+    fn entity_lookup(&self, entity: Sym, resolved: &str) -> Option<String> {
         let lower = resolved.to_lowercase();
         let mut best: Option<(usize, Sym)> = None;
         for (p, _) in self.graph.outgoing(entity) {
@@ -431,27 +431,6 @@ impl<'a> ChatBot<'a> {
             }
         }
         out
-    }
-
-    fn find_entity(&self, text: &str) -> Option<Sym> {
-        let lower = text.to_lowercase();
-        let mut best: Option<(usize, Sym)> = None;
-        for e in self.graph.entities() {
-            let Some(iri) = self.graph.resolve(e).as_iri() else {
-                continue;
-            };
-            if !iri.starts_with(kg::namespace::SYNTH_ENTITY) {
-                continue;
-            }
-            let name = self.graph.display_name(e);
-            if name.len() >= 3 && lower.contains(&name.to_lowercase()) {
-                match best {
-                    Some((len, _)) if name.len() <= len => {}
-                    _ => best = Some((name.len(), e)),
-                }
-            }
-        }
-        best.map(|(_, e)| e)
     }
 
     /// Consult the fault injector, counting injected faults.

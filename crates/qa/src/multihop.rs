@@ -159,24 +159,16 @@ fn verbalized_khop(graph: &Graph, anchor: Sym, hops: usize) -> Vec<String> {
 
 /// Link every known entity name occurring in a text back to ids.
 fn link_names(graph: &Graph, text: &str) -> BTreeSet<Sym> {
-    let lower = text.to_lowercase();
-    let mut out = BTreeSet::new();
-    if lower.trim().is_empty() {
-        return out;
+    if text.trim().is_empty() {
+        return BTreeSet::new();
     }
-    for e in graph.entities() {
-        let Some(iri) = graph.resolve(e).as_iri() else {
-            continue;
-        };
-        if !iri.starts_with(kg::namespace::SYNTH_ENTITY) {
-            continue;
-        }
-        let name = graph.display_name(e).to_lowercase();
-        if name.len() >= 3 && lower.contains(&name) {
-            out.insert(e);
-        }
-    }
-    out
+    graph
+        .entity_names()
+        .mentions(text)
+        .into_iter()
+        .filter(|e| e.lower.len() >= 3)
+        .map(|e| e.sym)
+        .collect()
 }
 
 /// Hits@1-style evaluation: an item counts as correct when the prediction

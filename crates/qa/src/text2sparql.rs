@@ -1,5 +1,7 @@
 //! Query generation from natural text (§4.1.3, RQ6): NL → SPARQL.
 
+use std::collections::HashSet;
+
 use kg::term::Sym;
 use kg::Graph;
 use kgextract::align::EntityLinker;
@@ -213,32 +215,21 @@ impl<'a> TextToSparql<'a> {
         template
     }
 
+    /// The question's anchor entity: the longest entity name occurring
+    /// verbatim, else the first capitalized span the fuzzy linker accepts.
+    /// Linking is a pure function of the span, so each distinct span is
+    /// tried once.
     fn link_anchor(&self, question: &str) -> Option<Sym> {
-        // longest known entity name occurring verbatim wins; fall back to
-        // fuzzy linking of capitalized spans
-        let lower = question.to_lowercase();
-        let mut best: Option<(usize, Sym)> = None;
-        for e in self.graph.entities() {
-            let iri = self.graph.resolve(e).as_iri()?;
-            if !iri.starts_with(kg::namespace::SYNTH_ENTITY) {
-                continue;
-            }
-            let name = self.graph.display_name(e);
-            if name.len() >= 3 && lower.contains(&name.to_lowercase()) {
-                match best {
-                    Some((len, _)) if name.len() <= len => {}
-                    _ => best = Some((name.len(), e)),
-                }
-            }
+        if let Some(e) = self.graph.entity_names().longest_mention(question) {
+            return Some(e);
         }
-        if best.is_none() {
-            for span in slm::task::capitalized_spans(question) {
-                if let Some(l) = self.linker.link(&span) {
-                    return Some(l.entity);
-                }
-            }
-        }
-        best.map(|(_, e)| e)
+        let spans = slm::task::capitalized_spans(question);
+        let mut tried = HashSet::new();
+        spans
+            .iter()
+            .filter(|span| tried.insert(span.as_str()))
+            .find_map(|span| self.linker.link(span))
+            .map(|l| l.entity)
     }
 
     /// SGPT-sim ordering: relations whose phrase occurs in the question,

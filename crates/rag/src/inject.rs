@@ -15,22 +15,18 @@ pub fn inject_knowledge(
     sentence: &str,
     max_triples_per_entity: usize,
 ) -> (Vec<String>, Vec<Sym>) {
-    let lower = sentence.to_lowercase();
     let mut context = Vec::new();
     let mut found = Vec::new();
-    for e in graph.entities() {
-        let Some(iri) = graph.resolve(e).as_iri() else {
-            continue;
-        };
-        if !iri.starts_with(ns::SYNTH_ENTITY) {
+    for mention in graph.entity_names().mentions(sentence) {
+        if mention.name.len() < 3 {
             continue;
         }
-        let name = graph.display_name(e);
-        if name.len() < 3 || !lower.contains(&name.to_lowercase()) {
-            continue;
-        }
-        found.push(e);
-        for (p, o) in graph.outgoing(e).into_iter().take(max_triples_per_entity) {
+        found.push(mention.sym);
+        for (p, o) in graph
+            .outgoing(mention.sym)
+            .into_iter()
+            .take(max_triples_per_entity)
+        {
             let Some(p_iri) = graph.resolve(p).as_iri() else {
                 continue;
             };
@@ -43,7 +39,7 @@ pub fn inject_knowledge(
             };
             context.push(format!(
                 "{} {} {}",
-                name,
+                mention.name,
                 ns::humanize(ns::local_name(p_iri)),
                 obj
             ));

@@ -270,7 +270,7 @@ impl<'a> RagPipeline<'a> {
                 if self.fault(span, FaultPoint::Retrieval) {
                     fall(span, trace, "kg-lookup", "fault injected: retrieval");
                 } else if let Some(graph) = self.graph {
-                    if let Some(entity) = self.find_mentioned_entity(graph, question) {
+                    if let Some(entity) = graph.entity_names().longest_mention(question) {
                         let name = graph.display_name(entity);
                         let program = format!("Search(\"{name}\")");
                         span.set("search_program", program.as_str());
@@ -451,27 +451,6 @@ impl<'a> RagPipeline<'a> {
             search_program,
             degradation: DegradationTrace::new(),
         }
-    }
-
-    fn find_mentioned_entity(&self, graph: &Graph, question: &str) -> Option<kg::Sym> {
-        let lower = question.to_lowercase();
-        let mut best: Option<(usize, kg::Sym)> = None;
-        for e in graph.entities() {
-            let Some(iri) = graph.resolve(e).as_iri() else {
-                continue;
-            };
-            if !iri.starts_with(ns::SYNTH_ENTITY) {
-                continue;
-            }
-            let name = graph.display_name(e);
-            if name.len() >= 3 && lower.contains(&name.to_lowercase()) {
-                match best {
-                    Some((len, _)) if name.len() <= len => {}
-                    _ => best = Some((name.len(), e)),
-                }
-            }
-        }
-        best.map(|(_, e)| e)
     }
 }
 

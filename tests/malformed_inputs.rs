@@ -113,6 +113,9 @@ fn text2sparql_survives_adversarial_utterances() {
         "\u{0}\u{1}junk",
         "SELECT ?x WHERE { ?x ?p ?o }", // SPARQL as an utterance
         &(vec!["term"; 10_000].join(" ")),
+        // thousands of capitalized spans, two distinct: the fuzzy fallback
+        // links each distinct span once
+        &"… Alice meets Bob ".repeat(2_000),
     ] {
         // None or Some — never a panic; generated queries must parse.
         for method in llmkg::kgqa::text2sparql::Text2SparqlMethod::all() {

@@ -958,3 +958,161 @@ fn kernel_pair_strategy() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
             (a, b)
         })
 }
+
+// --- entity-name index vs the per-entity scan it replaced --------------
+
+/// Characters whose case mappings are hazards for byte-offset code:
+/// 'İ' lowercases to two chars (2 → 3 bytes), the Kelvin sign 'K' to a
+/// one-byte 'k', 'Σ' to 'σ' or word-final 'ς' depending on context, and
+/// 'ß' uppercases to "SS".
+const NAME_ALPHABET: &[char] = &[
+    'a', 'b', 'k', 'i', 's', 'A', 'B', ' ', 'İ', 'Σ', 'ς', 'σ', '\u{212A}', 'ß',
+];
+
+/// A short name fragment over [`NAME_ALPHABET`] (often empty or 1–2
+/// bytes, so duplicate and too-short labels are common).
+fn name_fragment() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..NAME_ALPHABET.len(), 0..5)
+        .prop_map(|ix| ix.into_iter().map(|i| NAME_ALPHABET[i]).collect())
+}
+
+/// One entity: `(namespace kind, local-name fragment, label kind,
+/// label fragment, appears as object)`. Kinds 0–2 are `SYNTH_ENTITY`
+/// IRIs, 3 another namespace; label kinds 0–1 add no label.
+fn named_entity_strategy() -> impl Strategy<Value = (u8, String, u8, String, bool)> {
+    (0u8..4, name_fragment(), 0u8..4, name_fragment(), 0u8..2)
+        .prop_map(|(ns, local, lk, label, obj)| (ns, local, lk, label, obj == 1))
+}
+
+/// A text piece: `(kind, entity pick, case-flip mask, filler)`. Kinds
+/// 0–2 copy an entity's display name with flipped case, 3 inserts the
+/// filler fragment.
+fn text_piece_strategy() -> impl Strategy<Value = (u8, usize, u64, String)> {
+    (0u8..4, 0usize..64, 0u64..u64::MAX, name_fragment())
+}
+
+/// Flip the case of the chars whose bit is set in `mask`.
+fn flip_case(s: &str, mask: u64) -> String {
+    let mut out = String::new();
+    for (i, c) in s.chars().enumerate() {
+        if mask >> (i % 64) & 1 == 0 {
+            out.push(c);
+        } else if c.is_lowercase() {
+            out.extend(c.to_uppercase());
+        } else {
+            out.extend(c.to_lowercase());
+        }
+    }
+    out
+}
+
+/// The scan every linking site ran before the index: walk every entity,
+/// keep the synthetic-namespace ones, and test each lowercase display
+/// name against the lowercased text. Returns `(entity, display name,
+/// lowercase name)` for every non-empty lowercase name that occurs, in
+/// entity order.
+fn scan_mentions(g: &Graph, text: &str) -> Vec<(llmkg::kg::Sym, String, String)> {
+    let lower = text.to_lowercase();
+    let mut out = Vec::new();
+    for e in g.entities() {
+        let Some(iri) = g.resolve(e).as_iri() else {
+            continue;
+        };
+        if !iri.starts_with(llmkg::kg::namespace::SYNTH_ENTITY) {
+            continue;
+        }
+        let name = g.display_name(e);
+        let lname = name.to_lowercase();
+        if !lname.is_empty() && lower.contains(&lname) {
+            out.push((e, name, lname));
+        }
+    }
+    out
+}
+
+/// The longest-mention loop of the old anchor linkers.
+fn scan_longest(g: &Graph, text: &str) -> Option<llmkg::kg::Sym> {
+    let mut best: Option<(usize, llmkg::kg::Sym)> = None;
+    for (e, name, _) in scan_mentions(g, text) {
+        if name.len() >= 3 {
+            match best {
+                Some((len, _)) if name.len() <= len => {}
+                _ => best = Some((name.len(), e)),
+            }
+        }
+    }
+    best.map(|(_, e)| e)
+}
+
+proptest! {
+    /// `EntityNames` answers exactly as the per-entity scan: the same
+    /// catalog, the same longest mention (display name ≥ 3 bytes, longest
+    /// in bytes, smallest `Sym` on ties), and the same mention sets under
+    /// both the display-length filter (`kgrag::inject_knowledge`) and the
+    /// lowercase-length filter (`kgqa` multi-hop linking), over labels
+    /// with case-folding hazards and texts built from their fragments.
+    #[test]
+    fn entity_name_index_agrees_with_scan(
+        entities in proptest::collection::vec(named_entity_strategy(), 0..24),
+        texts in proptest::collection::vec(
+            proptest::collection::vec(text_piece_strategy(), 0..6),
+            1..6,
+        ),
+    ) {
+        use llmkg::kg::namespace::{RDFS_LABEL, SYNTH_ENTITY};
+        let mut g = Graph::new();
+        for (i, (ns, local, label_kind, label, as_object)) in entities.iter().enumerate() {
+            let iri = if *ns < 3 {
+                format!("{SYNTH_ENTITY}{local}")
+            } else {
+                format!("http://other/{local}")
+            };
+            let hub = Term::iri(format!("http://other/hub{}", i % 3));
+            let p = Term::iri("http://p/r0");
+            if *as_object {
+                g.insert_terms(hub, p, Term::iri(iri.clone()));
+            } else {
+                g.insert_terms(Term::iri(iri.clone()), p, hub);
+            }
+            if *label_kind >= 2 {
+                g.insert_terms(Term::iri(iri), Term::iri(RDFS_LABEL), Term::lit(label.clone()));
+            }
+        }
+        let index = g.entity_names();
+        let catalog: Vec<(llmkg::kg::Sym, String)> = g
+            .entities()
+            .into_iter()
+            .filter(|&e| g.resolve(e).as_iri().is_some_and(|i| i.starts_with(SYNTH_ENTITY)))
+            .map(|e| (e, g.display_name(e)))
+            .collect();
+        let indexed: Vec<(llmkg::kg::Sym, String)> =
+            index.entries().iter().map(|e| (e.sym, e.name.clone())).collect();
+        prop_assert_eq!(&indexed, &catalog);
+        for pieces in &texts {
+            let mut text = String::new();
+            for (kind, pick, mask, filler) in pieces {
+                match (*kind < 3, catalog.get(pick % catalog.len().max(1))) {
+                    (true, Some((_, name))) => text.push_str(&flip_case(name, *mask)),
+                    _ => text.push_str(filler),
+                }
+            }
+            let scanned = scan_mentions(&g, &text);
+            let found = index.mentions(&text);
+            let found_triples: Vec<_> =
+                found.iter().map(|e| (e.sym, e.name.clone(), e.lower.clone())).collect();
+            prop_assert!(found_triples == scanned, "text {:?}: {:?} vs {:?}", text, found_triples, scanned);
+            let by_display = |f: &dyn Fn(&str, &str) -> bool| -> Vec<llmkg::kg::Sym> {
+                scanned.iter().filter(|m| f(&m.1, &m.2)).map(|m| m.0).collect()
+            };
+            let indexed_by = |f: &dyn Fn(&str, &str) -> bool| -> Vec<llmkg::kg::Sym> {
+                found.iter().filter(|e| f(&e.name, &e.lower)).map(|e| e.sym).collect()
+            };
+            let display_len = |name: &str, _: &str| name.len() >= 3;
+            let lower_len = |_: &str, lower: &str| lower.len() >= 3;
+            prop_assert_eq!(indexed_by(&display_len), by_display(&display_len));
+            prop_assert_eq!(indexed_by(&lower_len), by_display(&lower_len));
+            let (longest, want) = (index.longest_mention(&text), scan_longest(&g, &text));
+            prop_assert!(longest == want, "text {:?}: {:?} vs {:?}", text, longest, want);
+        }
+    }
+}
