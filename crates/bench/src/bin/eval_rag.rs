@@ -121,7 +121,7 @@ fn main() {
         .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
         .expect("genres exist");
     let global_q = "What is the most common has genre value?";
-    let gr_answer = graph_rag.answer_global(global_q);
+    let gr_answer = graph_rag.answer_global(global_q, &obs::Span::disabled());
     let naive_answer = rag.answer(RagMode::Naive, global_q);
     println!("gold: {gold} ({gold_n} films)");
     println!("Graph RAG: {:?}", gr_answer);

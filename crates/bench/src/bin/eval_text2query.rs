@@ -63,7 +63,9 @@ fn main() {
         "SELECT ?f ?y WHERE {{ ?f a <{}Film> . ?f <{vpred}> ?y }} ",
         ns::SYNTH_VOCAB
     );
-    let (rs, stats) = exec.execute(&q).expect("hybrid query runs");
+    let (rs, stats) = exec
+        .execute(&q, &obs::Span::disabled())
+        .expect("hybrid query runs");
     println!(
         "hybrid query answered {} rows with {} LLM calls ({} misses)",
         rs.len(),
@@ -71,7 +73,8 @@ fn main() {
         stats.llm_misses
     );
     // pure-KG baseline: the same query without the LLM returns nothing
-    let pure = kgquery::execute_sparql(g, &q).expect("query parses");
+    let pure = kgquery::execute_sparql_with(g, &q, &kgquery::exec::ExecOptions::default())
+        .expect("query parses");
     println!(
         "pure-KG baseline rows: {} (relation absent from the store)",
         pure.len()

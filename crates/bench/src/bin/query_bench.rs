@@ -40,7 +40,7 @@ use kg::synth::{movies, FreebaseLikeConfig, Scale};
 use kg::{BaselineGraph, Graph, Sym, TriplePattern};
 use kgquery::ast::Query;
 use kgquery::exec::ExecOptions;
-use kgquery::{exec, parser, reference};
+use kgquery::{exec, parser, reference, QueryError, ResultSet};
 use kgrag::RagMode;
 use llmkg::{Workbench, WorkbenchConfig};
 use llmkg_bench::{header, write_report};
@@ -191,13 +191,18 @@ fn calibrate(smoke: bool, mut f: impl FnMut()) -> u32 {
     ((200_000_000 / once) as u32).clamp(5, 500)
 }
 
+/// Execute a parsed query with no span attached.
+fn run(g: &Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet, QueryError> {
+    exec::execute(g, q, opts, &obs::Span::disabled())
+}
+
 /// Measure one evaluation mode of the compiled executor.
 fn time_exec(smoke: bool, g: &Graph, q: &Query, opts: &ExecOptions) -> f64 {
     let iters = calibrate(smoke, || {
-        black_box(exec::execute_with(g, q, opts).expect("compiled runs"));
+        black_box(run(g, q, opts).expect("compiled runs"));
     });
     time_ns(iters, || {
-        black_box(exec::execute_with(g, q, opts).expect("compiled runs"));
+        black_box(run(g, q, opts).expect("compiled runs"));
     })
 }
 
@@ -362,7 +367,6 @@ fn encoded_join_series(smoke: bool) -> Value {
         n_triples: if smoke { 30_000 } else { 1_200_000 },
         zipf_exponent: 0.6,
         with_labels: false,
-        ..FreebaseLikeConfig::default()
     };
     let fb = kg::synth::freebase_like(7, &config).expect("freebase_like generates");
     let source = fb.graph;
@@ -507,8 +511,8 @@ fn prepared_repeat_series(smoke: bool, g: &Graph) -> Value {
         let cached = prepared
             .run(g, &ExecOptions::default())
             .expect("cached plan runs");
-        let fresh =
-            exec::execute(g, &parser::parse(text).expect("query parses")).expect("fresh plan runs");
+        let parsed = parser::parse(text).expect("query parses");
+        let fresh = run(g, &parsed, &ExecOptions::default()).expect("fresh plan runs");
         assert_eq!(cached, fresh, "cached plan diverges on {name}");
     }
     let pass2 = cache.stats();
@@ -542,13 +546,14 @@ fn prepared_repeat_series(smoke: bool, g: &Graph) -> Value {
                 g,
                 &[("anchor", kg::Term::iri(iri.clone()))],
                 &ExecOptions::default(),
+                &obs::Span::disabled(),
             )
             .expect("bound template runs");
         let injected = format!(
             "SELECT ?answer WHERE {{ VALUES ?anchor {{ <{iri}> }} ?anchor <{directed}> ?answer }}"
         );
-        let textual = exec::execute(g, &parser::parse(&injected).expect("injected text parses"))
-            .expect("injected text runs");
+        let parsed = parser::parse(&injected).expect("injected text parses");
+        let textual = run(g, &parsed, &ExecOptions::default()).expect("injected text runs");
         assert_eq!(
             bound, textual,
             "bound template diverges from VALUES-injected text for {iri}"
@@ -687,7 +692,7 @@ fn main() {
         let q = parser::parse(text).expect("query parses");
         // correctness gate: both executors must return the same table
         let baseline = reference::execute(&g, &q).expect("reference runs");
-        let compiled = exec::execute(&g, &q).expect("compiled runs");
+        let compiled = run(&g, &q, &ExecOptions::default()).expect("compiled runs");
         assert_eq!(compiled, baseline, "executors diverge on {name}");
 
         let ref_iters = calibrate(smoke, || {
@@ -724,8 +729,8 @@ fn main() {
     for (name, text) in LIMIT_QUERIES {
         let q = parser::parse(text).expect("query parses");
         // gate: streaming returns exactly the materialized executor's rows
-        let full = exec::execute_with(&g, &q, &materializing()).expect("materialized runs");
-        let streamed = exec::execute_with(&g, &q, &streaming_only).expect("streamed runs");
+        let full = run(&g, &q, &materializing()).expect("materialized runs");
+        let streamed = run(&g, &q, &streaming_only).expect("streamed runs");
         assert_eq!(streamed, full, "streaming diverges on {name}");
 
         let full_ns = time_exec(smoke, &g, &q, &materializing());
@@ -760,7 +765,7 @@ fn main() {
     );
     let bg = big.graph;
     let q = parser::parse(PARALLEL_QUERY).expect("query parses");
-    let seq_rs = exec::execute_with(&bg, &q, &materializing()).expect("sequential runs");
+    let seq_rs = run(&bg, &q, &materializing()).expect("sequential runs");
     let seq_ns = time_exec(smoke, &bg, &q, &materializing());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
@@ -790,7 +795,7 @@ fn main() {
             streaming: false,
             ..ExecOptions::default()
         };
-        let par_rs = exec::execute_with(&bg, &q, &opts).expect("parallel runs");
+        let par_rs = run(&bg, &q, &opts).expect("parallel runs");
         assert_eq!(
             par_rs.rows, seq_rs.rows,
             "parallel evaluation must be bit-identical (workers {label})"
@@ -845,13 +850,13 @@ fn main() {
         );
         for (name, text) in QUERIES.iter().chain(LIMIT_QUERIES.iter()) {
             let q = parser::parse(text).expect("query parses");
-            match exec::execute_with(&g, &q, &opts) {
+            match run(&g, &q, &opts) {
                 Ok(rs) if rs.truncated => {
                     budget_truncated += 1;
                     budget_limit_hits += 1;
                 }
                 Ok(_) => budget_completed += 1,
-                Err(kgquery::QueryError::LimitExceeded { .. }) => budget_limit_hits += 1,
+                Err(QueryError::LimitExceeded { .. }) => budget_limit_hits += 1,
                 Err(e) => panic!("unexpected error under deadline on {name}: {e}"),
             }
         }

@@ -9,7 +9,8 @@ use kg::Graph;
 use kgqa::chatbot::{ChatBot, RouterDecision};
 use kgqa::hybrid::HybridExecutor;
 use kgqa::text2sparql::TextToSparql;
-use kgquery::{execute_sparql, QueryError, ResultSet};
+use kgquery::exec::{self, ExecOptions};
+use kgquery::{execute_sparql_with, QueryError, ResultSet};
 use kgrag::{GraphRag, RagMode, RagPipeline};
 use slm::Slm;
 
@@ -110,36 +111,38 @@ impl Workbench {
         &self.kg.graph
     }
 
-    /// Run a SPARQL query.
-    pub fn sparql(&self, query: &str) -> Result<ResultSet, QueryError> {
-        execute_sparql(&self.kg.graph, query)
-    }
-
-    /// Run a Cypher-lite query.
-    pub fn cypher(&self, query: &str) -> Result<ResultSet, QueryError> {
-        kgquery::execute_cypher(&self.kg.graph, query)
-    }
-
-    /// Run a SPARQL query and return only the executor's work counters
-    /// (patterns scanned, index probes, intermediate bindings, path-cache
-    /// hits, parallel shards) — the workbench's lightweight profiling
-    /// surface.
+    /// Run a SPARQL query. The result carries the executor's work
+    /// counters (patterns scanned, index probes, intermediate bindings,
+    /// path-cache hits, parallel shards) — the workbench's lightweight
+    /// profiling surface.
     ///
     /// ```
     /// use llmkg::{Workbench, WorkbenchConfig};
     ///
     /// let wb = Workbench::build(&WorkbenchConfig::default());
     /// let stats = wb
-    ///     .profile_sparql(
+    ///     .sparql(
     ///         "PREFIX v: <http://llmkg.dev/vocab/>
     ///          SELECT ?film ?who WHERE { ?film v:directedBy ?who }",
     ///     )
-    ///     .unwrap();
+    ///     .unwrap()
+    ///     .stats;
     /// assert!(stats.index_probes > 0);
     /// assert!(stats.intermediate_bindings > 0);
     /// ```
-    pub fn profile_sparql(&self, query: &str) -> Result<kgquery::ExecStats, QueryError> {
-        Ok(self.sparql(query)?.stats)
+    pub fn sparql(&self, query: &str) -> Result<ResultSet, QueryError> {
+        execute_sparql_with(&self.kg.graph, query, &ExecOptions::default())
+    }
+
+    /// Run a Cypher-lite query.
+    pub fn cypher(&self, query: &str) -> Result<ResultSet, QueryError> {
+        let query = kgquery::cypher::parse(query)?;
+        exec::execute(
+            &self.kg.graph,
+            &query,
+            &ExecOptions::default(),
+            &obs::Span::disabled(),
+        )
     }
 
     /// Answer a natural-language question via text-to-SPARQL + execution
@@ -151,19 +154,7 @@ impl Workbench {
                 let names: Vec<String> = rs
                     .values("answer")
                     .iter()
-                    .map(|t| match t {
-                        kg::Term::Iri(iri) => self
-                            .kg
-                            .graph
-                            .pool()
-                            .get_iri(iri)
-                            .map(|s| self.kg.graph.display_name(s))
-                            .unwrap_or_else(|| {
-                                kg::namespace::humanize(kg::namespace::local_name(iri))
-                            }),
-                        kg::Term::Literal(l) => l.lexical.clone(),
-                        kg::Term::Blank(b) => b.clone(),
-                    })
+                    .map(|t| self.kg.graph.display_term(t))
                     .collect();
                 if !names.is_empty() {
                     return names.join(", ");
@@ -360,7 +351,7 @@ impl Workbench {
         let (tracer, recorder) = obs::Tracer::in_memory();
         let result = {
             let root = tracer.span("answer.hybrid");
-            exec.execute_observed(sparql, &root)
+            exec.execute(sparql, &root)
         };
         let (rs, stats) = result?;
         let spans = recorder.take();
@@ -370,17 +361,7 @@ impl Workbench {
             .iter()
             .flatten()
             .flatten()
-            .map(|t| match t {
-                kg::Term::Literal(l) => l.lexical.clone(),
-                kg::Term::Iri(iri) => self
-                    .kg
-                    .graph
-                    .pool()
-                    .get_iri(iri)
-                    .map(|s| self.kg.graph.display_name(s))
-                    .unwrap_or_else(|| kg::namespace::humanize(kg::namespace::local_name(iri))),
-                kg::Term::Blank(b) => b.clone(),
-            })
+            .map(|t| self.kg.graph.display_term(t))
             .collect::<Vec<_>>()
             .join(", ");
         Ok(AnswerProfile {
@@ -480,11 +461,12 @@ mod tests {
     fn profile_reports_executor_work() {
         let w = wb();
         let stats = w
-            .profile_sparql(
+            .sparql(
                 "PREFIX v: <http://llmkg.dev/vocab/> \
                  SELECT ?f ?d WHERE { ?f a v:Film . ?f v:directedBy ?d }",
             )
-            .unwrap();
+            .unwrap()
+            .stats;
         assert_eq!(stats.patterns_scanned, 2);
         assert!(stats.index_probes >= 2, "{stats:?}");
         assert!(stats.intermediate_bindings > 0, "{stats:?}");

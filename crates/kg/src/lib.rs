@@ -22,7 +22,6 @@
 pub mod analysis;
 pub mod baseline;
 pub mod corrupt;
-pub mod dataset;
 pub mod error;
 pub mod names;
 pub mod namespace;
@@ -33,7 +32,6 @@ pub mod term;
 pub mod turtle;
 
 pub use baseline::BaselineGraph;
-pub use dataset::Dataset;
 pub use error::KgError;
 pub use names::{EntityName, EntityNames};
 pub use ontology::Ontology;

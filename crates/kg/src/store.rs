@@ -804,6 +804,21 @@ impl Graph {
         namespace::humanize(self.pool.label(entity))
     }
 
+    /// Reply text for a term: an IRI's [`display_name`](Graph::display_name)
+    /// when the pool holds it, else its humanized local name; a literal's
+    /// lexical form; a blank node's label.
+    pub fn display_term(&self, term: &Term) -> String {
+        match term {
+            Term::Iri(iri) => self
+                .pool
+                .get_iri(iri)
+                .map(|s| self.display_name(s))
+                .unwrap_or_else(|| namespace::humanize(namespace::local_name(iri))),
+            Term::Literal(l) => l.lexical.clone(),
+            Term::Blank(b) => b.clone(),
+        }
+    }
+
     /// The entity-name index of this graph: built on first use, then
     /// shared until a triple changes (which drops it, so it never answers
     /// for an older graph).
@@ -1333,6 +1348,26 @@ mod tests {
         assert_eq!(g.display_name(a), "alice smith");
         g.insert(a, lbl, lit);
         assert_eq!(g.display_name(a), "Alice Smith");
+    }
+
+    #[test]
+    fn display_term_covers_every_term_kind() {
+        let mut g = Graph::new();
+        let a = g.intern_iri("http://e/alice_smith");
+        let lbl = g.intern_iri(namespace::RDFS_LABEL);
+        let lit = g.intern(Term::lit("Alice Smith"));
+        g.insert(a, lbl, lit);
+        assert_eq!(
+            g.display_term(&Term::iri("http://e/alice_smith")),
+            "Alice Smith"
+        );
+        // an IRI the pool never saw falls back to its humanized local name
+        assert_eq!(
+            g.display_term(&Term::iri("http://e/bob_jones")),
+            "bob jones"
+        );
+        assert_eq!(g.display_term(&Term::int(7)), "7");
+        assert_eq!(g.display_term(&Term::Blank("b0".into())), "b0");
     }
 
     #[test]

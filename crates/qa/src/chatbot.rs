@@ -19,7 +19,7 @@ use std::sync::Arc;
 use kg::term::Sym;
 use kg::Graph;
 use kgquery::exec::ExecOptions;
-use kgquery::{execute_sparql_observed_with, CacheOutcome, ExecStats, PlanCache, QueryError};
+use kgquery::{CacheOutcome, ExecStats, PlanCache, QueryError};
 use resilience::{
     CancelToken, DegradationTrace, FaultInjector, FaultPoint, NoFaults, ResourceLimits,
 };
@@ -85,7 +85,7 @@ pub struct ChatBot<'a> {
     faults: &'a dyn FaultInjector,
     limits: ResourceLimits,
     cancel: Option<CancelToken>,
-    plan_cache: Option<Arc<PlanCache>>,
+    plan_cache: Arc<PlanCache>,
     /// The entity the conversation is currently about.
     pub focus: Option<Sym>,
 }
@@ -105,19 +105,19 @@ impl<'a> ChatBot<'a> {
             faults: &NO_FAULTS,
             limits: ResourceLimits::unlimited(),
             cancel: None,
-            plan_cache: None,
+            plan_cache: Arc::default(),
             focus: None,
         }
     }
 
-    /// Share a [`PlanCache`] with this bot: templated text-to-SPARQL
-    /// queries are prepared through it (parameterized on the anchor
-    /// entity) instead of being parsed and planned from scratch every
-    /// turn. Cache traffic lands on the `plan_cache.*` counters of the
-    /// turn span. Queries fall back to the textual path if preparation
-    /// fails, so behavior is unchanged — only planning work is saved.
+    /// Share a [`PlanCache`] with this bot in place of its own. Every
+    /// turn's templated text-to-SPARQL query is prepared through the
+    /// bot's cache (parameterized on the anchor entity), so a shared
+    /// cache lets other sessions asking the same question shape skip
+    /// planning. Cache traffic lands on the `plan_cache.*` counters of
+    /// the turn span.
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.plan_cache = Some(cache);
+        self.plan_cache = cache;
         self
     }
 
@@ -176,7 +176,7 @@ impl<'a> ChatBot<'a> {
             fall(&span, &mut trace, "text2sparql", "fault injected: parse");
         } else if let Some(template) =
             self.t2s
-                .generate_template_observed(Text2SparqlMethod::SgptSim, &resolved, &span)
+                .generate_template(Text2SparqlMethod::SgptSim, &resolved, &span)
         {
             let sparql = template.inline();
             span.count("chatbot.sparql_issued", 1);
@@ -185,12 +185,12 @@ impl<'a> ChatBot<'a> {
             } else {
                 let mut opts = ExecOptions::with_limits(self.limits.clone());
                 opts.cancel = self.cancel.clone();
-                match self.execute_turn_query(&template, &sparql, &opts, &span) {
+                match self.execute_turn_query(&template, &opts, &span) {
                     Ok(rs) if !rs.is_empty() => {
                         let names: Vec<String> = rs
                             .values("answer")
                             .iter()
-                            .map(|t| self.term_name(t))
+                            .map(|t| self.graph.display_term(t))
                             .collect();
                         self.focus = mentioned.or(self.focus);
                         let text = names.join(", ");
@@ -289,43 +289,32 @@ impl<'a> ChatBot<'a> {
         })
     }
 
-    /// Execute a turn's KG query: through the shared [`PlanCache`] when
-    /// one is attached (parameterized on the anchor, so every question
-    /// over the same relation chain reuses one compiled plan), otherwise
-    /// via the classic parse-plan-execute textual path. Preparation
-    /// failures fall back to the textual path — the cache is a planning
-    /// optimization, never a behavior change.
+    /// Execute a turn's KG query through the bot's [`PlanCache`],
+    /// parameterized on the anchor, so every question over the same
+    /// relation chain reuses one compiled plan.
     fn execute_turn_query(
         &self,
         template: &SparqlTemplate,
-        sparql: &str,
         opts: &ExecOptions,
         span: &obs::Span,
     ) -> Result<kgquery::ResultSet, QueryError> {
-        if let Some(cache) = &self.plan_cache {
-            match cache.prepare_with_params(
-                self.graph,
-                &template.text(),
-                &[SparqlTemplate::ANCHOR_VAR],
-            ) {
-                Ok((prepared, outcome)) => {
-                    let counter = match outcome {
-                        CacheOutcome::Hit => "plan_cache.hits",
-                        CacheOutcome::Miss => "plan_cache.misses",
-                        CacheOutcome::Invalidated => "plan_cache.invalidations",
-                    };
-                    span.count(counter, 1);
-                    return prepared.run_with_observed(
-                        self.graph,
-                        &[(SparqlTemplate::ANCHOR_VAR, template.anchor_term())],
-                        opts,
-                        span,
-                    );
-                }
-                Err(_) => span.count("plan_cache.prepare_errors", 1),
-            }
-        }
-        execute_sparql_observed_with(self.graph, sparql, opts, span)
+        let (prepared, outcome) = self.plan_cache.prepare_with_params(
+            self.graph,
+            &template.text(),
+            &[SparqlTemplate::ANCHOR_VAR],
+        )?;
+        let counter = match outcome {
+            CacheOutcome::Hit => "plan_cache.hits",
+            CacheOutcome::Miss => "plan_cache.misses",
+            CacheOutcome::Invalidated => "plan_cache.invalidations",
+        };
+        span.count(counter, 1);
+        prepared.run_with(
+            self.graph,
+            &[(SparqlTemplate::ANCHOR_VAR, template.anchor_term())],
+            opts,
+            span,
+        )
     }
 
     /// Close out a turn: stamp route + degradation onto the span and
@@ -355,20 +344,6 @@ impl<'a> ChatBot<'a> {
         reply
     }
 
-    /// Human-readable name of a term for reply text.
-    fn term_name(&self, t: &kg::Term) -> String {
-        match t {
-            kg::Term::Iri(iri) => self
-                .graph
-                .pool()
-                .get_iri(iri)
-                .map(|s| self.graph.display_name(s))
-                .unwrap_or_else(|| kg::namespace::humanize(kg::namespace::local_name(iri))),
-            kg::Term::Literal(l) => l.lexical.clone(),
-            kg::Term::Blank(b) => b.clone(),
-        }
-    }
-
     /// The template-QA rung: find a predicate of the mentioned entity whose
     /// humanized name occurs in the utterance, and answer with the stored
     /// objects directly — no query generation, no LLM.
@@ -394,7 +369,7 @@ impl<'a> ChatBot<'a> {
         }
         let names: Vec<String> = objects
             .iter()
-            .map(|&o| self.term_name(self.graph.resolve(o)))
+            .map(|&o| self.graph.display_term(self.graph.resolve(o)))
             .collect();
         Some(names.join(", "))
     }
@@ -637,11 +612,14 @@ mod tests {
         assert_eq!(reg.counter("plan_cache.hits"), 1);
         assert_eq!(reg.counter("plan_cache.misses"), 1);
 
-        // cached answers match an uncached bot's answers
-        let mut plain = ChatBot::new(g, &slm);
+        // answers through the shared cache match a bot with its own cache
+        let mut own = ChatBot::new(g, &slm);
         let q = format!("What is {} directed by?", g.display_name(films[0]));
-        let uncached = plain.handle(&q);
-        assert_eq!(uncached.text, replies[0].text);
+        let alone = own.handle(&q);
+        assert_eq!(alone.text, replies[0].text);
+        assert_eq!(alone.sparql, replies[0].sparql);
+        assert_eq!(alone.exec, replies[0].exec);
+        assert_eq!(own.plan_cache.stats().misses, 1);
     }
 
     #[test]

@@ -116,7 +116,8 @@ fn gold_sparql(graph: &Graph, anchor: Sym, relations: &[Sym]) -> String {
 mod tests {
     use super::*;
     use kg::synth::{academic, Scale};
-    use kgquery::execute_sparql;
+    use kgquery::exec::ExecOptions;
+    use kgquery::execute_sparql_with;
 
     #[test]
     fn dataset_items_have_consistent_ground_truth() {
@@ -135,7 +136,8 @@ mod tests {
         let kg = academic(161, Scale::default());
         let items = generate_dataset(&kg.graph, 5, 4, 2);
         for item in &items {
-            let rs = execute_sparql(&kg.graph, &item.sparql).expect("gold SPARQL runs");
+            let rs = execute_sparql_with(&kg.graph, &item.sparql, &ExecOptions::default())
+                .expect("gold SPARQL runs");
             let mut got: Vec<&str> = rs
                 .values("answer")
                 .iter()

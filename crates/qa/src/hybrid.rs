@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use kg::term::Term;
 use kg::Graph;
 use kgquery::ast::{NodeRef, PatternElem, PropPath, Query};
-use kgquery::exec::{execute_observed, ExecOptions};
+use kgquery::exec::{execute, ExecOptions};
 use kgquery::results::ResultSet;
 use kgquery::QueryError;
 use resilience::{FaultInjector, FaultPoint, NoFaults, ResourceLimits};
@@ -65,40 +65,21 @@ impl<'a> HybridExecutor<'a> {
         self
     }
 
-    /// Execute a SPARQL string under hybrid semantics.
-    pub fn execute(&self, sparql: &str) -> Result<(ResultSet, HybridStats), QueryError> {
-        let query = kgquery::parser::parse(sparql)?;
-        self.execute_query(&query)
-    }
-
-    /// Execute a SPARQL string under hybrid semantics and an
-    /// observability span (see [`HybridExecutor::execute_query_observed`]).
-    pub fn execute_observed(
+    /// Execute a SPARQL string under hybrid semantics. Virtual patterns
+    /// must be simple `(subject, <virtualPred>, ?var)` triples.
+    ///
+    /// Under an enabled `parent`, a `hybrid.execute` child records
+    /// virtual-pattern count, LLM calls and misses (the cost accounting
+    /// this executor exists for), and the store part's executor counters
+    /// via a nested `sparql.execute` span.
+    pub fn execute(
         &self,
         sparql: &str,
         parent: &obs::Span,
     ) -> Result<(ResultSet, HybridStats), QueryError> {
         let query = kgquery::parser::parse(sparql)?;
-        self.execute_query_observed(&query, parent)
-    }
-
-    /// Execute a parsed query under hybrid semantics. Virtual patterns
-    /// must be simple `(subject, <virtualPred>, ?var)` triples.
-    pub fn execute_query(&self, query: &Query) -> Result<(ResultSet, HybridStats), QueryError> {
-        self.execute_query_observed(query, &obs::Span::disabled())
-    }
-
-    /// [`HybridExecutor::execute_query`] under an observability span: a
-    /// `hybrid.execute` child records virtual-pattern count, LLM calls
-    /// and misses (the cost accounting this executor exists for), and the
-    /// store part's executor counters via a nested `sparql.execute` span.
-    pub fn execute_query_observed(
-        &self,
-        query: &Query,
-        parent: &obs::Span,
-    ) -> Result<(ResultSet, HybridStats), QueryError> {
         let span = parent.child("hybrid.execute");
-        let result = self.execute_query_inner(query, &span);
+        let result = self.execute_query(&query, &span);
         if let Ok((rs, stats)) = &result {
             span.set("rows", rs.len());
             span.set("llm_calls", stats.llm_calls);
@@ -110,7 +91,7 @@ impl<'a> HybridExecutor<'a> {
         result
     }
 
-    fn execute_query_inner(
+    fn execute_query(
         &self,
         query: &Query,
         span: &obs::Span,
@@ -134,7 +115,7 @@ impl<'a> HybridExecutor<'a> {
         let opts = ExecOptions::with_limits(self.limits.clone());
         if virtuals.is_empty() {
             return Ok((
-                execute_observed(self.graph, query, &opts, span)?,
+                execute(self.graph, query, &opts, span)?,
                 HybridStats::default(),
             ));
         }
@@ -147,7 +128,7 @@ impl<'a> HybridExecutor<'a> {
         inner.limit = None;
         inner.offset = 0;
         inner.order_by = Vec::new();
-        let inner_rs = execute_observed(self.graph, &inner, &opts, span)?;
+        let inner_rs = execute(self.graph, &inner, &opts, span)?;
 
         let mut stats = HybridStats::default();
         // output vars: inner vars + virtual object *variables* (constant
@@ -173,16 +154,7 @@ impl<'a> HybridExecutor<'a> {
                     ok = false;
                     break;
                 };
-                let subject_label = match &st {
-                    Term::Iri(iri) => self
-                        .graph
-                        .pool()
-                        .get_iri(iri)
-                        .map(|s| self.graph.display_name(s))
-                        .unwrap_or_else(|| kg::namespace::humanize(kg::namespace::local_name(iri))),
-                    Term::Literal(l) => l.lexical.clone(),
-                    Term::Blank(b) => b.clone(),
-                };
+                let subject_label = self.graph.display_term(&st);
                 let phrase = kg::namespace::humanize(kg::namespace::local_name(pred));
                 let question = format!("What is {subject_label} {phrase}?");
                 stats.llm_calls += 1;
@@ -204,18 +176,7 @@ impl<'a> HybridExecutor<'a> {
                     NodeRef::Var(_) => extended.push(Some(Term::lit(answer.text))),
                     NodeRef::Const(expected) => {
                         // constant object: the LLM answer must match it
-                        let want = match expected {
-                            Term::Literal(l) => l.lexical.clone(),
-                            Term::Iri(iri) => self
-                                .graph
-                                .pool()
-                                .get_iri(iri)
-                                .map(|s| self.graph.display_name(s))
-                                .unwrap_or_else(|| {
-                                    kg::namespace::humanize(kg::namespace::local_name(iri))
-                                }),
-                            Term::Blank(b) => b.clone(),
-                        };
+                        let want = self.graph.display_term(expected);
                         if !answer.text.eq_ignore_ascii_case(&want) {
                             ok = false;
                             break;
@@ -289,7 +250,9 @@ mod tests {
             "SELECT ?f ?y WHERE {{ ?f a <{}Film> . ?f <{vpred}> ?y }}",
             kg::namespace::SYNTH_VOCAB
         );
-        let (rs, stats) = exec.execute(&q).expect("hybrid query runs");
+        let (rs, stats) = exec
+            .execute(&q, &obs::Span::disabled())
+            .expect("hybrid query runs");
         assert!(!rs.is_empty(), "LLM should answer the virtual predicate");
         assert!(stats.llm_calls >= rs.len());
         // every answer mentions "scene" (from the LLM corpus)
@@ -310,7 +273,9 @@ mod tests {
             "SELECT ?f WHERE {{ ?f a <{}Film> }}",
             kg::namespace::SYNTH_VOCAB
         );
-        let (rs, stats) = exec.execute(&q).expect("query runs");
+        let (rs, stats) = exec
+            .execute(&q, &obs::Span::disabled())
+            .expect("query runs");
         assert!(!rs.is_empty());
         assert_eq!(stats.llm_calls, 0);
     }
@@ -330,7 +295,9 @@ mod tests {
             "SELECT ?f WHERE {{ ?f a <{}Film> . ?f <{vpred}> \"scene 0\" }}",
             kg::namespace::SYNTH_VOCAB
         );
-        let (rs, _) = exec.execute(&q).expect("hybrid query runs");
+        let (rs, _) = exec
+            .execute(&q, &obs::Span::disabled())
+            .expect("hybrid query runs");
         // exactly the films whose LLM-known fact is "scene 0" survive
         assert_eq!(rs.len(), 1, "{:?}", rs.rows);
         assert_eq!(
@@ -342,7 +309,9 @@ mod tests {
             "SELECT ?f WHERE {{ ?f a <{}Film> . ?f <{vpred}> \"scene 99\" }}",
             kg::namespace::SYNTH_VOCAB
         );
-        let (rs2, _) = exec.execute(&q2).expect("hybrid query runs");
+        let (rs2, _) = exec
+            .execute(&q2, &obs::Span::disabled())
+            .expect("hybrid query runs");
         assert!(rs2.is_empty());
     }
 
@@ -356,7 +325,7 @@ mod tests {
         );
         let (tracer, recorder) = obs::Tracer::in_memory();
         let root = tracer.span("test");
-        let (rs, stats) = exec.execute_observed(&q, &root).expect("hybrid runs");
+        let (rs, stats) = exec.execute(&q, &root).expect("hybrid runs");
         root.finish();
         let span = recorder.take().pop().expect("root recorded");
         let hybrid = span.find("hybrid.execute").expect("hybrid span");
@@ -381,7 +350,9 @@ mod tests {
             "SELECT ?f ?y WHERE {{ ?f a <{}Film> . ?f <{vpred}> ?y }}",
             kg::namespace::SYNTH_VOCAB
         );
-        let (rs, stats) = exec.execute(&q).expect("degrades, does not error");
+        let (rs, stats) = exec
+            .execute(&q, &obs::Span::disabled())
+            .expect("degrades, does not error");
         assert!(rs.is_empty());
         assert_eq!(stats.llm_misses, stats.llm_calls);
         assert!(stats.llm_calls > 0);
@@ -397,7 +368,7 @@ mod tests {
             "SELECT ?f ?y WHERE {{ ?f a <{}Film> . ?f <{vpred}> ?y }}",
             kg::namespace::SYNTH_VOCAB
         );
-        match exec.execute(&q) {
+        match exec.execute(&q, &obs::Span::disabled()) {
             Err(QueryError::LimitExceeded { limit, .. }) => {
                 assert_eq!(limit, resilience::Limit::Rows(0));
             }
@@ -415,7 +386,9 @@ mod tests {
             "SELECT ?f ?y WHERE {{ ?f a <{}Film> . ?f <{vpred}> ?y }}",
             kg::namespace::SYNTH_VOCAB
         );
-        let (rs, stats) = exec.execute(&q).expect("query runs");
+        let (rs, stats) = exec
+            .execute(&q, &obs::Span::disabled())
+            .expect("query runs");
         assert!(rs.is_empty());
         assert_eq!(stats.llm_misses, stats.llm_calls);
         assert!(stats.llm_calls > 0);

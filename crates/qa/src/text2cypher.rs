@@ -1,8 +1,8 @@
 //! NL → Cypher-lite generation (the "or Cypher" half of §4.1.3).
 //!
 //! Reuses the SGPT-sim analysis (anchor linking + relation-phrase
-//! chaining) but emits Cypher `MATCH` patterns executed by
-//! [`kgquery::execute_cypher`].
+//! chaining) but emits Cypher `MATCH` patterns, which parse with
+//! [`kgquery::cypher::parse`] and run on [`kgquery::exec::execute`].
 
 use kg::Graph;
 
@@ -45,7 +45,8 @@ mod tests {
     use crate::datasets::generate_dataset;
     use kg::synth::{movies, Scale};
     use kgextract::testgen::{corpus_sentences, entity_surface_forms};
-    use kgquery::{execute_cypher, execute_sparql};
+    use kgquery::exec::{execute, ExecOptions};
+    use kgquery::execute_sparql_with;
     use slm::Slm;
 
     #[test]
@@ -66,8 +67,11 @@ mod tests {
             let Some(sparql) = t2s.generate(Text2SparqlMethod::SgptSim, &item.question) else {
                 continue;
             };
-            let c = execute_cypher(&kg.graph, &cypher).expect("cypher runs");
-            let s = execute_sparql(&kg.graph, &sparql).expect("sparql runs");
+            let opts = ExecOptions::default();
+            let parsed = kgquery::cypher::parse(&cypher).expect("cypher parses");
+            let c =
+                execute(&kg.graph, &parsed, &opts, &obs::Span::disabled()).expect("cypher runs");
+            let s = execute_sparql_with(&kg.graph, &sparql, &opts).expect("sparql runs");
             // compare result multiplicities loosely: same number of rows
             assert_eq!(c.len(), s.len(), "cypher {cypher} vs sparql {sparql}");
             compared += 1;

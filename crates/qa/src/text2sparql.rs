@@ -5,7 +5,8 @@ use std::collections::HashSet;
 use kg::term::Sym;
 use kg::Graph;
 use kgextract::align::EntityLinker;
-use kgquery::execute_sparql;
+use kgquery::exec::ExecOptions;
+use kgquery::execute_sparql_with;
 use slm::Slm;
 
 use crate::datasets::{rel_phrase, QaItem};
@@ -142,17 +143,42 @@ impl<'a> TextToSparql<'a> {
 
     /// Generate SPARQL for a question, or `None` when no anchor links.
     pub fn generate(&self, method: Text2SparqlMethod, question: &str) -> Option<String> {
-        self.generate_template(method, question).map(|t| t.inline())
+        self.generate_template(method, question, &obs::Span::disabled())
+            .map(|t| t.inline())
     }
 
     /// Generate the parameterized form of a question's query, or `None`
     /// when no anchor links. `template.inline()` reproduces exactly what
     /// [`TextToSparql::generate`] returns for the same inputs.
+    ///
+    /// Under an enabled `parent`, a `t2s.generate` child records the
+    /// method, whether a query came out, and its size; `t2s.*` counters
+    /// accumulate generation attempts.
     pub fn generate_template(
         &self,
         method: Text2SparqlMethod,
         question: &str,
+        parent: &obs::Span,
     ) -> Option<SparqlTemplate> {
+        let span = parent.child("t2s.generate");
+        span.set("method", method.name());
+        span.count("t2s.calls", 1);
+        let template = self.build_template(method, question);
+        span.set("generated", template.is_some());
+        match &template {
+            Some(t) => {
+                if span.enabled() {
+                    span.set("sparql_chars", t.inline().len());
+                }
+                span.count("t2s.generated", 1);
+            }
+            None => span.count("t2s.misses", 1),
+        }
+        template
+    }
+
+    /// [`TextToSparql::generate_template`]'s work, unobserved.
+    fn build_template(&self, method: Text2SparqlMethod, question: &str) -> Option<SparqlTemplate> {
         let anchor = self.link_anchor(question)?;
         let anchor_name = self.graph.display_name(anchor);
         let anchor_iri = self.graph.resolve(anchor).as_iri()?.to_string();
@@ -176,43 +202,6 @@ impl<'a> TextToSparql<'a> {
             .collect::<Vec<_>>()
             .join("/");
         Some(SparqlTemplate { path, anchor_iri })
-    }
-
-    /// [`TextToSparql::generate`] under an observability span: a
-    /// `t2s.generate` child records the method, whether a query came out,
-    /// and its size; `t2s.*` counters accumulate generation attempts.
-    pub fn generate_observed(
-        &self,
-        method: Text2SparqlMethod,
-        question: &str,
-        parent: &obs::Span,
-    ) -> Option<String> {
-        self.generate_template_observed(method, question, parent)
-            .map(|t| t.inline())
-    }
-
-    /// [`TextToSparql::generate_template`] under an observability span
-    /// (same span shape and `t2s.*` counters as
-    /// [`TextToSparql::generate_observed`]).
-    pub fn generate_template_observed(
-        &self,
-        method: Text2SparqlMethod,
-        question: &str,
-        parent: &obs::Span,
-    ) -> Option<SparqlTemplate> {
-        let span = parent.child("t2s.generate");
-        span.set("method", method.name());
-        span.count("t2s.calls", 1);
-        let template = self.generate_template(method, question);
-        span.set("generated", template.is_some());
-        match &template {
-            Some(t) => {
-                span.set("sparql_chars", t.inline().len());
-                span.count("t2s.generated", 1);
-            }
-            None => span.count("t2s.misses", 1),
-        }
-        template
     }
 
     /// The question's anchor entity: the longest entity name occurring
@@ -324,10 +313,8 @@ pub fn exact_match(a: &str, b: &str) -> bool {
 
 /// Execution accuracy: both queries run and return identical answer sets.
 pub fn execution_match(graph: &Graph, generated: &str, gold: &str) -> bool {
-    let (Ok(a), Ok(b)) = (
-        execute_sparql(graph, generated),
-        execute_sparql(graph, gold),
-    ) else {
+    let run = |q| execute_sparql_with(graph, q, &ExecOptions::default());
+    let (Ok(a), Ok(b)) = (run(generated), run(gold)) else {
         return false;
     };
     let answers = |rs: &kgquery::ResultSet| -> Vec<String> {
@@ -430,8 +417,11 @@ mod tests {
         let t2s = TextToSparql::new(&kg.graph, &slm);
         let mut checked = 0;
         for item in items.iter().take(8) {
-            let Some(tpl) = t2s.generate_template(Text2SparqlMethod::SgptSim, &item.question)
-            else {
+            let Some(tpl) = t2s.generate_template(
+                Text2SparqlMethod::SgptSim,
+                &item.question,
+                &obs::Span::disabled(),
+            ) else {
                 continue;
             };
             // inline() is byte-identical to the classic generate() output
@@ -441,7 +431,7 @@ mod tests {
             );
             // all three textual forms return the same answers
             let answers = |q: &str| {
-                let rs = execute_sparql(&kg.graph, q).unwrap();
+                let rs = execute_sparql_with(&kg.graph, q, &ExecOptions::default()).unwrap();
                 let mut v: Vec<String> =
                     rs.values("answer").iter().map(|t| format!("{t}")).collect();
                 v.sort();
@@ -450,13 +440,13 @@ mod tests {
             assert_eq!(answers(&tpl.inline()), answers(&tpl.values_form()));
             // the parameterized form binds through the prepared-query API
             let prepared =
-                kgquery::PreparedQuery::prepare_with_params(&kg.graph, &tpl.text(), &["anchor"])
-                    .unwrap();
+                kgquery::PreparedQuery::prepare(&kg.graph, &tpl.text(), &["anchor"]).unwrap();
             let rs = prepared
                 .run_with(
                     &kg.graph,
                     &[(SparqlTemplate::ANCHOR_VAR, tpl.anchor_term())],
-                    &kgquery::exec::ExecOptions::default(),
+                    &ExecOptions::default(),
+                    &obs::Span::disabled(),
                 )
                 .unwrap();
             let mut bound: Vec<String> =
@@ -487,7 +477,7 @@ mod tests {
         for item in items.iter().take(5) {
             if let Some(q) = t2s.generate(Text2SparqlMethod::SgptSim, &item.question) {
                 assert!(
-                    execute_sparql(&kg.graph, &q).is_ok(),
+                    execute_sparql_with(&kg.graph, &q, &ExecOptions::default()).is_ok(),
                     "generated query must be valid SPARQL: {q}"
                 );
             }

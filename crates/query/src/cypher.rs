@@ -438,8 +438,13 @@ impl CypherParser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute;
+    use crate::exec::ExecOptions;
+    use crate::results::ResultSet;
     use kg::Graph;
+
+    fn execute(g: &Graph, q: &Query) -> Result<ResultSet> {
+        crate::exec::execute(g, q, &ExecOptions::default(), &obs::Span::disabled())
+    }
 
     fn graph() -> Graph {
         kg::turtle::parse_turtle(&format!(

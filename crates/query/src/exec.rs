@@ -104,11 +104,11 @@ pub fn default_parallel_threshold() -> Option<usize> {
     }
 }
 
-/// Knobs controlling how [`execute_with`] evaluates a query.
+/// Knobs controlling how [`execute`] evaluates a query.
 ///
 /// The defaults (streaming on, parallelism above the host-derived
-/// [`default_parallel_threshold`]) are what [`execute`] uses; benchmarks
-/// and differential tests pin individual knobs to isolate one evaluation
+/// [`default_parallel_threshold`]) suit serving; benchmarks and
+/// differential tests pin individual knobs to isolate one evaluation
 /// mode.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
@@ -195,7 +195,22 @@ impl ExecOptions {
     }
 }
 
-/// Execute a parsed query against a graph with default [`ExecOptions`].
+/// Execute a parsed query against a graph under an observability span.
+///
+/// This is the one way to run a parsed query; a prepared plan runs
+/// through [`crate::PreparedQuery::run_with`], and both share one runner.
+/// With an enabled `parent` it opens a `sparql.execute` child and adapts
+/// the returned [`ExecStats`] into span attributes plus `exec.*` registry
+/// counters (see `docs/observability.md` for the catalogue); pass
+/// [`obs::Span::disabled`] to run without recording anything.
+///
+/// When [`ExecOptions::limits`] carries budgets, evaluation checks them
+/// cooperatively at stage boundaries and inside the streaming DFS loop. A
+/// tripped budget surfaces as [`QueryError::LimitExceeded`] — except for
+/// query shapes whose prefix is meaningful (`ASK` and `ORDER BY`-free,
+/// non-`DISTINCT` `LIMIT` selects), which instead return the rows produced
+/// so far with [`ResultSet::truncated`] set and the violation recorded in
+/// [`ResultSet::truncation`].
 ///
 /// ```
 /// use kgquery::{exec, parser};
@@ -207,21 +222,14 @@ impl ExecOptions {
 /// let query = parser::parse(
 ///     "PREFIX v: <http://v/> SELECT ?x ?z WHERE { ?x v:knows ?y . ?y v:knows ?z }",
 /// )?;
-/// let results = exec::execute(&graph, &query)?;
+/// let opts = exec::ExecOptions::default();
+/// let results = exec::execute(&graph, &query, &opts, &obs::Span::disabled())?;
 /// assert_eq!(results.len(), 1); // a knows b knows c
 /// assert!(results.stats.index_probes > 0); // work counters come along
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn execute(graph: &Graph, query: &Query) -> Result<ResultSet, QueryError> {
-    execute_with(graph, query, &ExecOptions::default())
-}
-
-/// Execute a parsed query under an observability span.
 ///
-/// Opens a `sparql.execute` child of `parent`, runs [`execute_with`], and
-/// adapts the returned [`ExecStats`] into span attributes plus `exec.*`
-/// registry counters (see `docs/observability.md` for the catalogue).
-/// With a disabled span this is exactly [`execute_with`].
+/// Under a live span the same call records its work:
 ///
 /// ```
 /// let graph = kg::turtle::parse_turtle(
@@ -230,7 +238,7 @@ pub fn execute(graph: &Graph, query: &Query) -> Result<ResultSet, QueryError> {
 /// let query = kgquery::parser::parse("SELECT ?x WHERE { ?x <http://v/knows> ?y }")?;
 /// let (tracer, recorder) = obs::Tracer::in_memory();
 /// let root = tracer.span("answer");
-/// let rs = kgquery::exec::execute_observed(
+/// let rs = kgquery::exec::execute(
 ///     &graph,
 ///     &query,
 ///     &kgquery::exec::ExecOptions::default(),
@@ -245,26 +253,21 @@ pub fn execute(graph: &Graph, query: &Query) -> Result<ResultSet, QueryError> {
 /// assert!(tracer.registry().counter("exec.queries") == 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn execute_observed(
+pub fn execute(
     graph: &Graph,
     query: &Query,
     opts: &ExecOptions,
     parent: &obs::Span,
 ) -> Result<ResultSet, QueryError> {
-    if !parent.enabled() {
-        return execute_with(graph, query, opts);
-    }
-    let span = parent.child("sparql.execute");
-    let result = execute_with(graph, query, opts);
-    record_exec_span(&span, &result);
-    result
+    execute_compiled(graph, &compile_query(graph, query), opts, &[], parent)
 }
 
-/// Execute a pre-compiled query under an observability span, with the
-/// same `sparql.execute` attributes and `exec.*` counters as
-/// [`execute_observed`] — a cache hit is indistinguishable downstream
-/// from a freshly planned execution.
-pub fn execute_compiled_observed(
+/// The runner behind [`execute`] and [`crate::PreparedQuery::run_with`]:
+/// evaluate a compiled query, seeding parameter slots from `bindings`,
+/// and record a `sparql.execute` child of an enabled `parent` — so a
+/// cache hit is indistinguishable downstream from a freshly planned
+/// execution.
+pub(crate) fn execute_compiled(
     graph: &Graph,
     compiled: &CompiledQuery,
     opts: &ExecOptions,
@@ -272,10 +275,10 @@ pub fn execute_compiled_observed(
     parent: &obs::Span,
 ) -> Result<ResultSet, QueryError> {
     if !parent.enabled() {
-        return execute_compiled(graph, compiled, opts, bindings);
+        return evaluate(graph, compiled, opts, bindings);
     }
     let span = parent.child("sparql.execute");
-    let result = execute_compiled(graph, compiled, opts, bindings);
+    let result = evaluate(graph, compiled, opts, bindings);
     record_exec_span(&span, &result);
     result
 }
@@ -310,33 +313,16 @@ fn record_exec_span(span: &obs::Span, result: &Result<ResultSet, QueryError>) {
     }
 }
 
-/// Execute a parsed query with explicit evaluation options.
-///
-/// When [`ExecOptions::limits`] carries budgets, evaluation checks them
-/// cooperatively at stage boundaries and inside the streaming DFS loop. A
-/// tripped budget surfaces as [`QueryError::LimitExceeded`] — except for
-/// query shapes whose prefix is meaningful (`ASK` and `ORDER BY`-free,
-/// non-`DISTINCT` `LIMIT` selects), which instead return the rows produced
-/// so far with [`ResultSet::truncated`] set and the violation recorded in
-/// [`ResultSet::truncation`].
-pub fn execute_with(
-    graph: &Graph,
-    query: &Query,
-    opts: &ExecOptions,
-) -> Result<ResultSet, QueryError> {
-    execute_compiled(graph, &compile_query(graph, query), opts, &[])
-}
-
 /// A query compiled against one graph snapshot: variables interned to
 /// slots, constants pre-resolved against the term pool, and every BGP
 /// join-ordered once under the graph's cardinality histograms.
 ///
-/// Build one with [`compile_query`] (or [`compile_query_with_params`]
-/// when some variables are supplied per execution) and run it any number
-/// of times with [`execute_compiled`]. The artifact reflects the graph
-/// *statistics* it was planned under; [`crate::prepared`] layers query
-/// text normalization and statistics-epoch invalidation on top so cached
-/// artifacts stay honest as the graph mutates.
+/// Build one with [`compile_query`]; [`crate::PreparedQuery`] compiles
+/// one with parameter slots and runs it any number of times. The artifact
+/// reflects the graph *statistics* it was planned under;
+/// [`crate::prepared`] layers query text normalization and
+/// statistics-epoch invalidation on top so cached artifacts stay honest
+/// as the graph mutates.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     query: Query,
@@ -345,21 +331,16 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
-    /// The parsed query this artifact was compiled from.
-    pub fn query(&self) -> &Query {
-        &self.query
-    }
-
     /// The slot a variable was interned to, if it occurs in the plan
     /// (or was declared as a parameter at compile time).
-    pub fn var_slot(&self, name: &str) -> Option<usize> {
+    pub(crate) fn var_slot(&self, name: &str) -> Option<usize> {
         self.vars.lookup(name)
     }
 }
 
 /// Compile a parsed query against a graph: algebra lowering, variable
-/// interning, constant resolution, and per-BGP join ordering — all the
-/// work [`execute_with`] used to redo per call.
+/// interning, constant resolution, and per-BGP join ordering — the
+/// planning half of [`execute`].
 pub fn compile_query(graph: &Graph, query: &Query) -> CompiledQuery {
     compile_query_with_params(graph, query, &[])
 }
@@ -371,7 +352,11 @@ pub fn compile_query(graph: &Graph, query: &Query) -> CompiledQuery {
 /// bound-slot view — as a textual `VALUES ?param { … }` clause at the
 /// head of the group, so a parameterized plan matches its
 /// `VALUES`-injected equivalent.
-pub fn compile_query_with_params(graph: &Graph, query: &Query, params: &[&str]) -> CompiledQuery {
+pub(crate) fn compile_query_with_params(
+    graph: &Graph,
+    query: &Query,
+    params: &[&str],
+) -> CompiledQuery {
     let plan = compile(&query.pattern);
     let mut vars = VarTable::default();
     let mut bound_slots = BTreeSet::new();
@@ -386,14 +371,14 @@ pub fn compile_query_with_params(graph: &Graph, query: &Query, params: &[&str]) 
     }
 }
 
-/// Execute a pre-compiled query, optionally seeding parameter slots.
+/// Evaluate a pre-compiled query, optionally seeding parameter slots.
 ///
 /// `bindings` pairs slot indices (from [`CompiledQuery::var_slot`]) with
 /// values. A `None` value means the caller's term is not interned in the
 /// graph's pool: matching the `VALUES` subset semantics, the query then
 /// runs over zero input rows and returns an empty (but fully projected)
 /// result.
-pub fn execute_compiled(
+fn evaluate(
     graph: &Graph,
     compiled: &CompiledQuery,
     opts: &ExecOptions,
@@ -1122,7 +1107,7 @@ fn row_budget(query: &Query, opts: &ExecOptions) -> Option<usize> {
 /// order — the invariant that makes streaming `LIMIT` slicing exact.
 ///
 /// `Err` means a resource budget tripped mid-evaluation; the partial rows
-/// are discarded and the violation propagates to [`execute_with`], except
+/// are discarded and the violation propagates to [`execute`], except
 /// in the streaming BGP path, which can absorb it (see
 /// [`eval_bgp_streaming`]).
 fn eval(
@@ -2150,6 +2135,14 @@ mod tests {
     use crate::parser::parse;
     use kg::term::Literal;
 
+    fn run_with_opts(g: &Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet, QueryError> {
+        execute(g, q, opts, &obs::Span::disabled())
+    }
+
+    fn run_default(g: &Graph, q: &Query) -> Result<ResultSet, QueryError> {
+        run_with_opts(g, q, &ExecOptions::default())
+    }
+
     fn graph() -> Graph {
         kg::turtle::parse_turtle(
             r#"
@@ -2166,7 +2159,7 @@ mod tests {
     }
 
     fn run(q: &str) -> ResultSet {
-        execute(&graph(), &parse(q).expect("query parses")).expect("query executes")
+        run_default(&graph(), &parse(q).expect("query parses")).expect("query executes")
     }
 
     #[test]
@@ -2304,7 +2297,7 @@ mod tests {
             Term::Literal(Literal::string("1")),
         );
         let q = parse("SELECT DISTINCT ?v WHERE { ?x <http://v/p> ?v }").unwrap();
-        assert_eq!(execute(&g, &q).unwrap().len(), 2);
+        assert_eq!(run_default(&g, &q).unwrap().len(), 2);
     }
 
     #[test]
@@ -2312,7 +2305,7 @@ mod tests {
         let g = graph();
         let q = parse("SELECT ?zzz WHERE { ?x <http://v/knows> ?y }").unwrap();
         assert!(matches!(
-            execute(&g, &q),
+            run_default(&g, &q),
             Err(QueryError::UnboundVariable(_))
         ));
     }
@@ -2346,7 +2339,7 @@ mod tests {
         let mut g = graph();
         g.insert_iri("http://e/loop", "http://v/knows", "http://e/loop");
         let q = parse("PREFIX v: <http://v/> SELECT ?x WHERE { ?x v:knows ?x }").unwrap();
-        let rs = execute(&g, &q).unwrap();
+        let rs = run_default(&g, &q).unwrap();
         assert_eq!(rs.len(), 1);
         assert_eq!(
             rs.first("x").and_then(|t| t.as_iri()),
@@ -2412,7 +2405,10 @@ mod tests {
             "PREFIX v: <http://v/> SELECT ?y (COUNT(*) AS ?n) WHERE { ?x v:knows ?y } GROUP BY ?x",
         )
         .unwrap();
-        assert!(matches!(execute(&g, &q), Err(QueryError::Unsupported(_))));
+        assert!(matches!(
+            run_default(&g, &q),
+            Err(QueryError::Unsupported(_))
+        ));
     }
 
     #[test]
@@ -2443,13 +2439,13 @@ mod tests {
             Term::Literal(Literal::double(-2.0)),
         );
         let q = parse("SELECT ?x ?v WHERE { ?x <http://v/val> ?v } ORDER BY ?v").unwrap();
-        let rs = execute(&g, &q).unwrap();
+        let rs = run_default(&g, &q).unwrap();
         let xs: Vec<&str> = rs.values("x").iter().filter_map(|t| t.as_iri()).collect();
         assert_eq!(xs, vec!["http://e/c", "http://e/a", "http://e/b"]);
         // DESC is the exact reverse — the comparator is total, so NaN has
         // one deterministic position instead of freezing wherever it sat
         let qd = parse("SELECT ?x WHERE { ?x <http://v/val> ?v } ORDER BY DESC(?v)").unwrap();
-        let rsd = execute(&g, &qd).unwrap();
+        let rsd = run_default(&g, &qd).unwrap();
         let xsd: Vec<&str> = rsd.values("x").iter().filter_map(|t| t.as_iri()).collect();
         assert_eq!(xsd, vec!["http://e/b", "http://e/a", "http://e/c"]);
     }
@@ -2488,7 +2484,7 @@ mod tests {
             Term::Literal(Literal::string("3")),
         );
         let q = parse("SELECT ?v WHERE { ?x <http://v/val> ?v } ORDER BY ?v").unwrap();
-        let sorted: Vec<String> = execute(&g, &q)
+        let sorted: Vec<String> = run_default(&g, &q)
             .unwrap()
             .values("v")
             .iter()
@@ -2497,7 +2493,7 @@ mod tests {
             .collect();
         assert_eq!(sorted, vec!["5", "10", "3"]);
         let qd = parse("SELECT ?v WHERE { ?x <http://v/val> ?v } ORDER BY DESC(?v)").unwrap();
-        let reversed: Vec<String> = execute(&g, &qd)
+        let reversed: Vec<String> = run_default(&g, &qd)
             .unwrap()
             .values("v")
             .iter()
@@ -2542,7 +2538,7 @@ mod tests {
         g.compact();
         let q = "PREFIX v: <http://v/> SELECT ?x ?z WHERE { ?x v:knows ?y . ?y v:knows ?z }";
         let parsed = parse(q).unwrap();
-        let merged = execute_with(
+        let merged = run_with_opts(
             &g,
             &parsed,
             &ExecOptions {
@@ -2552,7 +2548,7 @@ mod tests {
             },
         )
         .unwrap();
-        let probed = execute_with(
+        let probed = run_with_opts(
             &g,
             &parsed,
             &ExecOptions {
@@ -2575,7 +2571,7 @@ mod tests {
         let g = graph();
         assert!(!g.is_compacted());
         let q = "PREFIX v: <http://v/> SELECT ?x ?z WHERE { ?x v:knows ?y . ?y v:knows ?z }";
-        let rs = execute_with(
+        let rs = run_with_opts(
             &g,
             &parse(q).unwrap(),
             &ExecOptions {
@@ -2608,7 +2604,7 @@ mod tests {
         let g = graph();
         let q = parse("SELECT ?x ?y WHERE { ?x ?p ?y } ORDER BY ?x").unwrap();
         let opts = ExecOptions::with_limits(ResourceLimits::unlimited().with_max_rows(2));
-        match execute_with(&g, &q, &opts) {
+        match run_with_opts(&g, &q, &opts) {
             Err(QueryError::LimitExceeded { limit, observed }) => {
                 assert_eq!(limit, resilience::Limit::Rows(2));
                 assert!(observed > 2);
@@ -2624,7 +2620,7 @@ mod tests {
         let g = graph();
         let q = parse("SELECT ?x ?y WHERE { ?x ?p ?y . ?a ?q ?b } LIMIT 500").unwrap();
         let opts = ExecOptions::with_limits(ResourceLimits::unlimited().with_max_rows(3));
-        let rs = execute_with(&g, &q, &opts).expect("truncated, not failed");
+        let rs = run_with_opts(&g, &q, &opts).expect("truncated, not failed");
         assert!(rs.truncated);
         let v = rs.truncation.expect("reason recorded");
         assert_eq!(v.limit, resilience::Limit::Rows(3));
@@ -2643,7 +2639,7 @@ mod tests {
         );
         opts.clock = Some(resilience::Clock::Manual(clock.clone()));
         let q = parse("SELECT ?x WHERE { ?x ?p ?y } ORDER BY ?x").unwrap();
-        match execute_with(&g, &q, &opts) {
+        match run_with_opts(&g, &q, &opts) {
             Err(QueryError::LimitExceeded { limit, observed }) => {
                 assert_eq!(limit, resilience::Limit::WallMs(0));
                 assert_eq!(observed, 0);
@@ -2652,7 +2648,7 @@ mod tests {
         }
         // a budgeted (ASK) shape degrades to a truncated result instead
         let ask = parse("ASK { ?x ?p ?y }").unwrap();
-        let rs = execute_with(&g, &ask, &opts).expect("truncated, not failed");
+        let rs = run_with_opts(&g, &ask, &opts).expect("truncated, not failed");
         assert!(rs.truncated);
         assert_eq!(rs.truncation.unwrap().limit, resilience::Limit::WallMs(0));
     }
@@ -2667,7 +2663,7 @@ mod tests {
         };
         cancel.cancel();
         let q = parse("SELECT ?x WHERE { ?x ?p ?y } ORDER BY ?x").unwrap();
-        match execute_with(&g, &q, &opts) {
+        match run_with_opts(&g, &q, &opts) {
             Err(QueryError::LimitExceeded { limit, .. }) => {
                 assert_eq!(limit, resilience::Limit::Cancelled);
             }
@@ -2684,7 +2680,7 @@ mod tests {
         // cannot cover it
         let opts =
             ExecOptions::with_limits(ResourceLimits::unlimited().with_max_path_expansions(1));
-        match execute_with(&g, &q, &opts) {
+        match run_with_opts(&g, &q, &opts) {
             Err(QueryError::LimitExceeded { limit, .. }) => {
                 assert_eq!(limit, resilience::Limit::PathExpansions(1));
             }
@@ -2693,9 +2689,9 @@ mod tests {
         // a generous budget leaves the answer untouched
         let opts =
             ExecOptions::with_limits(ResourceLimits::unlimited().with_max_path_expansions(10_000));
-        let rs = execute_with(&g, &q, &opts).expect("within budget");
+        let rs = run_with_opts(&g, &q, &opts).expect("within budget");
         assert!(!rs.truncated);
-        assert_eq!(rs, execute(&g, &q).unwrap());
+        assert_eq!(rs, run_default(&g, &q).unwrap());
     }
 
     #[test]
@@ -2713,9 +2709,13 @@ mod tests {
             "PREFIX e: <http://e/> PREFIX v: <http://v/> ASK { e:a v:knows e:b }",
         ] {
             let parsed = parse(q).unwrap();
-            let limited = execute_with(&g, &parsed, &generous).expect("runs");
+            let limited = run_with_opts(&g, &parsed, &generous).expect("runs");
             assert!(!limited.truncated, "spurious truncation on {q}");
-            assert_eq!(limited, execute(&g, &parsed).unwrap(), "divergence on {q}");
+            assert_eq!(
+                limited,
+                run_default(&g, &parsed).unwrap(),
+                "divergence on {q}"
+            );
         }
     }
 
@@ -2733,7 +2733,7 @@ mod tests {
             "PREFIX v: <http://v/> SELECT ?x ?n WHERE { ?x a v:Person OPTIONAL { ?x v:name ?n } FILTER(BOUND(?x)) } ORDER BY ?x",
         ] {
             let parsed = parse(q).expect("parses");
-            let fast = execute(&g, &parsed).expect("compiled runs");
+            let fast = run_default(&g, &parsed).expect("compiled runs");
             let slow = crate::reference::execute(&g, &parsed).expect("reference runs");
             assert_eq!(fast, slow, "divergence on {q}");
         }
@@ -2772,20 +2772,52 @@ mod tests {
     }
 
     #[test]
+    fn live_span_records_one_execute_span_with_identical_results() {
+        let g = graph();
+        let q = parse("PREFIX v: <http://v/> SELECT ?x ?z WHERE { ?x v:knows ?y . ?y v:knows ?z }")
+            .unwrap();
+        let opts = ExecOptions::default();
+        let plain = execute(&g, &q, &opts, &obs::Span::disabled()).unwrap();
+        let (tracer, recorder) = obs::Tracer::in_memory();
+        let root = tracer.span("answer");
+        let traced = execute(&g, &q, &opts, &root).unwrap();
+        root.finish();
+        assert_eq!(traced, plain);
+        let answer = recorder.take().pop().expect("root recorded");
+        assert_eq!(answer.children.len(), 1, "one span per execution");
+        let span = &answer.children[0];
+        assert_eq!(span.name, "sparql.execute");
+        assert_eq!(span.attr_u64("rows"), Some(plain.len() as u64));
+        let reg = tracer.registry();
+        assert_eq!(reg.counter("exec.queries"), 1);
+        assert_eq!(reg.counter("exec.rows"), plain.len() as u64);
+        for (name, value) in [
+            ("patterns_scanned", plain.stats.patterns_scanned),
+            ("index_probes", plain.stats.index_probes),
+            ("intermediate_bindings", plain.stats.intermediate_bindings),
+        ] {
+            assert!(value > 0, "{name}");
+            assert_eq!(span.attr_u64(name), Some(value as u64), "{name}");
+            assert_eq!(reg.counter(&format!("exec.{name}")), value as u64, "{name}");
+        }
+    }
+
+    #[test]
     fn compiled_query_reruns_with_fresh_bindings() {
         let g = graph();
         let q = parse("PREFIX v: <http://v/> SELECT ?y WHERE { ?x v:knows ?y }").unwrap();
         let compiled = compile_query_with_params(&g, &q, &["x"]);
         let slot = compiled.var_slot("x").expect("param interned");
-        let opts = ExecOptions::default();
-        let a = g.pool().get(&Term::iri("http://e/a"));
-        let b = g.pool().get(&Term::iri("http://e/b"));
-        let ra = execute_compiled(&g, &compiled, &opts, &[(slot, a)]).unwrap();
-        let rb = execute_compiled(&g, &compiled, &opts, &[(slot, b)]).unwrap();
+        let run = |sym| {
+            let (opts, off) = (ExecOptions::default(), obs::Span::disabled());
+            execute_compiled(&g, &compiled, &opts, &[(slot, sym)], &off).unwrap()
+        };
+        let ra = run(g.pool().get(&Term::iri("http://e/a")));
+        let rb = run(g.pool().get(&Term::iri("http://e/b")));
         assert_eq!(ra.first("y").and_then(|t| t.as_iri()), Some("http://e/b"));
         assert_eq!(rb.first("y").and_then(|t| t.as_iri()), Some("http://e/c"));
         // an un-interned binding term runs over zero input rows
-        let rn = execute_compiled(&g, &compiled, &opts, &[(slot, None)]).unwrap();
+        let rn = run(None);
         assert!(rn.is_empty());
         assert_eq!(rn.vars, vec!["y"]);
     }
@@ -2806,8 +2838,8 @@ mod tests {
             );
         }
         let q = parse("SELECT DISTINCT ?s WHERE { ?s <http://v/p> ?o }").unwrap();
-        let streaming = execute_with(&g, &q, &ExecOptions::default()).unwrap();
-        let materialized = execute_with(
+        let streaming = run_with_opts(&g, &q, &ExecOptions::default()).unwrap();
+        let materialized = run_with_opts(
             &g,
             &q,
             &ExecOptions {
@@ -2844,8 +2876,8 @@ mod tests {
             );
         }
         let q = parse("SELECT DISTINCT ?o WHERE { ?s <http://v/p> ?o } OFFSET 2 LIMIT 3").unwrap();
-        let fast = execute_with(&g, &q, &ExecOptions::default()).unwrap();
-        let slow = execute_with(
+        let fast = run_with_opts(&g, &q, &ExecOptions::default()).unwrap();
+        let slow = run_with_opts(
             &g,
             &q,
             &ExecOptions {
@@ -2868,8 +2900,8 @@ mod tests {
             "SELECT DISTINCT ?p WHERE { ?s ?p ?o }",
         ] {
             let parsed = parse(q).unwrap();
-            let fast = execute_with(&g, &parsed, &ExecOptions::default()).unwrap();
-            let slow = execute_with(
+            let fast = run_with_opts(&g, &parsed, &ExecOptions::default()).unwrap();
+            let slow = run_with_opts(
                 &g,
                 &parsed,
                 &ExecOptions {

@@ -50,49 +50,13 @@ pub use results::{ExecStats, ResultSet};
 
 use kg::Graph;
 
-/// Parse and execute a SPARQL query against a graph.
-pub fn execute_sparql(graph: &Graph, query: &str) -> Result<ResultSet, QueryError> {
-    let q = parser::parse(query)?;
-    exec::execute(graph, &q)
-}
-
-/// Parse and execute a SPARQL query under an observability span: like
-/// [`execute_sparql`], but executor work counters land on a
-/// `sparql.execute` child span and in the tracer's `exec.*` counters
-/// (see [`exec::execute_observed`]).
-pub fn execute_sparql_observed(
-    graph: &Graph,
-    query: &str,
-    span: &obs::Span,
-) -> Result<ResultSet, QueryError> {
-    let q = parser::parse(query)?;
-    exec::execute_observed(graph, &q, &exec::ExecOptions::default(), span)
-}
-
 /// Parse and execute a SPARQL query with explicit [`exec::ExecOptions`]
-/// (resource limits, cancellation, parallelism knobs).
+/// (resource limits, cancellation, parallelism knobs). To record the run
+/// on an observability span, parse and call [`exec::execute`].
 pub fn execute_sparql_with(
     graph: &Graph,
     query: &str,
     opts: &exec::ExecOptions,
 ) -> Result<ResultSet, QueryError> {
-    let q = parser::parse(query)?;
-    exec::execute_with(graph, &q, opts)
-}
-
-/// [`execute_sparql_with`] under an observability span.
-pub fn execute_sparql_observed_with(
-    graph: &Graph,
-    query: &str,
-    opts: &exec::ExecOptions,
-    span: &obs::Span,
-) -> Result<ResultSet, QueryError> {
-    let q = parser::parse(query)?;
-    exec::execute_observed(graph, &q, opts, span)
-}
-
-/// Parse and execute a Cypher-lite query against a graph.
-pub fn execute_cypher(graph: &Graph, query: &str) -> Result<ResultSet, QueryError> {
-    let q = cypher::parse(query)?;
-    exec::execute(graph, &q)
+    exec::execute(graph, &parser::parse(query)?, opts, &obs::Span::disabled())
 }

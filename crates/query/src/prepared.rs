@@ -37,10 +37,7 @@ use kg::term::{Sym, Term};
 use kg::Graph;
 
 use crate::error::QueryError;
-use crate::exec::{
-    compile_query_with_params, execute_compiled, execute_compiled_observed, CompiledQuery,
-    ExecOptions,
-};
+use crate::exec::{compile_query_with_params, execute_compiled, CompiledQuery, ExecOptions};
 use crate::parser::{normalize, parse};
 use crate::results::ResultSet;
 
@@ -63,17 +60,13 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
-    /// Parse and compile a query with no runtime parameters.
-    pub fn prepare(graph: &Graph, text: &str) -> Result<PreparedQuery, QueryError> {
-        PreparedQuery::prepare_with_params(graph, text, &[])
-    }
-
     /// Parse and compile a query whose `params` variables receive values
-    /// per execution ([`run_with`](PreparedQuery::run_with)). The
-    /// parameters are treated as bound for join ordering, so the plan
-    /// matches what a `VALUES ?param { … }` clause at the head of the
-    /// group would produce.
-    pub fn prepare_with_params(
+    /// per execution ([`run_with`](PreparedQuery::run_with)); pass `&[]`
+    /// for a query without parameters. The parameters are treated as
+    /// bound for join ordering, so the plan matches what a
+    /// `VALUES ?param { … }` clause at the head of the group would
+    /// produce.
+    pub fn prepare(
         graph: &Graph,
         text: &str,
         params: &[&str],
@@ -116,17 +109,14 @@ impl PreparedQuery {
                 .all(|t| graph.pool().get(t).is_none())
     }
 
-    /// The underlying compiled artifact.
-    pub fn compiled(&self) -> &CompiledQuery {
-        &self.compiled
-    }
-
-    /// Run with no parameter bindings.
+    /// Run with no parameter bindings and no span.
     pub fn run(&self, graph: &Graph, opts: &ExecOptions) -> Result<ResultSet, QueryError> {
-        execute_compiled(graph, &self.compiled, opts, &[])
+        self.run_with(graph, &[], opts, &obs::Span::disabled())
     }
 
-    /// Run with parameter bindings, by variable name.
+    /// Run with parameter bindings, by variable name, under an
+    /// observability span: the same `sparql.execute` span and `exec.*`
+    /// counters as [`crate::exec::execute`], which shares this runner.
     ///
     /// A parameter term that is not interned in the graph's pool yields
     /// an empty (fully projected) result — the same subset semantics as
@@ -137,33 +127,10 @@ impl PreparedQuery {
         graph: &Graph,
         params: &[(&str, Term)],
         opts: &ExecOptions,
-    ) -> Result<ResultSet, QueryError> {
-        let bindings = self.bindings(graph, params)?;
-        execute_compiled(graph, &self.compiled, opts, &bindings)
-    }
-
-    /// [`run`](PreparedQuery::run) under an observability span (same
-    /// `sparql.execute` span and `exec.*` counters as a fresh-planned
-    /// observed execution).
-    pub fn run_observed(
-        &self,
-        graph: &Graph,
-        opts: &ExecOptions,
-        parent: &obs::Span,
-    ) -> Result<ResultSet, QueryError> {
-        execute_compiled_observed(graph, &self.compiled, opts, &[], parent)
-    }
-
-    /// [`run_with`](PreparedQuery::run_with) under an observability span.
-    pub fn run_with_observed(
-        &self,
-        graph: &Graph,
-        params: &[(&str, Term)],
-        opts: &ExecOptions,
         parent: &obs::Span,
     ) -> Result<ResultSet, QueryError> {
         let bindings = self.bindings(graph, params)?;
-        execute_compiled_observed(graph, &self.compiled, opts, &bindings, parent)
+        execute_compiled(graph, &self.compiled, opts, &bindings, parent)
     }
 
     fn bindings(
@@ -424,7 +391,7 @@ impl PlanCache {
         };
         // compile outside the lock: planning can be arbitrarily slower
         // than a lookup and must not serialize unrelated cache traffic
-        let prepared = Arc::new(PreparedQuery::prepare_with_params(graph, text, params)?);
+        let prepared = Arc::new(PreparedQuery::prepare(graph, text, params)?);
         let mut inner = self.inner.lock().expect("plan cache lock");
         let outcome = if stale || inner.map.contains_key(&key) {
             // treat a racing insert like a stale entry: replace it
@@ -597,7 +564,7 @@ mod tests {
     #[test]
     fn prepared_run_with_matches_values_injected_text() {
         let g = movie_graph();
-        let prep = PreparedQuery::prepare_with_params(&g, TEMPLATE, &["anchor"]).unwrap();
+        let prep = PreparedQuery::prepare(&g, TEMPLATE, &["anchor"]).unwrap();
         let opts = ExecOptions::default();
         for film in ["http://e/f1", "http://e/f2", "http://e/f3"] {
             let term = Term::iri(film);
@@ -606,7 +573,9 @@ mod tests {
                 "SELECT ?answer WHERE {{ {values} ?anchor <http://v/directedBy> ?answer }}"
             );
             let via_text = execute_sparql_with(&g, &textual, &opts).unwrap();
-            let via_params = prep.run_with(&g, &[("anchor", term)], &opts).unwrap();
+            let via_params = prep
+                .run_with(&g, &[("anchor", term)], &opts, &obs::Span::disabled())
+                .unwrap();
             assert_eq!(via_text.vars, via_params.vars, "{film}");
             assert_eq!(via_text.rows, via_params.rows, "{film}");
         }
@@ -615,12 +584,13 @@ mod tests {
     #[test]
     fn uninterned_param_is_empty_not_error() {
         let g = movie_graph();
-        let prep = PreparedQuery::prepare_with_params(&g, TEMPLATE, &["anchor"]).unwrap();
+        let prep = PreparedQuery::prepare(&g, TEMPLATE, &["anchor"]).unwrap();
         let rs = prep
             .run_with(
                 &g,
                 &[("anchor", Term::iri("http://e/never-seen"))],
                 &ExecOptions::default(),
+                &obs::Span::disabled(),
             )
             .unwrap();
         assert!(rs.is_empty());
@@ -635,12 +605,13 @@ mod tests {
     #[test]
     fn unknown_param_name_errors() {
         let g = movie_graph();
-        let prep = PreparedQuery::prepare_with_params(&g, TEMPLATE, &["anchor"]).unwrap();
+        let prep = PreparedQuery::prepare(&g, TEMPLATE, &["anchor"]).unwrap();
         assert!(matches!(
             prep.run_with(
                 &g,
                 &[("nope", Term::iri("http://e/f1"))],
-                &ExecOptions::default()
+                &ExecOptions::default(),
+                &obs::Span::disabled(),
             ),
             Err(QueryError::UnboundVariable(v)) if v == "nope"
         ));

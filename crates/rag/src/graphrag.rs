@@ -109,18 +109,11 @@ impl<'a> GraphRag<'a> {
     /// Answer a *global* aggregate question: `"what is the most common
     /// <relation phrase>?"`-style. Maps over community aggregates and
     /// reduces to the global winner. Returns `(answer, count)`.
-    pub fn answer_global(&self, question: &str) -> Option<(String, usize)> {
-        self.answer_global_observed(question, &obs::Span::disabled())
-    }
-
-    /// [`GraphRag::answer_global`] under an observability span: a
-    /// `graphrag.global` child records the routed relation and how many
-    /// community aggregates the map-reduce merged.
-    pub fn answer_global_observed(
-        &self,
-        question: &str,
-        parent: &obs::Span,
-    ) -> Option<(String, usize)> {
+    ///
+    /// Under an enabled `parent`, a `graphrag.global` child records the
+    /// routed relation and how many community aggregates the map-reduce
+    /// merged.
+    pub fn answer_global(&self, question: &str, parent: &obs::Span) -> Option<(String, usize)> {
         let span = parent.child("graphrag.global");
         span.set("communities", self.communities.len());
         span.count("graphrag.global_questions", 1);
@@ -163,14 +156,11 @@ impl<'a> GraphRag<'a> {
 
     /// Answer a *local* question using the best-matching community
     /// summary as context (the Graph RAG local mode).
-    pub fn answer_local(&self, question: &str) -> slm::Answer {
-        self.answer_local_observed(question, &obs::Span::disabled())
-    }
-
-    /// [`GraphRag::answer_local`] under an observability span: a
-    /// `graphrag.local` child records communities scanned, the facts
-    /// injected as context, and whether the LM answered from them.
-    pub fn answer_local_observed(&self, question: &str, parent: &obs::Span) -> slm::Answer {
+    ///
+    /// Under an enabled `parent`, a `graphrag.local` child records
+    /// communities scanned, the facts injected as context, and whether the
+    /// LM answered from them.
+    pub fn answer_local(&self, question: &str, parent: &obs::Span) -> slm::Answer {
         let span = parent.child("graphrag.local");
         span.set("communities", self.communities.len());
         span.count("graphrag.local_questions", 1);
@@ -329,7 +319,10 @@ mod tests {
         let g = &kg.graph;
         let gr = GraphRag::build(g, &slm);
         let (answer, count) = gr
-            .answer_global("What is the most common has genre value?")
+            .answer_global(
+                "What is the most common has genre value?",
+                &obs::Span::disabled(),
+            )
             .expect("aggregate answered");
         // ground truth: modal genre over the whole graph
         let has_genre = g
@@ -357,7 +350,7 @@ mod tests {
         let (kg, slm) = fixture();
         let gr = GraphRag::build(&kg.graph, &slm);
         assert!(gr
-            .answer_global("what is the airspeed of a swallow?")
+            .answer_global("what is the airspeed of a swallow?", &obs::Span::disabled())
             .is_none());
     }
 
@@ -377,7 +370,7 @@ mod tests {
             .unwrap();
         let director = g.objects(film, directed)[0];
         let q = format!("Who is {} directed by?", g.display_name(film));
-        let a = gr.answer_local(&q);
+        let a = gr.answer_local(&q, &obs::Span::disabled());
         assert!(
             a.text.contains(&g.display_name(director)),
             "{a:?} vs {}",
@@ -391,9 +384,9 @@ mod tests {
         let gr = GraphRag::build(&kg.graph, &slm);
         let (tracer, recorder) = obs::Tracer::in_memory();
         let root = tracer.span("test");
-        gr.answer_global_observed("What is the most common has genre value?", &root)
+        gr.answer_global("What is the most common has genre value?", &root)
             .expect("routable aggregate");
-        gr.answer_local_observed("who directed anything?", &root);
+        gr.answer_local("who directed anything?", &root);
         root.finish();
         let span = recorder.take().pop().expect("root recorded");
         let global = span.find("graphrag.global").expect("global span");

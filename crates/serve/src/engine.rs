@@ -239,7 +239,7 @@ impl<'a> Engine<'a> {
                             },
                             1,
                         );
-                        prepared.run_observed(self.wb.graph(), &opts, &span)
+                        prepared.run_with(self.wb.graph(), &[], &opts, &span)
                     });
                 match result {
                     Ok(rs) => {
@@ -521,16 +521,8 @@ impl<'a> Engine<'a> {
             .map(|row| {
                 row.iter()
                     .map(|cell| match cell {
+                        Some(t) => g.display_term(t),
                         None => "∅".to_string(),
-                        Some(kg::Term::Literal(l)) => l.lexical.clone(),
-                        Some(kg::Term::Blank(b)) => b.clone(),
-                        Some(kg::Term::Iri(iri)) => g
-                            .pool()
-                            .get_iri(iri)
-                            .map(|s| g.display_name(s))
-                            .unwrap_or_else(|| {
-                                kg::namespace::humanize(kg::namespace::local_name(iri))
-                            }),
                     })
                     .collect::<Vec<_>>()
                     .join(", ")

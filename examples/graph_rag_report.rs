@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --example graph_rag_report`
 
+use llmkg::obs::Span;
 use llmkg::{Workbench, WorkbenchConfig};
 
 fn main() {
@@ -17,7 +18,7 @@ fn main() {
 
     // global question: requires aggregating over the whole corpus
     let global_q = "What is the most common has genre value?";
-    match rag.answer_global(global_q) {
+    match rag.answer_global(global_q, &Span::disabled()) {
         Some((answer, count)) => {
             println!("GLOBAL  {global_q}\n        → {answer} ({count} films)")
         }
@@ -32,7 +33,7 @@ fn main() {
         .expect("Film class");
     let film = g.instances_of(film_class)[0];
     let local_q = format!("Who is {} directed by?", g.display_name(film));
-    let a = rag.answer_local(&local_q);
+    let a = rag.answer_local(&local_q, &Span::disabled());
     println!(
         "\nLOCAL   {local_q}\n        → {} (confidence {:.2})",
         a.text, a.confidence

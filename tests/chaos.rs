@@ -18,9 +18,10 @@
 use std::time::Duration;
 
 use llmkg::kgqa::chatbot::RouterDecision;
-use llmkg::kgquery::exec::{execute_with, ExecOptions};
+use llmkg::kgquery::exec::{execute, ExecOptions};
 use llmkg::kgquery::{parser, QueryError};
 use llmkg::kgrag::RagMode;
+use llmkg::obs::Span;
 use llmkg::resilience::{FaultPlan, FaultPoint, Limit, ResourceLimits};
 use llmkg::{Workbench, WorkbenchConfig};
 
@@ -161,7 +162,7 @@ fn executor_honors_zero_row_budget() {
     )
     .unwrap();
     let opts = ExecOptions::with_limits(ResourceLimits::unlimited().with_max_rows(0));
-    match execute_with(wb.graph(), &q, &opts) {
+    match execute(wb.graph(), &q, &opts, &Span::disabled()) {
         Err(QueryError::LimitExceeded { limit, .. }) => assert_eq!(limit, Limit::Rows(0)),
         other => panic!("expected LimitExceeded, got {other:?}"),
     }
@@ -180,7 +181,7 @@ fn executor_honors_tiny_wall_clock_budget_without_hanging() {
     )
     .unwrap();
     let opts = ExecOptions::with_limits(ResourceLimits::unlimited().with_wall(Duration::ZERO));
-    match execute_with(&kg.graph, &q, &opts) {
+    match execute(&kg.graph, &q, &opts, &Span::disabled()) {
         Err(QueryError::LimitExceeded { limit, .. }) => assert_eq!(limit, Limit::WallMs(0)),
         other => panic!("expected LimitExceeded, got {other:?}"),
     }
@@ -210,7 +211,7 @@ fn cross_product_with_row_budget_terminates_promptly() {
     )
     .unwrap();
     let opts = ExecOptions::with_limits(ResourceLimits::unlimited().with_max_rows(1000));
-    match execute_with(&kg.graph, &q, &opts) {
+    match execute(&kg.graph, &q, &opts, &Span::disabled()) {
         Err(QueryError::LimitExceeded { limit, .. }) => assert_eq!(limit, Limit::Rows(1000)),
         other => panic!("expected LimitExceeded, got {other:?}"),
     }

@@ -140,18 +140,18 @@ fn materialized_entailments_are_queryable() {
     let derived = llmkg::kgreason::rules::materialize(&mut g, &wb.kg.ontology);
     assert!(derived > 0);
     // actors are Persons only via subclass entailment
-    let rs = llmkg::kgquery::execute_sparql(
-        &g,
-        "PREFIX v: <http://llmkg.dev/vocab/> SELECT ?p WHERE { ?p a v:Person }",
-    )
-    .expect("query runs");
+    let persons = |g: &llmkg::kg::Graph| {
+        llmkg::kgquery::execute_sparql_with(
+            g,
+            "PREFIX v: <http://llmkg.dev/vocab/> SELECT ?p WHERE { ?p a v:Person }",
+            &llmkg::kgquery::exec::ExecOptions::default(),
+        )
+        .expect("query runs")
+    };
+    let rs = persons(&g);
     assert!(!rs.is_empty(), "derived types must be visible to SPARQL");
     // and the original graph has no explicit Person types
-    let before = llmkg::kgquery::execute_sparql(
-        wb.graph(),
-        "PREFIX v: <http://llmkg.dev/vocab/> SELECT ?p WHERE { ?p a v:Person }",
-    )
-    .expect("query runs");
+    let before = persons(wb.graph());
     assert!(before.is_empty());
 }
 
@@ -203,7 +203,10 @@ fn graph_rag_agrees_with_sparql_aggregate() {
     let wb = workbench();
     let rag = wb.graph_rag();
     let (gr_answer, gr_count) = rag
-        .answer_global("what is the most common has genre value?")
+        .answer_global(
+            "what is the most common has genre value?",
+            &llmkg::obs::Span::disabled(),
+        )
         .expect("routable aggregate");
     let rs = wb
         .sparql(

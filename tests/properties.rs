@@ -9,8 +9,9 @@ use llmkg::kgquery::ast::{
     Expr, GroupPattern, NodeRef, PatternElem, PropPath, Query, QueryKind, TriplePatternAst,
 };
 use llmkg::kgquery::exec::ExecOptions;
-use llmkg::kgquery::{exec, reference, ResultSet};
+use llmkg::kgquery::{exec, execute_sparql_with, reference, QueryError, ResultSet};
 use llmkg::kgtext::metrics::{bleu4, rouge_l};
+use llmkg::obs::Span;
 use llmkg::slm::embedding::{cosine, Embedder};
 use llmkg::slm::evidence::EvidenceIndex;
 use llmkg::slm::tokenizer::tokenize;
@@ -59,6 +60,11 @@ fn bgp_pattern_strategy() -> impl Strategy<Value = TriplePatternAst> {
     })
 }
 
+/// Execute a parsed query with `opts` and no span.
+fn run(g: &Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet, QueryError> {
+    exec::execute(g, q, opts, &Span::disabled())
+}
+
 /// Rows as a sorted multiset, so executors may enumerate in any order.
 fn normalized_rows(rs: &ResultSet) -> Vec<Vec<Option<Term>>> {
     let mut rows = rs.rows.clone();
@@ -96,7 +102,7 @@ proptest! {
         if shape == 3 {
             q.kind = QueryKind::Select { vars: Vec::new(), distinct: true };
         }
-        let fast = exec::execute(&g, &q).expect("compiled executor runs");
+        let fast = run(&g, &q, &ExecOptions::default()).expect("compiled executor runs");
         let slow = reference::execute(&g, &q).expect("reference executor runs");
         prop_assert_eq!(&fast.vars, &slow.vars);
         prop_assert_eq!(normalized_rows(&fast), normalized_rows(&slow));
@@ -135,8 +141,8 @@ proptest! {
             streaming: true,
             ..ExecOptions::default()
         };
-        let streamed = exec::execute_with(&g, &q, &streaming).expect("streamed run");
-        let full = exec::execute_with(&g, &q, &sequential).expect("materialized run");
+        let streamed = run(&g, &q, &streaming).expect("streamed run");
+        let full = run(&g, &q, &sequential).expect("materialized run");
         // identical answer, row for row: the budgeted evaluator enumerates
         // solutions in exactly the staged order, so the LIMIT slice matches
         prop_assert_eq!(&streamed.vars, &full.vars);
@@ -152,7 +158,7 @@ proptest! {
         let mut unlimited = q.clone();
         unlimited.limit = None;
         unlimited.offset = 0;
-        let all = exec::execute_with(&g, &unlimited, &sequential).expect("unlimited run");
+        let all = run(&g, &unlimited, &sequential).expect("unlimited run");
         prop_assert_eq!(streamed.len(), all.len().saturating_sub(offset).min(limit));
         // every streamed row exists in the reference oracle's full result
         // (with multiplicity): LIMIT without ORDER BY may pick different
@@ -181,7 +187,7 @@ proptest! {
         let elems: Vec<PatternElem> =
             patterns.into_iter().map(PatternElem::Triple).collect();
         let q = Query::select_all(GroupPattern { elems });
-        let seq = exec::execute_with(
+        let seq = run(
             &g,
             &q,
             &ExecOptions {
@@ -194,7 +200,7 @@ proptest! {
         .expect("sequential run");
         // force 3 workers so the threaded path really runs, even on a
         // single-core host where available_parallelism() is 1
-        let par = exec::execute_with(
+        let par = run(
             &g,
             &q,
             &ExecOptions {
@@ -370,7 +376,7 @@ fn parallel_sharding_engages_and_preserves_results() {
     // merge joins are pinned off on both sides: the synth graph arrives
     // compacted, and a merged stage counts index_probes per distinct key,
     // which would break the exact work-counter comparison below
-    let seq = exec::execute_with(
+    let seq = run(
         &kg.graph,
         &q,
         &ExecOptions {
@@ -382,7 +388,7 @@ fn parallel_sharding_engages_and_preserves_results() {
         },
     )
     .unwrap();
-    let par = exec::execute_with(
+    let par = run(
         &kg.graph,
         &q,
         &ExecOptions {
@@ -421,7 +427,7 @@ fn merge_join_engages_and_preserves_results() {
          SELECT ?a ?f ?d WHERE { ?f v:starring ?a . ?f v:directedBy ?d }",
     )
     .unwrap();
-    let merged = exec::execute_with(
+    let merged = run(
         &kg.graph,
         &q,
         &ExecOptions {
@@ -433,7 +439,7 @@ fn merge_join_engages_and_preserves_results() {
         },
     )
     .unwrap();
-    let probed = exec::execute_with(
+    let probed = run(
         &kg.graph,
         &q,
         &ExecOptions {
@@ -582,7 +588,7 @@ proptest! {
         let elems: Vec<PatternElem> =
             patterns.into_iter().map(PatternElem::Triple).collect();
         let q = Query::select_all(GroupPattern { elems });
-        let merged = exec::execute_with(
+        let merged = run(
             &g,
             &q,
             &ExecOptions {
@@ -628,7 +634,7 @@ proptest! {
         let (prepared, outcome) = cache.prepare(&g, &text).expect("prepare");
         prop_assert_eq!(outcome, CacheOutcome::Miss);
         let fresh =
-            exec::execute_with(&g, &parser::parse(&text).expect("parse"), &opts)
+            run(&g, &parser::parse(&text).expect("parse"), &opts)
                 .expect("fresh run");
         prop_assert_eq!(&prepared.run(&g, &opts).expect("prepared run"), &fresh);
 
@@ -650,7 +656,7 @@ proptest! {
         // planned under sub-threshold statistics drift, which enumerates
         // the same solutions in a different order
         let fresh2 =
-            exec::execute_with(&g, &parser::parse(&text).expect("parse"), &opts)
+            run(&g, &parser::parse(&text).expect("parse"), &opts)
                 .expect("fresh run after mutation");
         let rerun = prepared2.run(&g, &opts).expect("prepared rerun");
         prop_assert_eq!(&rerun.vars, &fresh2.vars);
@@ -686,12 +692,12 @@ fn render_select_all(patterns: &[TriplePatternAst]) -> String {
 fn sparql_limit_offset_laws() {
     let kg = llmkg::kg::synth::movies(77, llmkg::kg::synth::Scale::tiny());
     let base = "PREFIX v: <http://llmkg.dev/vocab/> SELECT ?f WHERE { ?f a v:Film } ORDER BY ?f";
-    let all = llmkg::kgquery::execute_sparql(&kg.graph, base).unwrap();
+    let all = execute_sparql_with(&kg.graph, base, &ExecOptions::default()).unwrap();
     let n = all.len();
     for limit in [0usize, 1, 3, n, n + 5] {
         for offset in [0usize, 1, n / 2, n, n + 3] {
             let q = format!("{base} LIMIT {limit} OFFSET {offset}");
-            let rs = llmkg::kgquery::execute_sparql(&kg.graph, &q).unwrap();
+            let rs = execute_sparql_with(&kg.graph, &q, &ExecOptions::default()).unwrap();
             let expected = n.saturating_sub(offset).min(limit);
             assert_eq!(rs.len(), expected, "limit {limit} offset {offset}");
             // the slice agrees with the unmodified query
@@ -700,6 +706,66 @@ fn sparql_limit_offset_laws() {
             }
         }
     }
+}
+
+/// The chatbot runs every turn query through a prepared plan bound to the
+/// anchor. Its reply must still be what the reply's own SPARQL text
+/// returns when parsed and planned from scratch: over generated 1–3-hop
+/// questions plus pronoun follow-ups on every domain, each KG-answered
+/// turn names exactly the rows of `reply.sparql` executed fresh.
+#[test]
+fn chatbot_replies_match_their_sparql_executed_fresh() {
+    use llmkg::kgqa::datasets::{generate_dataset, rel_phrase};
+    use llmkg::kgqa::{ChatBot, RouterDecision};
+    use llmkg::{Domain, Workbench, WorkbenchConfig};
+
+    let mut kg_turns = 0;
+    for domain in [
+        Domain::Movies,
+        Domain::Academic,
+        Domain::Geo,
+        Domain::Biomed,
+    ] {
+        let wb = Workbench::build(&WorkbenchConfig {
+            domain,
+            entities_per_class: 24,
+            ..WorkbenchConfig::default()
+        });
+        let g = wb.graph();
+        let mut bot = ChatBot::new(g, &wb.slm);
+        for item in generate_dataset(g, 5, 12, 3) {
+            // the question names its anchor; the follow-ups reach it only
+            // through the bot's focus entity
+            let follow_ups = g
+                .outgoing(item.anchor)
+                .into_iter()
+                .take(3)
+                .map(|(p, _)| format!("And what is it {}?", rel_phrase(g, p)));
+            for utterance in std::iter::once(item.question.clone()).chain(follow_ups) {
+                let reply = bot.handle(&utterance);
+                if reply.decision != RouterDecision::KgQuery {
+                    continue;
+                }
+                let sparql = reply.sparql.as_deref().expect("KG replies carry SPARQL");
+                let fresh = execute_sparql_with(g, sparql, &ExecOptions::default())
+                    .expect("a reply's SPARQL runs");
+                let names: Vec<String> = fresh
+                    .values("answer")
+                    .iter()
+                    .map(|t| g.display_term(t))
+                    .collect();
+                assert_eq!(
+                    reply.text,
+                    names.join(", "),
+                    "{}: {utterance}",
+                    domain.name()
+                );
+                assert_eq!(reply.rows, fresh.len(), "{}: {utterance}", domain.name());
+                kg_turns += 1;
+            }
+        }
+    }
+    assert!(kg_turns >= 200, "too few KG-answered turns: {kg_turns}");
 }
 
 // --- retrieval: flat-arena index vs the seed brute-force ---------------
