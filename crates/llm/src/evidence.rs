@@ -102,27 +102,36 @@ impl EvidenceIndex {
         }
     }
 
-    /// Score a candidate sentence against query content words:
-    /// IDF-weighted recall of the query words in the sentence, in `[0,1]`.
-    fn overlap_score(&self, query_words: &[String], sentence_id: usize) -> f64 {
-        if query_words.is_empty() {
+    /// A query's words paired with their IDF weights, and the weights'
+    /// sum in word order: computed once per query, not per candidate.
+    fn weighted_query_words(&self, query: &str) -> (Vec<(String, f64)>, f64) {
+        let mut total = 0.0;
+        let weighted = query_words(query)
+            .into_iter()
+            .map(|w| {
+                let idf = self.idf(&w);
+                total += idf;
+                (w, idf)
+            })
+            .collect();
+        (weighted, total)
+    }
+
+    /// Score a candidate sentence against weighted query words (weights
+    /// summing to `total`): IDF-weighted recall of the query words in the
+    /// sentence, in `[0,1]`.
+    fn overlap_score(&self, weighted: &[(String, f64)], total: f64, sentence_id: usize) -> f64 {
+        if weighted.is_empty() || total == 0.0 {
             return 0.0;
         }
         let sent = &self.tokenized[sentence_id];
         let mut hit = 0.0;
-        let mut total = 0.0;
-        for qw in query_words {
-            let w = self.idf(qw);
-            total += w;
+        for (qw, w) in weighted {
             if sent.contains(qw) {
                 hit += w;
             }
         }
-        if total == 0.0 {
-            0.0
-        } else {
-            hit / total
-        }
+        hit / total
     }
 
     /// Retrieve the top-`k` sentences for a query, sorted by descending
@@ -131,10 +140,10 @@ impl EvidenceIndex {
         if k == 0 {
             return Vec::new();
         }
-        let qwords = query_words(query);
+        let (weighted, total) = self.weighted_query_words(query);
         // candidate set: sentences sharing at least one query word
         let mut candidates: Vec<usize> = Vec::new();
-        for w in &qwords {
+        for (w, _) in &weighted {
             if let Some(ids) = self.inverted.get(w) {
                 candidates.extend_from_slice(ids);
             }
@@ -143,7 +152,7 @@ impl EvidenceIndex {
         candidates.dedup();
         let mut scored: Vec<(f64, usize)> = candidates
             .into_iter()
-            .map(|id| (self.overlap_score(&qwords, id), id))
+            .map(|id| (self.overlap_score(&weighted, total, id), id))
             .filter(|&(score, _)| score > 0.0)
             .collect();
         // the filter drops NaN and ids are unique, so this order is total:
@@ -232,6 +241,29 @@ mod tests {
         ])
     }
 
+    /// The scoring `retrieve` replaced: every query word's IDF is
+    /// recomputed for each sentence scored.
+    fn overlap_score_per_sentence(idx: &EvidenceIndex, qwords: &[String], id: usize) -> f64 {
+        if qwords.is_empty() {
+            return 0.0;
+        }
+        let sent = &idx.tokenized[id];
+        let mut hit = 0.0;
+        let mut total = 0.0;
+        for qw in qwords {
+            let w = idx.idf(qw);
+            total += w;
+            if sent.contains(qw) {
+                hit += w;
+            }
+        }
+        if total == 0.0 {
+            0.0
+        } else {
+            hit / total
+        }
+    }
+
     /// The selection `retrieve` replaced: score and clone every
     /// sentence, sort them all, then truncate.
     fn sort_then_truncate(idx: &EvidenceIndex, query: &str, k: usize) -> Vec<Retrieved> {
@@ -240,7 +272,7 @@ mod tests {
             .map(|id| Retrieved {
                 id,
                 text: idx.sentences[id].clone(),
-                score: idx.overlap_score(&qwords, id),
+                score: overlap_score_per_sentence(idx, &qwords, id),
             })
             .filter(|r| r.score > 0.0)
             .collect();

@@ -11,6 +11,11 @@ use slm::Slm;
 
 use crate::datasets::{rel_phrase, QaItem};
 
+/// Distinct capitalized spans the fuzzy anchor linker tries per question.
+/// Each attempt is one similarity pass over every entity name, so without
+/// a cap a turn of many distinct spans costs `O(spans × entities)`.
+const MAX_FUZZY_SPANS: usize = 4;
+
 /// The three generation strategies compared in experiment E13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Text2SparqlMethod {
@@ -205,9 +210,9 @@ impl<'a> TextToSparql<'a> {
     }
 
     /// The question's anchor entity: the longest entity name occurring
-    /// verbatim, else the first capitalized span the fuzzy linker accepts.
-    /// Linking is a pure function of the span, so each distinct span is
-    /// tried once.
+    /// verbatim, else the first capitalized span the fuzzy linker accepts
+    /// among the first [`MAX_FUZZY_SPANS`] distinct ones. Linking is a
+    /// pure function of the span, so each distinct span is tried once.
     fn link_anchor(&self, question: &str) -> Option<Sym> {
         if let Some(e) = self.graph.entity_names().longest_mention(question) {
             return Some(e);
@@ -217,6 +222,7 @@ impl<'a> TextToSparql<'a> {
         spans
             .iter()
             .filter(|span| tried.insert(span.as_str()))
+            .take(MAX_FUZZY_SPANS)
             .find_map(|span| self.linker.link(span))
             .map(|l| l.entity)
     }

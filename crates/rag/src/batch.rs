@@ -1,5 +1,5 @@
-//! Request coalescing for the retrieval kernel: group-commit for
-//! vector searches.
+//! Request coalescing for the retrieval kernel: group commit for vector
+//! searches.
 //!
 //! The serve engine runs one [`crate::VectorIndex`] under many worker
 //! threads, each issuing independent one-query exact searches. Every such
@@ -7,71 +7,97 @@
 //! [`crate::VectorIndex::search`] amortizes that pass across the queries
 //! of one request. On an index built
 //! [`crate::VectorIndex::with_coalescing`], the crate-private coalescer
-//! bridges the two: concurrent one-query exact requests that arrive
-//! within one **time/size window** are collected by the first arrival
-//! (the *leader*), serviced by a single kernel invocation, and handed
-//! their per-query slice back.
+//! bridges the two with **self-clocking** batching, the way a group
+//! commit batches log flushes:
 //!
-//! The protocol mirrors the WAL's group commit: the first thread into an
-//! empty window becomes leader and waits up to [`BatchWindow::max_wait`]
-//! for companions (leaving early the moment [`BatchWindow::max_batch`]
-//! queries are pending — latency is bounded by construction); followers
-//! park on a per-request slot until the leader fills it. A window with a
-//! single member degenerates to a batch of one, whose cost equals the
-//! uncoalesced search, so the worst case under no concurrency is one
-//! `max_wait` of added latency and nothing else.
+//! - a search that finds no kernel pass in flight runs at once, as the
+//!   *leader* of a one-query pass;
+//! - searches that arrive while a pass runs join a queue and park;
+//! - when the pass ends, its leader hands the queue, up to
+//!   [`BatchWindow::max_batch`] queries, to the first queued caller, who
+//!   runs them as the next pass and hands each *follower* its slice.
 //!
-//! Results are **bit-identical** to the uncoalesced search: the batch
-//! runs at the window's maximum `k` and each caller's hits are the first
-//! `k` of that list — a prefix, because the total-order comparator makes
-//! every top-k′ for `k′ < k` a prefix of the top-k. Each caller's
+//! The pass in flight is the window: batching happens exactly when there
+//! is concurrency to batch, an uncontended search runs with no added
+//! latency, and there is no timer anywhere. A one-query pass costs what
+//! the uncoalesced search costs.
+//!
+//! Results are **bit-identical** to the uncoalesced search: a pass runs
+//! at its largest `k` and each caller's hits are the first `k` of that
+//! list — a prefix, because the total-order comparator makes every
+//! top-k′ for `k′ < k` a prefix of the top-k. Each caller's
 //! [`crate::SearchStats`] carry its own query's share of the scan; the
-//! leader's also carry the window size and the shards it spawned.
+//! leader's also carry the pass width and the shards it spawned.
+//!
+//! Locking: the queue and the busy flag sit under one state lock, and
+//! each parked caller waits on a slot of its own. No path holds both
+//! locks at once, so a parked caller never holds its slot lock while it
+//! takes the state lock.
 
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::vector::{Hit, SearchResult, SearchStats, VectorIndex};
 
-/// Size/time bounds of one coalescing window.
+/// Size bound of one coalesced kernel pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchWindow {
-    /// Flush as soon as this many queries are pending.
+    /// Most queries one kernel pass serves; callers queued beyond it
+    /// ride a later pass.
     pub max_batch: usize,
-    /// Flush after this long even if the window is not full — the upper
-    /// bound on latency added to an uncontended request.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchWindow {
-    /// 8 queries / 200 µs: wide enough to catch genuinely concurrent
-    /// traffic, short enough to be invisible next to a millisecond-scale
-    /// arena scan.
+    /// 8 queries per pass.
     fn default() -> Self {
-        BatchWindow {
-            max_batch: 8,
-            max_wait: Duration::from_micros(200),
-        }
+        BatchWindow { max_batch: 8 }
     }
 }
 
-/// How a coalesced request was serviced within its window (carried on
+/// How a coalesced request was serviced (carried on
 /// [`crate::SearchResult::role`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowRole {
-    /// This caller collected the window and ran the batched kernel for
-    /// it; [`crate::SearchStats::batch_queries`] carries the window size.
+    /// This caller ran the batched kernel pass;
+    /// [`crate::SearchStats::batch_queries`] carries the pass width.
     Leader,
-    /// Another caller's kernel invocation serviced this request.
+    /// Another caller's kernel pass serviced this request.
     Follower,
 }
 
-/// One caller's parked request: filled by the leader, consumed by the
-/// follower.
+/// What a parked caller is woken with.
+enum Delivery {
+    /// Lead the next pass: this caller's own query, moved back out of the
+    /// queue, and the queued callers that ride along.
+    Lead(Vec<f32>, Vec<Entry>),
+    /// Another caller's pass answered this query.
+    Served(Vec<Hit>, SearchStats),
+}
+
+/// One parked caller's mailbox: filled once, by the handoff or by a
+/// leader, and emptied by its owner.
 #[derive(Default)]
 struct Slot {
-    result: Mutex<Option<(Vec<Hit>, SearchStats)>>,
+    delivery: Mutex<Option<Delivery>>,
     ready: Condvar,
+}
+
+impl Slot {
+    fn deliver(&self, delivery: Delivery) {
+        *self.delivery.lock().expect("slot poisoned") = Some(delivery);
+        self.ready.notify_one();
+    }
+
+    /// Park until delivered; the slot lock is released on return.
+    fn wait(&self) -> Delivery {
+        let mut delivery = self.delivery.lock().expect("slot poisoned");
+        loop {
+            if let Some(d) = delivery.take() {
+                return d;
+            }
+            delivery = self.ready.wait(delivery).expect("slot poisoned");
+        }
+    }
 }
 
 struct Entry {
@@ -82,19 +108,19 @@ struct Entry {
 
 #[derive(Default)]
 struct State {
-    pending: Vec<Entry>,
-    /// A leader is currently collecting the window.
-    leader_active: bool,
+    /// A kernel pass is in flight.
+    busy: bool,
+    /// Callers waiting for the next pass, in arrival order; non-empty
+    /// only while `busy`.
+    queue: VecDeque<Entry>,
 }
 
-/// The shared window state: [`VectorIndex::with_coalescing`] attaches
-/// one of these behind an `Arc` so index clones coalesce together.
+/// The shared coalescing state: [`VectorIndex::with_coalescing`]
+/// attaches one of these behind an `Arc` so index clones coalesce
+/// together.
 pub(crate) struct Coalescer {
     window: BatchWindow,
     state: Mutex<State>,
-    /// Signalled when the pending window fills, releasing the leader
-    /// before its timer runs out.
-    arrived: Condvar,
 }
 
 impl std::fmt::Debug for Coalescer {
@@ -106,105 +132,118 @@ impl std::fmt::Debug for Coalescer {
 }
 
 impl Coalescer {
-    /// A coalescer with the given window bounds (`max_batch` is clamped
-    /// to at least 1).
+    /// A coalescer with the given pass bound (`max_batch` is clamped to
+    /// at least 1).
     pub(crate) fn new(window: BatchWindow) -> Self {
         Coalescer {
             window: BatchWindow {
                 max_batch: window.max_batch.max(1),
-                max_wait: window.max_wait,
             },
             state: Mutex::new(State::default()),
-            arrived: Condvar::new(),
         }
     }
 
-    /// The configured window bounds.
+    /// The configured pass bound.
     pub(crate) fn window(&self) -> BatchWindow {
         self.window
     }
 
-    /// Service one exact query through the current window. Blocks the
-    /// calling thread for at most `max_wait` plus one batched kernel
-    /// invocation.
+    fn lock_state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("coalescer state poisoned")
+    }
+
+    /// Service one exact query: at once when no pass is in flight,
+    /// otherwise in a later pass that this caller or another one leads.
     pub(crate) fn run(&self, index: &VectorIndex, query: &[f32], k: usize) -> SearchResult {
-        let slot = Arc::new(Slot::default());
-        let mut st = self.state.lock().expect("coalescer state poisoned");
-        st.pending.push(Entry {
-            query: query.to_vec(),
-            k,
-            slot: Arc::clone(&slot),
-        });
-        if !st.leader_active {
-            // leader: collect companions until the window fills or the
-            // timer expires, then run one batched search for everyone
-            st.leader_active = true;
-            let deadline = Instant::now() + self.window.max_wait;
-            while st.pending.len() < self.window.max_batch {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = self
-                    .arrived
-                    .wait_timeout(st, deadline - now)
-                    .expect("coalescer state poisoned");
-                st = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            let batch = std::mem::take(&mut st.pending);
-            st.leader_active = false;
+        let mut st = self.lock_state();
+        let (own, followers) = if st.busy {
+            let slot = Arc::new(Slot::default());
+            st.queue.push_back(Entry {
+                query: query.to_vec(),
+                k,
+                slot: Arc::clone(&slot),
+            });
             drop(st);
-            let window = batch.len();
-            let k_max = batch.iter().map(|e| e.k).max().unwrap_or(0);
-            let queries: Vec<Vec<f32>> = batch.iter().map(|e| e.query.clone()).collect();
-            let (scans, shards) = index.exact_scan(&queries, k_max);
-            let scanned = if k_max == 0 { 0 } else { index.len() };
-            let mut own = (Vec::new(), SearchStats::default());
-            for (entry, (mut hits, heap_pushes)) in batch.into_iter().zip(scans) {
-                hits.truncate(entry.k);
-                let stats = SearchStats {
-                    vectors_scanned: scanned,
-                    heap_pushes,
-                    ..SearchStats::default()
-                };
-                if Arc::ptr_eq(&entry.slot, &slot) {
-                    own = (hits, stats);
-                } else {
-                    *entry.slot.result.lock().expect("slot poisoned") = Some((hits, stats));
-                    entry.slot.ready.notify_one();
+            match slot.wait() {
+                Delivery::Lead(own, followers) => (own, followers),
+                Delivery::Served(hits, stats) => {
+                    return SearchResult {
+                        hits: vec![hits],
+                        stats,
+                        role: Some(WindowRole::Follower),
+                    };
                 }
-            }
-            let (hits, stats) = own;
-            SearchResult {
-                hits: vec![hits],
-                stats: SearchStats {
-                    parallel_shards: shards,
-                    batch_queries: window,
-                    ..stats
-                },
-                role: Some(WindowRole::Leader),
             }
         } else {
-            // follower: wake the leader if we just filled the window,
-            // then park until it delivers
-            if st.pending.len() >= self.window.max_batch {
-                self.arrived.notify_one();
-            }
+            st.busy = true;
             drop(st);
-            let mut result = slot.result.lock().expect("slot poisoned");
-            while result.is_none() {
-                result = slot.ready.wait(result).expect("slot poisoned");
-            }
-            let (hits, stats) = result.take().expect("checked above");
-            SearchResult {
-                hits: vec![hits],
-                stats,
-                role: Some(WindowRole::Follower),
-            }
+            (query.to_vec(), Vec::new())
+        };
+        self.lead(index, own, k, followers)
+    }
+
+    /// Run one kernel pass over the leader's query (depth `k`) and its
+    /// followers', hand the queue on, then deliver each follower its
+    /// slice.
+    fn lead(
+        &self,
+        index: &VectorIndex,
+        own: Vec<f32>,
+        k: usize,
+        followers: Vec<Entry>,
+    ) -> SearchResult {
+        let width = 1 + followers.len();
+        let k_max = followers.iter().map(|e| e.k).fold(k, usize::max);
+        let mut queries = Vec::with_capacity(width);
+        queries.push(own);
+        let mut waiters = Vec::with_capacity(followers.len());
+        for entry in followers {
+            queries.push(entry.query);
+            waiters.push((entry.k, entry.slot));
         }
+        let (scans, shards) = index.exact_scan(&queries, k_max);
+        self.handoff();
+        let scanned = if k_max == 0 { 0 } else { index.len() };
+        let share = |(mut hits, heap_pushes): (Vec<Hit>, usize), k: usize| {
+            hits.truncate(k);
+            let stats = SearchStats {
+                vectors_scanned: scanned,
+                heap_pushes,
+                ..SearchStats::default()
+            };
+            (hits, stats)
+        };
+        let mut scans = scans.into_iter();
+        let (hits, stats) = share(scans.next().expect("one scan per query"), k);
+        for (scan, (k, slot)) in scans.zip(waiters) {
+            let (hits, stats) = share(scan, k);
+            slot.deliver(Delivery::Served(hits, stats));
+        }
+        SearchResult {
+            hits: vec![hits],
+            stats: SearchStats {
+                parallel_shards: shards,
+                batch_queries: width,
+                ..stats
+            },
+            role: Some(WindowRole::Leader),
+        }
+    }
+
+    /// End a pass. Under the state lock, either promote the first queued
+    /// caller to lead the next pass over up to `max_batch` queued
+    /// queries, or, with nobody queued, clear the busy flag. The promoted
+    /// caller is woken after the state lock is released.
+    fn handoff(&self) {
+        let mut st = self.lock_state();
+        let Some(first) = st.queue.pop_front() else {
+            st.busy = false;
+            return;
+        };
+        let riders = st.queue.len().min(self.window.max_batch - 1);
+        let followers: Vec<Entry> = st.queue.drain(..riders).collect();
+        drop(st);
+        first.slot.deliver(Delivery::Lead(first.query, followers));
     }
 }
 
@@ -221,17 +260,61 @@ mod tests {
         VectorIndex::build(vectors, 0, 0)
     }
 
+    fn query(i: usize) -> Vec<f32> {
+        slm::embedding::hash_vector(&format!("doc-{i}"))
+    }
+
     fn bits(hits: &[Hit]) -> Vec<(usize, u32)> {
         hits.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+    }
+
+    /// Mark a pass in flight by hand, park one caller per `ks` entry
+    /// (caller `i` searches `query(i)` at depth `ks[i]`), wait until all
+    /// are queued, then end the pass with one handoff.
+    fn drain_parked(coalescer: &Coalescer, idx: &VectorIndex, ks: &[usize]) -> Vec<SearchResult> {
+        coalescer.lock_state().busy = true;
+        let results = std::thread::scope(|scope| {
+            let handles: Vec<_> = ks
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| scope.spawn(move || coalescer.run(idx, &query(i), k)))
+                .collect();
+            while coalescer.lock_state().queue.len() < ks.len() {
+                std::thread::yield_now();
+            }
+            coalescer.handoff();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        let st = coalescer.lock_state();
+        assert!(!st.busy && st.queue.is_empty(), "the last pass went idle");
+        for (i, (result, &k)) in results.iter().zip(ks).enumerate() {
+            assert_eq!(
+                bits(&result.hits[0]),
+                bits(&scan_exact(idx, &query(i), k)),
+                "caller {i}"
+            );
+        }
+        results
+    }
+
+    /// The `batch_queries` of every pass leader, ascending.
+    fn pass_widths(results: &[SearchResult]) -> Vec<usize> {
+        let mut widths: Vec<usize> = results
+            .iter()
+            .filter(|r| r.role == Some(WindowRole::Leader))
+            .map(|r| r.stats.batch_queries)
+            .collect();
+        widths.sort_unstable();
+        widths
     }
 
     #[test]
     fn solo_window_matches_exact_bitwise() {
         let plain = index(200);
-        let idx = plain.clone().with_coalescing(BatchWindow {
-            max_batch: 4,
-            max_wait: Duration::from_millis(1),
-        });
+        let idx = plain.clone().with_coalescing(BatchWindow { max_batch: 4 });
         let q = [slm::embedding::hash_vector("doc-3")];
         let req = SearchRequest::exact(&q, 5);
         let direct = plain.search(&req, &obs::Span::disabled());
@@ -245,11 +328,41 @@ mod tests {
     }
 
     #[test]
+    fn handoff_promotes_the_first_queued_caller_to_lead_the_queue() {
+        let idx = index(300);
+        let coalescer = Coalescer::new(BatchWindow { max_batch: 8 });
+        // heterogeneous k exercises the truncation path
+        let ks = [3, 5, 1, 4, 2];
+        let results = drain_parked(&coalescer, &idx, &ks);
+        assert_eq!(pass_widths(&results), [ks.len()]);
+        let followers = results
+            .iter()
+            .filter(|r| r.role == Some(WindowRole::Follower))
+            .count();
+        assert_eq!(followers, ks.len() - 1);
+        for result in &results {
+            assert_eq!(result.stats.vectors_scanned, idx.len());
+            if result.role == Some(WindowRole::Follower) {
+                assert_eq!(result.stats.batch_queries, 0);
+                assert_eq!(result.stats.parallel_shards, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_queue_longer_than_max_batch_rides_several_passes() {
+        let idx = index(300);
+        let coalescer = Coalescer::new(BatchWindow { max_batch: 3 });
+        let ks = [2, 6, 1, 3, 5, 4, 2];
+        let results = drain_parked(&coalescer, &idx, &ks);
+        // the promoted leader takes max_batch queries and each later
+        // pass the next max_batch, until the queue is empty
+        assert_eq!(pass_widths(&results), [1, 3, 3]);
+    }
+
+    #[test]
     fn concurrent_searches_coalesce_and_match_exact() {
-        let idx = std::sync::Arc::new(index(400).with_coalescing(BatchWindow {
-            max_batch: 4,
-            max_wait: Duration::from_millis(200),
-        }));
+        let idx = std::sync::Arc::new(index(400).with_coalescing(BatchWindow { max_batch: 4 }));
         let threads = 8;
         let results: Vec<(usize, SearchResult)> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
@@ -286,11 +399,54 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_search_records_retrieval_and_batch_counters() {
-        let idx = index(64).with_coalescing(BatchWindow {
-            max_batch: 2,
-            max_wait: Duration::from_micros(50),
+    fn concurrent_search_stress_stays_exact_and_accounts_every_query() {
+        const THREADS: usize = 8;
+        const SEARCHES: usize = 200;
+        const QUERIES: usize = 16;
+        const MAX_K: usize = 6;
+        let idx = index(300).with_coalescing(BatchWindow { max_batch: 3 });
+        let queries: Vec<Vec<f32>> = (0..QUERIES).map(query).collect();
+        // reference[q][k - 1]: the exact top-k of query q
+        let reference: Vec<Vec<Vec<(usize, u32)>>> = queries
+            .iter()
+            .map(|q| (1..=MAX_K).map(|k| bits(&scan_exact(&idx, q, k))).collect())
+            .collect();
+        let led: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (idx, queries, reference) = (&idx, &queries, &reference);
+                    scope.spawn(move || {
+                        let mut led = 0;
+                        for i in 0..SEARCHES {
+                            let q = (t * 5 + i) % QUERIES;
+                            let k = 1 + (t + i) % MAX_K;
+                            let one = std::slice::from_ref(&queries[q]);
+                            let result =
+                                idx.search(&SearchRequest::exact(one, k), &obs::Span::disabled());
+                            assert_eq!(
+                                bits(&result.hits[0]),
+                                reference[q][k - 1],
+                                "thread {t}, search {i}"
+                            );
+                            match result.role {
+                                Some(WindowRole::Leader) => led += result.stats.batch_queries,
+                                Some(WindowRole::Follower) => {}
+                                None => panic!("thread {t} bypassed the coalescer"),
+                            }
+                        }
+                        led
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
+        // every search rode exactly one pass
+        assert_eq!(led, THREADS * SEARCHES);
+    }
+
+    #[test]
+    fn coalesced_search_records_retrieval_and_batch_counters() {
+        let idx = index(64).with_coalescing(BatchWindow { max_batch: 2 });
         let (tracer, recorder) = obs::Tracer::in_memory();
         let root = tracer.span("test");
         for i in 0..3 {

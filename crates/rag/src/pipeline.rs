@@ -119,19 +119,19 @@ impl<'a> RagPipeline<'a> {
         self
     }
 
-    /// Enable request coalescing on the vector index: concurrent answers
-    /// (e.g. serve workers sharing one pipeline) that retrieve within one
-    /// time/size window are serviced by a single batched kernel pass.
-    /// Results stay bit-identical to uncoalesced retrieval (see
-    /// [`crate::batch`]); a solo caller pays at most the window's
-    /// `max_wait` in extra latency.
+    /// Enable request coalescing on the vector index: an answer that
+    /// retrieves while another one's kernel pass runs (e.g. serve workers
+    /// sharing one pipeline) queues for the next pass, which serves up to
+    /// `window.max_batch` queued retrievals at once. A solo caller runs
+    /// at once, with no added latency. Results stay bit-identical to
+    /// uncoalesced retrieval (see [`crate::batch`]).
     pub fn with_coalescing(mut self, window: crate::batch::BatchWindow) -> Self {
         self.index = self.index.with_coalescing(window);
         self
     }
 
     /// The pipeline's vector index — serve surfaces its IVF fallback
-    /// reason and coalescing window in `stats` replies.
+    /// reason and coalescing bound in `stats` replies.
     pub fn vector_index(&self) -> &VectorIndex {
         &self.index
     }
@@ -338,7 +338,7 @@ impl<'a> RagPipeline<'a> {
     }
 
     /// Exact top-`k` chunks for one query embedding, through the
-    /// coalescing window when one is attached.
+    /// coalescer when one is attached.
     fn retrieve(&self, query: &[Vec<f32>; 1], k: usize, span: &obs::Span) -> Vec<Hit> {
         self.index
             .search(&SearchRequest::exact(query, k), span)

@@ -35,8 +35,9 @@
 //! the sequential per-query scan kept in [`crate::reference::scan_exact`]:
 //! the kernel preserves the scalar accumulation order and the total-order
 //! heap makes the top-k set unique regardless of offer order. On an index
-//! built [`VectorIndex::with_coalescing`], a one-query exact request joins
-//! a coalescing window instead (see [`crate::batch`]), with the same hits.
+//! built [`VectorIndex::with_coalescing`], a one-query exact request goes
+//! through the coalescer instead (see [`crate::batch`]), with the same
+//! hits.
 //!
 //! # Parallelism
 //!
@@ -185,7 +186,7 @@ pub struct SearchStats {
     /// candidate set). Scheduling-sensitive: a sharded scan keeps one
     /// heap per shard, so this may exceed the sequential count while the
     /// returned hits are bit-identical. A coalesced request counts the
-    /// pushes of its query's heap at the window's largest `k`.
+    /// pushes of its query's heap at its pass's largest `k`.
     pub heap_pushes: usize,
     /// Worker shards spawned; zero for sequential scans and for
     /// coalescing followers (their leader spawned them).
@@ -193,7 +194,7 @@ pub struct SearchStats {
     /// Clusters probed by an IVF search; zero for exact scans.
     pub ivf_probes: usize,
     /// Queries serviced by the batched kernel invocation this request
-    /// ran: Q for a direct exact request, the window size for a
+    /// ran: Q for a direct exact request, the pass width for a
     /// coalescing leader, zero for a follower and for IVF probing.
     pub batch_queries: usize,
     /// Structured reason when an IVF search fell back to exact;
@@ -256,7 +257,7 @@ pub struct SearchResult {
     pub hits: Vec<Vec<Hit>>,
     /// The request's work counters.
     pub stats: SearchStats,
-    /// How a coalescing window served the request; `None` when it ran
+    /// How a coalesced pass served the request; `None` when it ran
     /// directly.
     pub role: Option<WindowRole>,
 }
@@ -382,8 +383,8 @@ pub struct VectorIndex {
     ivf_fallback: Option<IvfFallback>,
     options: SearchOptions,
     /// Optional request coalescer shared by clones of this index (see
-    /// [`crate::batch`]): concurrent one-query exact searches inside one
-    /// time/size window collapse into one batched kernel invocation.
+    /// [`crate::batch`]): one-query exact searches that arrive while a
+    /// kernel pass runs share the next batched pass.
     coalescer: Option<std::sync::Arc<Coalescer>>,
 }
 
@@ -504,16 +505,18 @@ impl VectorIndex {
         self.ivf_fallback
     }
 
-    /// Attach a request coalescer: concurrent one-query exact
-    /// [`VectorIndex::search`] calls inside one `window` collapse into a
-    /// single batched kernel invocation. Clones of the index share the
-    /// same window.
+    /// Attach a request coalescer: a one-query exact
+    /// [`VectorIndex::search`] runs at once when no kernel pass is in
+    /// flight, and otherwise queues for the next pass, which serves up to
+    /// `window.max_batch` queued searches in one batched kernel
+    /// invocation (see [`crate::batch`]). Clones of the index share the
+    /// same coalescer.
     pub fn with_coalescing(mut self, window: BatchWindow) -> Self {
         self.coalescer = Some(std::sync::Arc::new(Coalescer::new(window)));
         self
     }
 
-    /// The coalescing window, when one is attached.
+    /// The coalescer's pass bound, when one is attached.
     pub fn coalescing_window(&self) -> Option<BatchWindow> {
         self.coalescer.as_ref().map(|c| c.window())
     }
@@ -547,8 +550,8 @@ impl VectorIndex {
     /// Run a [`SearchRequest`] — the one retrieval entrypoint.
     ///
     /// [`Strategy::Exact`] scores every query in one batched kernel pass
-    /// (or, for a one-query request on a coalescing index, joins the
-    /// current window); [`Strategy::Ivf`] probes per query, falling back
+    /// (or, for a one-query request on a coalescing index, goes through
+    /// the coalescer); [`Strategy::Ivf`] probes per query, falling back
     /// to the exact pass when the index has no quantizer. Exact hits are
     /// bit-identical to [`crate::reference::scan_exact`] on every query.
     ///
@@ -653,7 +656,7 @@ impl VectorIndex {
     /// hits with its heap pushes, plus the worker shards the pass spawned
     /// (zero when it ran sequentially). Unless `k` is 0, every query
     /// scanned all `n_docs` rows. The coalescer hands these shares out to
-    /// the window's callers.
+    /// the callers of its pass.
     pub(crate) fn exact_scan(
         &self,
         queries: &[Vec<f32>],
@@ -865,7 +868,7 @@ impl VectorIndex {
 /// `docs/observability.md`). Kernel invocations add
 /// `retrieval.batch.searches` / `retrieval.batch.queries`; a coalesced
 /// request adds `retrieval.batch.coalesced`, plus
-/// `retrieval.batch.windows` when it led its window; IVF fallbacks carry
+/// `retrieval.batch.windows` when it led its pass; IVF fallbacks carry
 /// their structured reason as the `ivf_fallback` attribute.
 fn record_search(
     parent: &obs::Span,

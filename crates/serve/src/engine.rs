@@ -97,9 +97,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Enable retrieval request coalescing on the shared RAG pipeline:
-    /// concurrent `rag` requests whose vector searches land within one
-    /// time/size window run as a single batched kernel pass, bit-identical
-    /// to uncoalesced retrieval (see [`kgrag::batch`]).
+    /// `rag` requests whose vector searches arrive while a kernel pass
+    /// runs share the next batched pass, bit-identical to uncoalesced
+    /// retrieval (see [`kgrag::batch`]).
     pub fn with_coalescing(mut self, window: kgrag::BatchWindow) -> Engine<'a> {
         self.rag = self.rag.with_coalescing(window);
         self
@@ -435,7 +435,7 @@ impl<'a> Engine<'a> {
         // The retrieval block: serving-relevant facts about the shared
         // vector index that counters alone can't carry — which SIMD path
         // the batch kernel dispatched to, whether (and why) IVF silently
-        // fell back to exact scans, and the coalescing window knobs.
+        // fell back to exact scans, and the coalescing pass bound.
         let mut retrieval = Map::new();
         let vidx = self.rag.vector_index();
         retrieval.insert("docs_indexed".into(), Value::from(vidx.len() as u64));
@@ -452,10 +452,6 @@ impl<'a> Engine<'a> {
             Some(w) => {
                 retrieval.insert("coalescing".into(), Value::Bool(true));
                 retrieval.insert("batch_max".into(), Value::from(w.max_batch as u64));
-                retrieval.insert(
-                    "batch_max_wait_us".into(),
-                    Value::from(w.max_wait.as_micros() as u64),
-                );
             }
             None => {
                 retrieval.insert("coalescing".into(), Value::Bool(false));
@@ -858,10 +854,8 @@ mod tests {
             Some(true)
         );
         assert_eq!(retrieval.get("batch_max").and_then(Value::as_u64), Some(8));
-        assert_eq!(
-            retrieval.get("batch_max_wait_us").and_then(Value::as_u64),
-            Some(200)
-        );
+        // coalescing has no timer, so there is no wait to report
+        assert!(retrieval.get("batch_max_wait_us").is_none());
         // rag requests now retrieve through the coalesced entry point
         let cancel = CancelToken::new();
         let film = wb.graph().display_name(wb.graph().entities()[0]);
@@ -923,7 +917,7 @@ mod tests {
         assert_eq!(counter("retrieval.batch.queries"), n);
         assert_eq!(counter("retrieval.vectors_scanned"), n * docs);
         assert!(counter("retrieval.heap_pushes") >= n);
-        // one request at a time: each leads a window of one
+        // one request at a time: each leads a pass of one
         assert_eq!(counter("retrieval.batch.windows"), n);
     }
 

@@ -76,11 +76,12 @@ pub struct ServeConfig {
     /// into the served graph before the first connection is accepted,
     /// and a checkpoint is written on clean shutdown.
     pub durable: Option<DurableStore>,
-    /// Retrieval request coalescing: concurrent `rag` requests whose
-    /// vector searches land within one time/size window are serviced by
-    /// a single batched kernel pass (see `docs/serving.md`). Results are
-    /// bit-identical to uncoalesced retrieval; the window's `max_wait`
-    /// bounds the added latency. `None` disables coalescing.
+    /// Retrieval request coalescing: a `rag` request's vector search runs
+    /// at once when no kernel pass is in flight; searches that arrive
+    /// while one runs share the next pass, up to `max_batch` of them (see
+    /// `docs/serving.md`). Results are bit-identical to uncoalesced
+    /// retrieval, and an uncontended search pays no added latency.
+    /// `None` disables coalescing.
     pub coalescing: Option<kgrag::BatchWindow>,
 }
 

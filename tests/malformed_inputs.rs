@@ -116,6 +116,12 @@ fn text2sparql_survives_adversarial_utterances() {
         // thousands of capitalized spans, two distinct: the fuzzy fallback
         // links each distinct span once
         &"… Alice meets Bob ".repeat(2_000),
+        // a thousand distinct capitalized spans: the fuzzy fallback tries
+        // only the first few
+        &(0..1_000)
+            .map(|i| format!("Zq{i}x."))
+            .collect::<Vec<_>>()
+            .join(" "),
     ] {
         // None or Some — never a panic; generated queries must parse.
         for method in llmkg::kgqa::text2sparql::Text2SparqlMethod::all() {
