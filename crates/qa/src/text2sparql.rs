@@ -465,6 +465,38 @@ mod tests {
     }
 
     #[test]
+    fn fuzzy_anchor_linking_tries_only_the_first_distinct_spans() {
+        let (kg, slm, _) = fixture();
+        let t2s = TextToSparql::new(&kg.graph, &slm);
+        let names = kg.graph.entity_names();
+        // a one-word entity name with its last letter changed, so that
+        // only the fuzzy linker can find it
+        let (entity, typo) = names
+            .entries()
+            .iter()
+            .filter(|e| e.name.len() >= 6 && slm::task::capitalized_spans(&e.name) == [&*e.name])
+            .map(|e| {
+                let mut typo = e.name.clone();
+                let last = if typo.pop() == Some('q') { 'z' } else { 'q' };
+                typo.push(last);
+                (e.sym, typo)
+            })
+            .find(|(_, typo)| names.longest_mention(typo).is_none())
+            .expect("a one-word entity name");
+        assert_eq!(t2s.link_anchor(&typo), Some(entity));
+        let fillers = ["Zq0x", "Zq1x", "Zq2x", "Zq3x"];
+        for filler in fillers {
+            assert_eq!(t2s.link_anchor(filler), None, "{filler} must not link");
+        }
+        // the typo as the fourth distinct span (a repeat counts once) links
+        let within = format!("Zq0x. Zq1x. Zq2x. Zq0x. {typo}");
+        assert_eq!(t2s.link_anchor(&within), Some(entity), "{within}");
+        // as the fifth distinct span it is past the cap
+        let beyond = format!("{}. {typo}", fillers.join(". "));
+        assert_eq!(t2s.link_anchor(&beyond), None, "{beyond}");
+    }
+
+    #[test]
     fn exact_match_normalizes_whitespace() {
         assert!(exact_match(
             "SELECT ?a  WHERE { ?s ?p ?a }",

@@ -9,8 +9,7 @@
 //! * [`vector`] — a vector index over a flat pre-normalized arena behind
 //!   one entrypoint, [`VectorIndex::search`]: exact top-k through a
 //!   batched dot-product kernel with bounded-heap top-k (optionally
-//!   sharded across threads, optionally coalescing concurrent callers —
-//!   see [`batch`]) plus an IVF-lite variant (seeded k-means coarse
+//!   sharded across threads) plus an IVF-lite variant (seeded k-means coarse
 //!   quantizer with cluster probing); the seed brute force and the
 //!   per-query arena scan survive in [`mod@reference`] as differential
 //!   oracles,
@@ -24,7 +23,6 @@
 //!   (label propagation) → community summaries → map-reduce answering of
 //!   *global* questions that pointwise retrieval cannot serve.
 
-pub mod batch;
 pub mod chunk;
 pub mod graphrag;
 pub mod inject;
@@ -32,11 +30,10 @@ pub mod pipeline;
 pub mod reference;
 pub mod vector;
 
-pub use batch::{BatchWindow, WindowRole};
 pub use chunk::{chunk_sentences, Chunk};
 pub use graphrag::GraphRag;
 pub use inject::{inject_knowledge, rare_term_definitions};
-pub use pipeline::{RagAnswer, RagMode, RagPipeline};
+pub use pipeline::{BatchWindow, RagAnswer, RagMode, RagPipeline};
 pub use vector::{
     IvfFallback, IvfSeeding, SearchOptions, SearchRequest, SearchResult, SearchStats, Strategy,
     VectorIndex,

@@ -84,6 +84,12 @@ pub struct RagAnswer {
     pub degradation: DegradationTrace,
 }
 
+/// The argument of [`RagPipeline::with_coalescing`]; it configures
+/// nothing. Kept only because the `perfbench` replay still passes
+/// `BatchWindow::default()` (ROADMAP item 2).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchWindow;
+
 /// A configured RAG pipeline over a chunked corpus and (optionally) a KG.
 pub struct RagPipeline<'a> {
     slm: &'a Slm,
@@ -119,19 +125,15 @@ impl<'a> RagPipeline<'a> {
         self
     }
 
-    /// Enable request coalescing on the vector index: an answer that
-    /// retrieves while another one's kernel pass runs (e.g. serve workers
-    /// sharing one pipeline) queues for the next pass, which serves up to
-    /// `window.max_batch` queued retrievals at once. A solo caller runs
-    /// at once, with no added latency. Results stay bit-identical to
-    /// uncoalesced retrieval (see [`crate::batch`]).
-    pub fn with_coalescing(mut self, window: crate::batch::BatchWindow) -> Self {
-        self.index = self.index.with_coalescing(window);
+    /// Returns the pipeline unchanged: every retrieval runs its own
+    /// kernel pass on the caller's thread. Kept only because the
+    /// `perfbench` replay still calls it (ROADMAP item 2).
+    pub fn with_coalescing(self, _window: BatchWindow) -> Self {
         self
     }
 
     /// The pipeline's vector index — serve surfaces its IVF fallback
-    /// reason and coalescing bound in `stats` replies.
+    /// reason in `stats` replies.
     pub fn vector_index(&self) -> &VectorIndex {
         &self.index
     }
@@ -337,8 +339,7 @@ impl<'a> RagPipeline<'a> {
         }
     }
 
-    /// Exact top-`k` chunks for one query embedding, through the
-    /// coalescer when one is attached.
+    /// Exact top-`k` chunks for one query embedding.
     fn retrieve(&self, query: &[Vec<f32>; 1], k: usize, span: &obs::Span) -> Vec<Hit> {
         self.index
             .search(&SearchRequest::exact(query, k), span)
@@ -613,24 +614,6 @@ mod tests {
         assert_eq!(modular.module, "kg-lookup");
         assert!(modular.candidates > 0, "KG facts count as candidates");
         assert!(modular.context_chars > 0);
-    }
-
-    #[test]
-    fn coalesced_pipeline_answers_match_uncoalesced() {
-        let f = fixture();
-        let chunks = chunk_sentences(&f.corpus_text, 2, 0);
-        let plain = RagPipeline::new(&f.slm, chunks.clone(), Some(&f.kg.graph));
-        let coalesced = RagPipeline::new(&f.slm, chunks, Some(&f.kg.graph))
-            .with_coalescing(crate::batch::BatchWindow::default());
-        assert!(coalesced.vector_index().coalescing_window().is_some());
-        assert!(plain.vector_index().coalescing_window().is_none());
-        for mode in RagMode::all() {
-            let a = plain.answer(mode, &f.question);
-            let b = coalesced.answer(mode, &f.question);
-            assert_eq!(a.text, b.text, "{}", mode.name());
-            assert_eq!(a.retrieved, b.retrieved, "{}", mode.name());
-            assert_eq!(a.candidates, b.candidates, "{}", mode.name());
-        }
     }
 
     #[test]

@@ -34,10 +34,7 @@
 //! with nothing to share. Every per-query result is **bit-identical** to
 //! the sequential per-query scan kept in [`crate::reference::scan_exact`]:
 //! the kernel preserves the scalar accumulation order and the total-order
-//! heap makes the top-k set unique regardless of offer order. On an index
-//! built [`VectorIndex::with_coalescing`], a one-query exact request goes
-//! through the coalescer instead (see [`crate::batch`]), with the same
-//! hits.
+//! heap makes the top-k set unique regardless of offer order.
 //!
 //! # Parallelism
 //!
@@ -68,8 +65,6 @@ use rand::SeedableRng;
 use kgquery::exec::compare_f64_total;
 use slm::embedding::{dot, normalize};
 use slm::kernel::{first_above, matmul_tile};
-
-use crate::batch::{BatchWindow, Coalescer, WindowRole};
 
 /// Arena rows scored per [`slm::kernel::matmul_tile`] call in exact
 /// scans: the per-tile score buffer stays small (`Q × 1024` floats)
@@ -180,22 +175,19 @@ impl IvfFallback {
 pub struct SearchStats {
     /// Vectors scored (documents plus, for IVF, centroids), summed over
     /// the request's queries: an exact pass counts each document once
-    /// **per query**. A coalesced request counts its own query's share.
+    /// **per query**.
     pub vectors_scanned: usize,
     /// Insertions into a top-k heap (pushes that displaced or grew the
     /// candidate set). Scheduling-sensitive: a sharded scan keeps one
     /// heap per shard, so this may exceed the sequential count while the
-    /// returned hits are bit-identical. A coalesced request counts the
-    /// pushes of its query's heap at its pass's largest `k`.
+    /// returned hits are bit-identical.
     pub heap_pushes: usize,
-    /// Worker shards spawned; zero for sequential scans and for
-    /// coalescing followers (their leader spawned them).
+    /// Worker shards spawned; zero for sequential scans.
     pub parallel_shards: usize,
     /// Clusters probed by an IVF search; zero for exact scans.
     pub ivf_probes: usize,
     /// Queries serviced by the batched kernel invocation this request
-    /// ran: Q for a direct exact request, the pass width for a
-    /// coalescing leader, zero for a follower and for IVF probing.
+    /// ran: Q for an exact request, zero for IVF probing.
     pub batch_queries: usize,
     /// Structured reason when an IVF search fell back to exact;
     /// `None` for exact searches and healthy IVF searches.
@@ -257,9 +249,6 @@ pub struct SearchResult {
     pub hits: Vec<Vec<Hit>>,
     /// The request's work counters.
     pub stats: SearchStats,
-    /// How a coalesced pass served the request; `None` when it ran
-    /// directly.
-    pub role: Option<WindowRole>,
 }
 
 impl SearchResult {
@@ -382,10 +371,6 @@ pub struct VectorIndex {
     /// plus this structured reason.
     ivf_fallback: Option<IvfFallback>,
     options: SearchOptions,
-    /// Optional request coalescer shared by clones of this index (see
-    /// [`crate::batch`]): one-query exact searches that arrive while a
-    /// kernel pass runs share the next batched pass.
-    coalescer: Option<std::sync::Arc<Coalescer>>,
 }
 
 impl VectorIndex {
@@ -438,7 +423,6 @@ impl VectorIndex {
             clusters,
             ivf_fallback,
             options: SearchOptions::default(),
-            coalescer: None,
         }
     }
 
@@ -505,22 +489,6 @@ impl VectorIndex {
         self.ivf_fallback
     }
 
-    /// Attach a request coalescer: a one-query exact
-    /// [`VectorIndex::search`] runs at once when no kernel pass is in
-    /// flight, and otherwise queues for the next pass, which serves up to
-    /// `window.max_batch` queued searches in one batched kernel
-    /// invocation (see [`crate::batch`]). Clones of the index share the
-    /// same coalescer.
-    pub fn with_coalescing(mut self, window: BatchWindow) -> Self {
-        self.coalescer = Some(std::sync::Arc::new(Coalescer::new(window)));
-        self
-    }
-
-    /// The coalescer's pass bound, when one is attached.
-    pub fn coalescing_window(&self) -> Option<BatchWindow> {
-        self.coalescer.as_ref().map(|c| c.window())
-    }
-
     /// Whether IVF search is active.
     pub fn ivf_enabled(&self) -> bool {
         !self.centroids.is_empty()
@@ -549,9 +517,8 @@ impl VectorIndex {
 
     /// Run a [`SearchRequest`] — the one retrieval entrypoint.
     ///
-    /// [`Strategy::Exact`] scores every query in one batched kernel pass
-    /// (or, for a one-query request on a coalescing index, goes through
-    /// the coalescer); [`Strategy::Ivf`] probes per query, falling back
+    /// [`Strategy::Exact`] scores every query in one batched kernel
+    /// pass; [`Strategy::Ivf`] probes per query, falling back
     /// to the exact pass when the index has no quantizer. Exact hits are
     /// bit-identical to [`crate::reference::scan_exact`] on every query.
     ///
@@ -576,10 +543,9 @@ impl VectorIndex {
             Strategy::Ivf { probes } if self.ivf_enabled() => Some(probes),
             _ => None,
         };
-        let mut result = match (ivf_probes, &self.coalescer, req.queries) {
-            (Some(probes), _, _) => self.ivf_search(req.queries, req.k, probes),
-            (None, Some(coalescer), [query]) => coalescer.run(self, query, req.k),
-            (None, _, _) => self.exact_search(req.queries, req.k),
+        let mut result = match ivf_probes {
+            Some(probes) => self.ivf_search(req.queries, req.k, probes),
+            None => self.exact_search(req.queries, req.k),
         };
         if matches!(req.strategy, Strategy::Ivf { .. }) {
             result.stats.ivf_fallback = self.ivf_fallback;
@@ -626,8 +592,8 @@ impl VectorIndex {
         out
     }
 
-    /// A direct exact request: one kernel pass for all queries, the
-    /// per-query counters summed.
+    /// An exact request: one kernel pass for all queries, the per-query
+    /// counters summed.
     fn exact_search(&self, queries: &[Vec<f32>], k: usize) -> SearchResult {
         let (scans, shards) = self.exact_scan(queries, k);
         let scanned = if k == 0 { 0 } else { self.n_docs };
@@ -644,24 +610,15 @@ impl VectorIndex {
                 hits
             })
             .collect();
-        SearchResult {
-            hits,
-            stats,
-            role: None,
-        }
+        SearchResult { hits, stats }
     }
 
     /// Exact top-k of every query in **one arena pass**, tile-sharded
     /// across threads past the parallel threshold. Returns each query's
     /// hits with its heap pushes, plus the worker shards the pass spawned
     /// (zero when it ran sequentially). Unless `k` is 0, every query
-    /// scanned all `n_docs` rows. The coalescer hands these shares out to
-    /// the callers of its pass.
-    pub(crate) fn exact_scan(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-    ) -> (Vec<(Vec<Hit>, usize)>, usize) {
+    /// scanned all `n_docs` rows.
+    fn exact_scan(&self, queries: &[Vec<f32>], k: usize) -> (Vec<(Vec<Hit>, usize)>, usize) {
         if self.n_docs == 0 || k == 0 || queries.is_empty() {
             return (vec![(Vec::new(), 0); queries.len()], 0);
         }
@@ -821,11 +778,7 @@ impl VectorIndex {
             .iter()
             .map(|q| self.ivf_probe(q, k, n_probe, &mut stats))
             .collect();
-        SearchResult {
-            hits,
-            stats,
-            role: None,
-        }
+        SearchResult { hits, stats }
     }
 
     /// One query's IVF probe: score the centroids, then the members of
@@ -866,10 +819,8 @@ impl VectorIndex {
 /// Record one [`VectorIndex::search`] on a `retrieval.search` child span
 /// and bump the `retrieval.*` counters (catalogue in
 /// `docs/observability.md`). Kernel invocations add
-/// `retrieval.batch.searches` / `retrieval.batch.queries`; a coalesced
-/// request adds `retrieval.batch.coalesced`, plus
-/// `retrieval.batch.windows` when it led its pass; IVF fallbacks carry
-/// their structured reason as the `ivf_fallback` attribute.
+/// `retrieval.batch.searches` / `retrieval.batch.queries`; IVF fallbacks
+/// carry their structured reason as the `ivf_fallback` attribute.
 fn record_search(
     parent: &obs::Span,
     kind: &str,
@@ -899,18 +850,6 @@ fn record_search(
         span.set("batch_queries", stats.batch_queries);
         span.count("retrieval.batch.searches", 1);
         span.count("retrieval.batch.queries", stats.batch_queries as u64);
-    }
-    match result.role {
-        Some(WindowRole::Leader) => {
-            span.set("batch_role", "leader");
-            span.count("retrieval.batch.coalesced", 1);
-            span.count("retrieval.batch.windows", 1);
-        }
-        Some(WindowRole::Follower) => {
-            span.set("batch_role", "follower");
-            span.count("retrieval.batch.coalesced", 1);
-        }
-        None => {}
     }
     if let Some(fallback) = stats.ivf_fallback {
         span.set("ivf_disabled", true);
@@ -1347,7 +1286,6 @@ mod tests {
             assert_eq!(hit_bits(hits), hit_bits(&scan_exact(&idx, q, 6)));
         }
         assert_eq!(result.stats.vectors_scanned, idx.len() * queries.len());
-        assert_eq!(result.role, None);
     }
 
     #[test]
@@ -1390,7 +1328,6 @@ mod tests {
         assert_eq!(tracer.registry().counter("retrieval.batch.queries"), 2);
         assert_eq!(tracer.registry().counter("retrieval.searches"), 1);
         assert_eq!(tracer.registry().counter("retrieval.vectors_scanned"), 80);
-        assert_eq!(tracer.registry().counter("retrieval.batch.coalesced"), 0);
         let span = recorder.take().pop().expect("root recorded");
         let search = span.find("retrieval.search").expect("search span");
         assert_eq!(

@@ -96,12 +96,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Enable retrieval request coalescing on the shared RAG pipeline:
-    /// `rag` requests whose vector searches arrive while a kernel pass
-    /// runs share the next batched pass, bit-identical to uncoalesced
-    /// retrieval (see [`kgrag::batch`]).
-    pub fn with_coalescing(mut self, window: kgrag::BatchWindow) -> Engine<'a> {
-        self.rag = self.rag.with_coalescing(window);
+    /// Returns the engine unchanged: each `rag` request's vector search
+    /// runs on its own worker. Kept only because the `perfbench` replay
+    /// still calls it (ROADMAP item 2).
+    pub fn with_coalescing(self, _window: kgrag::BatchWindow) -> Engine<'a> {
         self
     }
 
@@ -434,8 +432,8 @@ impl<'a> Engine<'a> {
         }
         // The retrieval block: serving-relevant facts about the shared
         // vector index that counters alone can't carry — which SIMD path
-        // the batch kernel dispatched to, whether (and why) IVF silently
-        // fell back to exact scans, and the coalescing pass bound.
+        // the batch kernel dispatched to, and whether (and why) IVF
+        // silently fell back to exact scans.
         let mut retrieval = Map::new();
         let vidx = self.rag.vector_index();
         retrieval.insert("docs_indexed".into(), Value::from(vidx.len() as u64));
@@ -447,15 +445,6 @@ impl<'a> Engine<'a> {
         if let Some(fb) = vidx.ivf_fallback() {
             retrieval.insert("ivf_fallback".into(), Value::String(fb.reason().into()));
             retrieval.insert("ivf_fallback_detail".into(), Value::String(fb.describe()));
-        }
-        match vidx.coalescing_window() {
-            Some(w) => {
-                retrieval.insert("coalescing".into(), Value::Bool(true));
-                retrieval.insert("batch_max".into(), Value::from(w.max_batch as u64));
-            }
-            None => {
-                retrieval.insert("coalescing".into(), Value::Bool(false));
-            }
         }
         let mut reply = base_reply(req, Tenant::from_id(&req.tenant), "normal");
         reply.insert("ok".into(), Value::Bool(true));
@@ -830,9 +819,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_reply_surfaces_retrieval_block_and_coalesced_rag_path() {
+    fn stats_reply_surfaces_retrieval_block() {
         let wb = wb();
-        let engine = Engine::new(&wb).with_coalescing(kgrag::BatchWindow::default());
+        let engine = Engine::new(&wb);
         let v = engine.stats_reply(&req(Scenario::Stats, ""), 0, 0);
         let retrieval = v
             .as_object()
@@ -849,47 +838,18 @@ mod tests {
         );
         let dispatch = retrieval.get("dispatch").and_then(Value::as_str).unwrap();
         assert!(["scalar", "avx2", "neon"].contains(&dispatch), "{dispatch}");
-        assert_eq!(
-            retrieval.get("coalescing").and_then(Value::as_bool),
-            Some(true)
-        );
-        assert_eq!(retrieval.get("batch_max").and_then(Value::as_u64), Some(8));
-        // coalescing has no timer, so there is no wait to report
-        assert!(retrieval.get("batch_max_wait_us").is_none());
-        // rag requests now retrieve through the coalesced entry point
-        let cancel = CancelToken::new();
-        let film = wb.graph().display_name(wb.graph().entities()[0]);
-        let r = engine.handle(
-            &req(Scenario::Rag, &format!("Who directed {film}?")),
-            Grade::Normal,
-            &cancel,
-        );
-        assert_eq!(
-            r.as_object().unwrap().get("ok").and_then(Value::as_bool),
-            Some(true)
-        );
-        assert!(engine.snapshot().counter("retrieval.batch.coalesced") >= 1);
-        // without the builder, the block reports coalescing off
-        let plain = Engine::new(&wb);
-        let v = plain.stats_reply(&req(Scenario::Stats, ""), 0, 0);
-        let retrieval = v
-            .as_object()
-            .unwrap()
-            .get("retrieval")
-            .and_then(Value::as_object)
-            .unwrap();
-        assert_eq!(
-            retrieval.get("coalescing").and_then(Value::as_bool),
-            Some(false)
-        );
+        // retrieval does not coalesce, so there is no coalescing to report
+        for key in ["coalescing", "batch_max", "batch_max_wait_us"] {
+            assert!(retrieval.get(key).is_none(), "{key}");
+        }
     }
 
     #[test]
-    fn coalesced_rag_requests_count_their_retrieval_work() {
-        // Coalescing is serve's default; every naive `rag` request must
-        // still land on the retrieval counters the stats reply reports.
+    fn rag_requests_count_their_retrieval_work() {
+        // every naive `rag` request lands on the retrieval counters the
+        // stats reply reports, as one one-query kernel pass
         let wb = wb();
-        let engine = Engine::new(&wb).with_coalescing(kgrag::BatchWindow::default());
+        let engine = Engine::new(&wb);
         let cancel = CancelToken::new();
         let n = 5;
         for i in 0..n {
@@ -913,12 +873,10 @@ mod tests {
         let counters = obj.get("counters").and_then(Value::as_object).unwrap();
         let counter = |name: &str| counters.get(name).and_then(Value::as_u64).unwrap_or(0);
         assert_eq!(counter("retrieval.searches"), n);
-        assert_eq!(counter("retrieval.batch.coalesced"), n);
+        assert_eq!(counter("retrieval.batch.searches"), n);
         assert_eq!(counter("retrieval.batch.queries"), n);
         assert_eq!(counter("retrieval.vectors_scanned"), n * docs);
         assert!(counter("retrieval.heap_pushes") >= n);
-        // one request at a time: each leads a pass of one
-        assert_eq!(counter("retrieval.batch.windows"), n);
     }
 
     #[test]

@@ -76,13 +76,6 @@ pub struct ServeConfig {
     /// into the served graph before the first connection is accepted,
     /// and a checkpoint is written on clean shutdown.
     pub durable: Option<DurableStore>,
-    /// Retrieval request coalescing: a `rag` request's vector search runs
-    /// at once when no kernel pass is in flight; searches that arrive
-    /// while one runs share the next pass, up to `max_batch` of them (see
-    /// `docs/serving.md`). Results are bit-identical to uncoalesced
-    /// retrieval, and an uncontended search pays no added latency.
-    /// `None` disables coalescing.
-    pub coalescing: Option<kgrag::BatchWindow>,
 }
 
 impl Default for ServeConfig {
@@ -94,7 +87,6 @@ impl Default for ServeConfig {
             workbench: WorkbenchConfig::default(),
             poll_interval: Duration::from_millis(50),
             durable: None,
-            coalescing: Some(kgrag::BatchWindow::default()),
         }
     }
 }
@@ -196,14 +188,10 @@ fn run(
         // the synthetic graph from the first request.
         wb.kg.graph.merge(d.graph());
     }
-    let mut engine = match durable {
+    let engine = match durable {
         Some(d) => Engine::new(&wb).with_durable(d),
         None => Engine::new(&wb),
     };
-    if let Some(window) = config.coalescing {
-        engine = engine.with_coalescing(window);
-    }
-    let engine = engine;
     let admission = AdmissionController::<Job>::new(config.admission);
     let inflight = AtomicU64::new(0);
 
