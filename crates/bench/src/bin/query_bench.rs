@@ -19,7 +19,10 @@
 //!    cache hit vs cold parse+compile (gated ≥5× in full mode), two
 //!    passes over one cache with per-pass hit/miss counts and the
 //!    second-pass hit rate, and bit-identical gates for cached-vs-fresh
-//!    results and parameter-bound vs `VALUES`-injected execution.
+//!    results and parameter-bound vs `VALUES`-injected execution;
+//! 6. `result_allocs` — heap allocations per result row of one wide
+//!    sequential SELECT run through a prepared plan, counted by the
+//!    global allocator: a deterministic work counter CI gates exactly.
 //!
 //! Flags:
 //!
@@ -46,14 +49,16 @@ use llmkg::{Workbench, WorkbenchConfig};
 use llmkg_bench::{header, write_report};
 use serde_json::{json, Value};
 
-/// Live-heap meter for the `encoded_join` memory comparison: every
-/// allocation and free updates one relaxed counter, so the delta across
-/// an index build is the bytes that build retains. Transient allocations
-/// (sort scratch, growth slack) cancel out of the delta by the time the
-/// build returns.
+/// Heap meter: every allocation and free updates one relaxed live-bytes
+/// counter, so the delta across an index build is the bytes that build
+/// retains (transient allocations — sort scratch, growth slack — cancel
+/// out by the time the build returns; the `encoded_join` memory
+/// comparison). A second counter counts allocation calls (`alloc`,
+/// `alloc_zeroed` and `realloc`; the `result_allocs` series).
 struct CountingAlloc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: defers all allocation to `System`; only the bookkeeping is ours.
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -61,6 +66,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = System.alloc(layout);
         if !p.is_null() {
             LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -75,6 +81,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if !p.is_null() {
             LIVE.fetch_add(new_size, Ordering::Relaxed);
             LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -83,6 +90,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
             LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -93,6 +101,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn live_bytes() -> usize {
     LIVE.load(Ordering::Relaxed)
+}
+
+fn allocations() -> usize {
+    ALLOCS.load(Ordering::Relaxed)
 }
 
 const QUERIES: [(&str, &str); 6] = [
@@ -161,6 +173,11 @@ const LIMIT_QUERIES: [(&str, &str); 3] = [
 const PARALLEL_QUERY: &str = "PREFIX v: <http://llmkg.dev/vocab/> \
      SELECT ?a ?d WHERE { ?f v:starring ?a . ?f v:directedBy ?d }";
 
+/// The `result_allocs` query: one pattern, one row per film, an IRI and
+/// a typed literal per row.
+const RESULT_ALLOCS_QUERY: &str = "PREFIX v: <http://llmkg.dev/vocab/> \
+     SELECT ?f ?y WHERE { ?f v:releaseYear ?y }";
+
 /// Nanoseconds per call: best of three timed passes after a warmup, so
 /// scheduler noise on a shared host inflates neither side of a ratio.
 fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -192,7 +209,7 @@ fn calibrate(smoke: bool, mut f: impl FnMut()) -> u32 {
 }
 
 /// Execute a parsed query with no span attached.
-fn run(g: &Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet, QueryError> {
+fn run<'g>(g: &'g Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet<'g>, QueryError> {
     exec::execute(g, q, opts, &obs::Span::disabled())
 }
 
@@ -627,6 +644,37 @@ fn prepared_repeat_series(smoke: bool, g: &Graph) -> Value {
     })
 }
 
+/// The `result_allocs` series: heap allocations made by one
+/// [`kgquery::PreparedQuery::run`] of [`RESULT_ALLOCS_QUERY`], sequential
+/// (`parallel_threshold: None`), per result row. Planning happens before
+/// the count starts; the result is dropped after it ends. Single-threaded
+/// and seeded, so the count repeats exactly from run to run.
+fn result_allocs_series(g: &Graph) -> Value {
+    let prepared =
+        kgquery::PreparedQuery::prepare(g, RESULT_ALLOCS_QUERY, &[]).expect("query prepares");
+    let opts = ExecOptions {
+        parallel_threshold: None,
+        ..ExecOptions::default()
+    };
+    let before = allocations();
+    let rs = prepared.run(g, &opts).expect("query runs");
+    let allocs = allocations() - before;
+    let rows = rs.len();
+    assert!(rows > 0, "result_allocs query returns no rows");
+    let per_row = allocs as f64 / rows as f64;
+    println!(
+        "\nresult allocations: {rows} rows, {allocs} allocations in PreparedQuery::run \
+         ({per_row:.2} per row)"
+    );
+    json!({
+        "query": RESULT_ALLOCS_QUERY,
+        "parallel_threshold": Value::Null,
+        "rows": rows,
+        "allocations": allocs,
+        "allocs_per_row": per_row,
+    })
+}
+
 /// The PR 1 compiled executor: full materialization, no sharding.
 fn materializing() -> ExecOptions {
     ExecOptions {
@@ -797,7 +845,8 @@ fn main() {
         };
         let par_rs = run(&bg, &q, &opts).expect("parallel runs");
         assert_eq!(
-            par_rs.rows, seq_rs.rows,
+            par_rs.to_terms(),
+            seq_rs.to_terms(),
             "parallel evaluation must be bit-identical (workers {label})"
         );
         let par_ns = time_exec(smoke, &bg, &q, &opts);
@@ -813,6 +862,7 @@ fn main() {
             "parallel_shards": par_rs.stats.parallel_shards,
         }));
     }
+    let result_allocs_entry = result_allocs_series(&bg);
     let parallel_entry = json!({
         "query": "parallel_join",
         "graph": {"generator": "movies", "seed": 11, "entities_per_class": parallel_n, "triples": bg.len()},
@@ -898,6 +948,7 @@ fn main() {
             "parallel": parallel_entry,
             "encoded_join": encoded_entry,
             "prepared_repeat": prepared_entry,
+            "result_allocs": result_allocs_entry,
             "resilience": resilience_entry,
             "profiles": Value::Array(profiles),
         }),

@@ -130,12 +130,12 @@ impl Workbench {
     /// assert!(stats.index_probes > 0);
     /// assert!(stats.intermediate_bindings > 0);
     /// ```
-    pub fn sparql(&self, query: &str) -> Result<ResultSet, QueryError> {
+    pub fn sparql(&self, query: &str) -> Result<ResultSet<'_>, QueryError> {
         execute_sparql_with(&self.kg.graph, query, &ExecOptions::default())
     }
 
     /// Run a Cypher-lite query.
-    pub fn cypher(&self, query: &str) -> Result<ResultSet, QueryError> {
+    pub fn cypher(&self, query: &str) -> Result<ResultSet<'_>, QueryError> {
         let query = kgquery::cypher::parse(query)?;
         exec::execute(
             &self.kg.graph,
@@ -357,9 +357,8 @@ impl Workbench {
         let spans = recorder.take();
         let counters = tracer.registry().snapshot();
         let answer = rs
-            .rows
-            .iter()
-            .flatten()
+            .rows()
+            .flat_map(|row| row.iter())
             .flatten()
             .map(|t| self.kg.graph.display_term(t))
             .collect::<Vec<_>>()

@@ -297,7 +297,7 @@ impl<'a> ChatBot<'a> {
         template: &SparqlTemplate,
         opts: &ExecOptions,
         span: &obs::Span,
-    ) -> Result<kgquery::ResultSet, QueryError> {
+    ) -> Result<kgquery::ResultSet<'a>, QueryError> {
         let (prepared, outcome) = self.plan_cache.prepare_with_params(
             self.graph,
             &template.text(),

@@ -76,7 +76,7 @@ impl<'a> HybridExecutor<'a> {
         &self,
         sparql: &str,
         parent: &obs::Span,
-    ) -> Result<(ResultSet, HybridStats), QueryError> {
+    ) -> Result<(ResultSet<'a>, HybridStats), QueryError> {
         let query = kgquery::parser::parse(sparql)?;
         let span = parent.child("hybrid.execute");
         let result = self.execute_query(&query, &span);
@@ -95,7 +95,7 @@ impl<'a> HybridExecutor<'a> {
         &self,
         query: &Query,
         span: &obs::Span,
-    ) -> Result<(ResultSet, HybridStats), QueryError> {
+    ) -> Result<(ResultSet<'a>, HybridStats), QueryError> {
         // split the pattern into store-answered and LLM-answered parts
         let mut base = query.clone();
         // object spec of a virtual pattern: bind a variable, or check a constant
@@ -142,13 +142,12 @@ impl<'a> HybridExecutor<'a> {
             }
         }
         let mut rows: Vec<Vec<Option<Term>>> = Vec::new();
-        for row in &inner_rs.rows {
-            let mut extended = row.clone();
+        for mut extended in inner_rs.to_terms() {
             let mut ok = true;
             for (subject, pred, object) in &virtuals {
                 let subject_term: Option<Term> = match subject {
                     NodeRef::Const(t) => Some(t.clone()),
-                    NodeRef::Var(v) => inner_rs.column(v).and_then(|i| row[i].clone()),
+                    NodeRef::Var(v) => inner_rs.column(v).and_then(|i| extended[i].clone()),
                 };
                 let Some(st) = subject_term else {
                     ok = false;
@@ -172,15 +171,28 @@ impl<'a> HybridExecutor<'a> {
                     ok = false;
                     break;
                 }
-                match object {
-                    NodeRef::Var(_) => extended.push(Some(Term::lit(answer.text))),
-                    NodeRef::Const(expected) => {
-                        // constant object: the LLM answer must match it
-                        let want = self.graph.display_term(expected);
-                        if !answer.text.eq_ignore_ascii_case(&want) {
-                            ok = false;
-                            break;
-                        }
+                // a constant object, or a variable the row already binds,
+                // filters: the LLM answer must match it
+                let col = match object {
+                    NodeRef::Var(v) => vars.iter().position(|x| x == v),
+                    NodeRef::Const(_) => None,
+                };
+                let expected = match object {
+                    NodeRef::Var(_) => col.and_then(|c| extended.get(c)).and_then(Option::as_ref),
+                    NodeRef::Const(t) => Some(t),
+                };
+                if let Some(expected) = expected {
+                    let want = self.graph.display_term(expected);
+                    if !answer.text.eq_ignore_ascii_case(&want) {
+                        ok = false;
+                        break;
+                    }
+                } else if let Some(col) = col {
+                    let term = Some(Term::lit(answer.text));
+                    if col < extended.len() {
+                        extended[col] = term;
+                    } else {
+                        extended.push(term);
                     }
                 }
             }
@@ -256,13 +268,30 @@ mod tests {
         assert!(!rs.is_empty(), "LLM should answer the virtual predicate");
         assert!(stats.llm_calls >= rs.len());
         // every answer mentions "scene" (from the LLM corpus)
-        for row in &rs.rows {
-            let y = row[1]
-                .as_ref()
+        for row in rs.rows() {
+            let y = row
+                .get(1)
                 .and_then(|t| t.as_literal())
                 .expect("literal answer");
             assert!(y.lexical.contains("scene"), "{y:?}");
         }
+    }
+
+    #[test]
+    fn repeated_virtual_variable_joins_instead_of_widening_rows() {
+        let (kg, slm, vpred) = fixture();
+        let exec = HybridExecutor::new(&kg.graph, &slm, BTreeSet::from([vpred.clone()]));
+        let film = format!("{}Film", kg::namespace::SYNTH_VOCAB);
+        let once = format!("SELECT ?f ?y WHERE {{ ?f a <{film}> . ?f <{vpred}> ?y }}");
+        let twice =
+            format!("SELECT ?f ?y WHERE {{ ?f a <{film}> . ?f <{vpred}> ?y . ?f <{vpred}> ?y }}");
+        let (one, one_stats) = exec.execute(&once, &obs::Span::disabled()).unwrap();
+        let (two, two_stats) = exec.execute(&twice, &obs::Span::disabled()).unwrap();
+        assert!(!one.is_empty());
+        // the second pattern checks ?y against the first answer: same
+        // rows, two columns each, twice the LLM calls
+        assert_eq!(two, one);
+        assert_eq!(two_stats.llm_calls, 2 * one_stats.llm_calls);
     }
 
     #[test]
@@ -299,9 +328,9 @@ mod tests {
             .execute(&q, &obs::Span::disabled())
             .expect("hybrid query runs");
         // exactly the films whose LLM-known fact is "scene 0" survive
-        assert_eq!(rs.len(), 1, "{:?}", rs.rows);
+        assert_eq!(rs.len(), 1, "{rs:?}");
         assert_eq!(
-            rs.rows[0][0].as_ref().and_then(|t| t.as_iri()),
+            rs.get(0, 0).and_then(|t| t.as_iri()),
             g.resolve(films[0]).as_iri()
         );
         // a value the LLM never asserts filters everything out

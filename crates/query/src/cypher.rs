@@ -442,7 +442,7 @@ mod tests {
     use crate::results::ResultSet;
     use kg::Graph;
 
-    fn execute(g: &Graph, q: &Query) -> Result<ResultSet> {
+    fn execute<'g>(g: &'g Graph, q: &Query) -> Result<ResultSet<'g>> {
         crate::exec::execute(g, q, &ExecOptions::default(), &obs::Span::disabled())
     }
 
@@ -465,7 +465,8 @@ mod tests {
     #[test]
     fn match_label_and_relationship() {
         let q = parse("MATCH (f:Film)-[:directedBy]->(d) RETURN f, d").unwrap();
-        let rs = execute(&graph(), &q).unwrap();
+        let g = graph();
+        let rs = execute(&g, &q).unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(rs.vars, vec!["f", "d"]);
     }
@@ -475,7 +476,8 @@ mod tests {
         // the front-end compiles onto the same slot-based executor, so
         // Cypher results carry the same work counters as SPARQL ones
         let q = parse("MATCH (f:Film)-[:directedBy]->(d) RETURN f, d").unwrap();
-        let rs = execute(&graph(), &q).unwrap();
+        let g = graph();
+        let rs = execute(&g, &q).unwrap();
         assert_eq!(rs.stats.patterns_scanned, 2); // type triple + edge
         assert!(rs.stats.index_probes >= 2, "{:?}", rs.stats);
         assert!(rs.stats.intermediate_bindings >= rs.len(), "{:?}", rs.stats);
@@ -485,11 +487,11 @@ mod tests {
     fn property_map_filters() {
         let q = parse(r#"MATCH (f:Film {name: "Inception"})-[:directedBy]->(d) RETURN d.name"#)
             .unwrap();
-        let rs = execute(&graph(), &q).unwrap();
+        let g = graph();
+        let rs = execute(&g, &q).unwrap();
         assert_eq!(rs.len(), 1);
         assert_eq!(
-            rs.rows[0][0]
-                .as_ref()
+            rs.get(0, 0)
                 .and_then(|t| t.as_literal())
                 .map(|l| l.lexical.as_str()),
             Some("Nolan")
@@ -499,28 +501,32 @@ mod tests {
     #[test]
     fn where_numeric_comparison() {
         let q = parse("MATCH (f:Film) WHERE f.releaseYear > 2000 RETURN f.name").unwrap();
-        let rs = execute(&graph(), &q).unwrap();
+        let g = graph();
+        let rs = execute(&g, &q).unwrap();
         assert_eq!(rs.len(), 1);
     }
 
     #[test]
     fn reverse_arrow() {
         let q = parse("MATCH (d)<-[:directedBy]-(f:Film) RETURN d").unwrap();
-        let rs = execute(&graph(), &q).unwrap();
+        let g = graph();
+        let rs = execute(&g, &q).unwrap();
         assert_eq!(rs.len(), 2);
     }
 
     #[test]
     fn untyped_relationship_matches_any() {
         let q = parse("MATCH (f:Film)-[]->(x) RETURN x").unwrap();
-        let rs = execute(&graph(), &q).unwrap();
+        let g = graph();
+        let rs = execute(&g, &q).unwrap();
         assert!(rs.len() >= 4, "{}", rs.len());
     }
 
     #[test]
     fn limit_applies() {
         let q = parse("MATCH (f:Film) RETURN f LIMIT 1").unwrap();
-        let rs = execute(&graph(), &q).unwrap();
+        let g = graph();
+        let rs = execute(&g, &q).unwrap();
         assert_eq!(rs.len(), 1);
     }
 
@@ -530,7 +536,8 @@ mod tests {
             r#"MATCH (f:Film)-[:directedBy]->(d), (f2:Film)-[:directedBy]->(d) RETURN f, f2"#,
         )
         .unwrap();
-        let rs = execute(&graph(), &q).unwrap();
+        let g = graph();
+        let rs = execute(&g, &q).unwrap();
         assert_eq!(rs.len(), 2); // (f1,f1) and (f2,f2)
     }
 
@@ -546,7 +553,8 @@ mod tests {
         let q =
             parse(r#"MATCH (f:Film) WHERE f.releaseYear > 1990 AND f.releaseYear < 2000 RETURN f"#)
                 .unwrap();
-        let rs = execute(&graph(), &q).unwrap();
+        let g = graph();
+        let rs = execute(&g, &q).unwrap();
         assert_eq!(rs.len(), 1);
     }
 }

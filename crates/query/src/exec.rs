@@ -39,7 +39,7 @@
 //! serves as the differential-testing oracle and benchmark baseline.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
@@ -52,7 +52,7 @@ use resilience::{ExecContext, LimitViolation, ResourceLimits};
 use crate::algebra::{compile, Plan};
 use crate::ast::{Expr, NodeRef, Order, PropPath, Query, QueryKind, TriplePatternAst};
 use crate::error::QueryError;
-use crate::results::{ExecStats, ResultSet};
+use crate::results::{Cell, ExecStats, ResultSet, Terms};
 
 /// A solution mapping: one cell per compiled variable slot.
 pub type Binding = Vec<Option<Sym>>;
@@ -253,12 +253,12 @@ impl ExecOptions {
 /// assert!(tracer.registry().counter("exec.queries") == 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn execute(
-    graph: &Graph,
+pub fn execute<'g>(
+    graph: &'g Graph,
     query: &Query,
     opts: &ExecOptions,
     parent: &obs::Span,
-) -> Result<ResultSet, QueryError> {
+) -> Result<ResultSet<'g>, QueryError> {
     execute_compiled(graph, &compile_query(graph, query), opts, &[], parent)
 }
 
@@ -267,13 +267,13 @@ pub fn execute(
 /// and record a `sparql.execute` child of an enabled `parent` — so a
 /// cache hit is indistinguishable downstream from a freshly planned
 /// execution.
-pub(crate) fn execute_compiled(
-    graph: &Graph,
+pub(crate) fn execute_compiled<'g>(
+    graph: &'g Graph,
     compiled: &CompiledQuery,
     opts: &ExecOptions,
     bindings: &[(usize, Option<Sym>)],
     parent: &obs::Span,
-) -> Result<ResultSet, QueryError> {
+) -> Result<ResultSet<'g>, QueryError> {
     if !parent.enabled() {
         return evaluate(graph, compiled, opts, bindings);
     }
@@ -286,7 +286,7 @@ pub(crate) fn execute_compiled(
 /// Adapt an execution outcome into `sparql.execute` span attributes and
 /// `exec.*` / `resilience.*` registry counters (the catalogue lives in
 /// `docs/observability.md`).
-fn record_exec_span(span: &obs::Span, result: &Result<ResultSet, QueryError>) {
+fn record_exec_span(span: &obs::Span, result: &Result<ResultSet<'_>, QueryError>) {
     match result {
         Ok(rs) => {
             span.set("rows", rs.len());
@@ -328,6 +328,9 @@ pub struct CompiledQuery {
     query: Query,
     cplan: CPlan,
     vars: VarTable,
+    /// Every property path of the plan, compiled; `SlotPath::Path` and
+    /// sub-paths refer into it by id.
+    paths: Vec<CPath>,
 }
 
 impl CompiledQuery {
@@ -363,11 +366,13 @@ pub(crate) fn compile_query_with_params(
     for p in params {
         bound_slots.insert(vars.intern(p));
     }
-    let cplan = compile_plan(graph, &plan, &mut vars, &mut bound_slots);
+    let mut paths = PathTable::default();
+    let cplan = compile_plan(graph, &plan, &mut vars, &mut paths, &mut bound_slots);
     CompiledQuery {
         query: query.clone(),
         cplan,
         vars,
+        paths: paths.nodes,
     }
 }
 
@@ -378,12 +383,12 @@ pub(crate) fn compile_query_with_params(
 /// graph's pool: matching the `VALUES` subset semantics, the query then
 /// runs over zero input rows and returns an empty (but fully projected)
 /// result.
-fn evaluate(
-    graph: &Graph,
+fn evaluate<'g>(
+    graph: &'g Graph,
     compiled: &CompiledQuery,
     opts: &ExecOptions,
     bindings: &[(usize, Option<Sym>)],
-) -> Result<ResultSet, QueryError> {
+) -> Result<ResultSet<'g>, QueryError> {
     let query = &compiled.query;
     let vars = &compiled.vars;
     let mut input = vec![vec![None; vars.len()]];
@@ -402,7 +407,8 @@ fn evaluate(
     let ctx = EvalCtx {
         graph,
         opts,
-        paths: PathCache::default(),
+        paths: &compiled.paths,
+        path_memo: PathCache::default(),
         rc: &rc,
         // only prefix-meaningful shapes may absorb a violation by truncating
         truncate_ok: budget.is_some(),
@@ -421,7 +427,7 @@ fn evaluate(
         },
         Err(v) => Err(v),
     };
-    let mut solutions = match eval_result {
+    let solutions = match eval_result {
         Ok(rows) => rows,
         Err(v) if ctx.truncate_ok => {
             rc.record_truncation(v);
@@ -429,9 +435,9 @@ fn evaluate(
         }
         Err(v) => return Err(v.into()),
     };
-    stats.path_cache_hits = ctx.paths.hits();
+    stats.path_cache_hits = ctx.path_memo.hits();
     let truncation = rc.take_truncation();
-    let finish = |rs: ResultSet| match truncation {
+    let finish = |rs: ResultSet<'g>| match truncation {
         Some(v) => rs.with_truncation(v),
         None => rs,
     };
@@ -464,7 +470,9 @@ fn evaluate(
                     return Err(QueryError::UnboundVariable(v.clone()));
                 }
             }
-            if !query.order_by.is_empty() {
+            let order = if query.order_by.is_empty() {
+                None
+            } else {
                 // stage boundary: don't start a large sort past the deadline
                 rc.check_now()?;
                 let keys: Vec<(usize, Order)> = query
@@ -472,64 +480,121 @@ fn evaluate(
                     .iter()
                     .map(|(v, d)| (vars.lookup(v).expect("order key is a pattern var"), *d))
                     .collect();
-                solutions.sort_by(|a, b| {
-                    for &(slot, dir) in &keys {
-                        let ta = a[slot].map(|s| graph.resolve(s));
-                        let tb = b[slot].map(|s| graph.resolve(s));
-                        let ord = match dir {
-                            Order::Asc => compare_terms(ta, tb),
-                            Order::Desc => compare_terms(ta, tb).reverse(),
-                        };
-                        if ord != Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    Ordering::Equal
-                });
-            }
+                Some(sort_order(solutions.len(), &keys, |row, slot| {
+                    solutions[row][slot].map(|s| graph.resolve(s))
+                }))
+            };
             let slots: Vec<usize> = projected
                 .iter()
                 .map(|v| vars.lookup(v).expect("projected var is a pattern var"))
                 .collect();
-            let mut sym_rows: Vec<Vec<Option<Sym>>> = solutions
-                .iter()
-                .map(|b| slots.iter().map(|&i| b[i]).collect())
-                .collect();
-            if *distinct {
-                // structural dedup on interned rows: the pool makes
-                // Sym ↔ Term bijective, so this equals term equality
-                let mut seen: BTreeSet<Vec<Option<Sym>>> = BTreeSet::new();
-                sym_rows.retain(|r| seen.insert(r.clone()));
+            // the short-circuit already kept only first occurrences
+            let dedup = *distinct && distinct_sc.is_none();
+            let width = slots.len();
+            // without a dedup, only the rows that survive LIMIT/OFFSET are
+            // projected; a dedup must see every row before slicing
+            let window = if dedup {
+                0..solutions.len()
+            } else {
+                let (start, end) = slice_bounds(query, solutions.len());
+                start..end
+            };
+            let mut len = window.len();
+            let mut cells: Vec<Cell> = Vec::with_capacity(len * width);
+            for i in window {
+                let b = &solutions[order.as_ref().map_or(i, |o| o[i] as usize)];
+                cells.extend(slots.iter().map(|&slot| Cell::from(b[slot])));
             }
-            let end = query
-                .limit
-                .map(|l| (query.offset + l).min(sym_rows.len()))
-                .unwrap_or(sym_rows.len());
-            let start = query.offset.min(sym_rows.len());
-            // resolve only the rows that survive LIMIT/OFFSET
-            let rows: Vec<Vec<Option<Term>>> = sym_rows[start..end.max(start)]
-                .iter()
-                .map(|r| {
-                    r.iter()
-                        .map(|c| c.map(|s| graph.resolve(s).clone()))
-                        .collect()
-                })
-                .collect();
-            Ok(finish(ResultSet::select(projected, rows).with_stats(stats)))
+            if dedup {
+                let distinct_rows = match width {
+                    0 => len.min(1),
+                    _ => dedup_rows(&mut cells, width),
+                };
+                let (start, end) = slice_bounds(query, distinct_rows);
+                cells.truncate(end * width);
+                cells.drain(..start * width);
+                len = end - start;
+            }
+            Ok(finish(
+                ResultSet::interned(projected, graph.pool(), len, cells, Vec::new())
+                    .with_stats(stats),
+            ))
         }
     }
 }
 
+/// The `[start, end)` row window `OFFSET`/`LIMIT` keep out of `n` rows.
+fn slice_bounds(query: &Query, n: usize) -> (usize, usize) {
+    let start = query.offset.min(n);
+    let end = query
+        .limit
+        .map_or(n, |l| query.offset.saturating_add(l).min(n));
+    (start, end.max(start))
+}
+
+/// Keep the first occurrence of each distinct row of a flat
+/// `width`-cell row vector, in order, and return the row count left.
+/// Rows are keyed by their borrowed fixed-width cell slices, so no row is
+/// copied into a key of its own; two pooled cells are equal exactly when
+/// their terms are (the pool is a bijection).
+fn dedup_rows(cells: &mut Vec<Cell>, width: usize) -> usize {
+    let mut seen: HashSet<&[Cell]> = HashSet::new();
+    let mut kept: Vec<Cell> = Vec::with_capacity(cells.len());
+    for row in cells.chunks(width) {
+        if seen.insert(row) {
+            kept.extend_from_slice(row);
+        }
+    }
+    *cells = kept;
+    cells.len() / width
+}
+
+/// An `ORDER BY` key: one cell's [`term_rank`], computed once per row
+/// instead of once per comparison.
+type RankKey<'t> = Option<(u8, Option<f64>, &'t str)>;
+
+/// The stable `ORDER BY` permutation of `n` rows: row indices sorted by
+/// the `keys` (column, direction) under [`compare_terms`]'s order.
+/// `term(row, column)` reads a cell; each is ranked once up front, so a
+/// comparison never resolves a term or re-parses a number.
+fn sort_order<'t>(
+    n: usize,
+    keys: &[(usize, Order)],
+    term: impl Fn(usize, usize) -> Option<&'t Term>,
+) -> Vec<u32> {
+    let k = keys.len();
+    let ranks: Vec<RankKey<'t>> = (0..n)
+        .flat_map(|row| keys.iter().map(move |&(col, _)| (row, col)))
+        .map(|(row, col)| term(row, col).map(term_rank))
+        .collect();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (a as usize * k, b as usize * k);
+        for (j, &(_, dir)) in keys.iter().enumerate() {
+            let ord = compare_ranks(&ranks[a + j], &ranks[b + j]);
+            let ord = match dir {
+                Order::Asc => ord,
+                Order::Desc => ord.reverse(),
+            };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    });
+    order
+}
+
 /// Evaluate a `COUNT` aggregate with optional `GROUP BY`.
-fn aggregate(
-    graph: &Graph,
+fn aggregate<'g>(
+    graph: &'g Graph,
     query: &Query,
     agg: &crate::ast::CountAgg,
     projected: &[String],
     solutions: Vec<Binding>,
     vars: &VarTable,
     stats: ExecStats,
-) -> Result<ResultSet, QueryError> {
+) -> Result<ResultSet<'g>, QueryError> {
     let bound = query.pattern.bound_vars();
     for v in query.group_by.iter().chain(agg.var.iter()) {
         if !bound.contains(v) {
@@ -561,7 +626,9 @@ fn aggregate(
     if query.group_by.is_empty() && groups.is_empty() {
         groups.insert(Vec::new(), Vec::new()); // COUNT over zero solutions = 0
     }
-    let mut rows: Vec<Vec<Option<Term>>> = Vec::new();
+    let width = projected.len();
+    let mut cells: Vec<Cell> = Vec::with_capacity(groups.len() * width);
+    let mut owned: Vec<Term> = Vec::with_capacity(groups.len());
     for (key, members) in &groups {
         let count = match agg_slot {
             None => members.len(),
@@ -574,19 +641,17 @@ fn aggregate(
                 values.len()
             }
         };
-        let row: Vec<Option<Term>> = projected
-            .iter()
-            .map(|v| {
-                if *v == agg.alias {
-                    Some(Term::int(count as i64))
-                } else {
-                    let idx = query.group_by.iter().position(|g| g == v)?;
-                    key[idx].map(|s| graph.resolve(s).clone())
-                }
-            })
-            .collect();
-        rows.push(row);
+        for v in projected {
+            let cell = if *v == agg.alias {
+                Cell::own(&mut owned, Term::int(count as i64))
+            } else {
+                let idx = query.group_by.iter().position(|g| g == v);
+                Cell::from(idx.and_then(|i| key[i]))
+            };
+            cells.push(cell);
+        }
     }
+    let mut len = groups.len();
     // ORDER BY over the aggregated rows (keys must be projected)
     if !query.order_by.is_empty() {
         for (v, _) in &query.order_by {
@@ -599,28 +664,24 @@ fn aggregate(
             .iter()
             .map(|(v, d)| (projected.iter().position(|p| p == v).expect("checked"), *d))
             .collect();
-        rows.sort_by(|a, b| {
-            for &(i, dir) in &keys {
-                let ord = match dir {
-                    Order::Asc => compare_terms(a[i].as_ref(), b[i].as_ref()),
-                    Order::Desc => compare_terms(a[i].as_ref(), b[i].as_ref()).reverse(),
-                };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
+        let terms = Terms {
+            pool: Some(graph.pool()),
+            owned: &owned,
+        };
+        let order = sort_order(len, &keys, |row, col| {
+            terms.resolve(cells[row * width + col])
         });
+        cells = order
+            .iter()
+            .flat_map(|&r| &cells[r as usize * width..(r as usize + 1) * width])
+            .copied()
+            .collect();
     }
-    let end = query
-        .limit
-        .map(|l| (query.offset + l).min(rows.len()))
-        .unwrap_or(rows.len());
-    let start = query.offset.min(rows.len());
-    Ok(
-        ResultSet::select(projected.to_vec(), rows[start..end.max(start)].to_vec())
-            .with_stats(stats),
-    )
+    let (start, end) = slice_bounds(query, len);
+    cells.truncate(end * width);
+    cells.drain(..start * width);
+    len = end - start;
+    Ok(ResultSet::interned(projected.to_vec(), graph.pool(), len, cells, owned).with_stats(stats))
 }
 
 /// Numeric-aware term comparison for ORDER BY and filters.
@@ -637,18 +698,20 @@ fn aggregate(
 /// `"3" > "10"`), and a cyclic comparator makes `sort_by` output
 /// seed-dependent — or, under a future sort implementation, panic.
 pub(crate) fn compare_terms(a: Option<&Term>, b: Option<&Term>) -> Ordering {
+    compare_ranks(&a.map(term_rank), &b.map(term_rank))
+}
+
+/// [`compare_terms`] on ranked terms: unbound first, then by stratum,
+/// then by value within the stratum.
+fn compare_ranks(a: &RankKey, b: &RankKey) -> Ordering {
     match (a, b) {
         (None, None) => Ordering::Equal,
         (None, Some(_)) => Ordering::Less,
         (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => {
-            let (ra, na, ka) = term_rank(x);
-            let (rb, nb, kb) = term_rank(y);
-            ra.cmp(&rb).then_with(|| match (na, nb) {
-                (Some(a), Some(b)) => compare_f64_total(a, b),
-                _ => ka.cmp(kb),
-            })
-        }
+        (Some((ra, na, ka)), Some((rb, nb, kb))) => ra.cmp(rb).then_with(|| match (na, nb) {
+            (Some(a), Some(b)) => compare_f64_total(*a, *b),
+            _ => ka.cmp(kb),
+        }),
     }
 }
 
@@ -742,8 +805,8 @@ enum SlotPath {
     Pred(Option<Sym>),
     /// A predicate variable slot.
     Var(usize),
-    /// A composite property path, evaluated via [`eval_path`].
-    Path(PropPath),
+    /// A composite property path: its id in the query's path table.
+    Path(PathId),
 }
 
 /// One compiled triple pattern.
@@ -800,36 +863,37 @@ fn compile_plan(
     graph: &Graph,
     plan: &Plan,
     vars: &mut VarTable,
+    paths: &mut PathTable,
     bound: &mut BTreeSet<usize>,
 ) -> CPlan {
     match plan {
         Plan::Unit => CPlan::Unit,
-        Plan::Bgp(patterns) => CPlan::Bgp(order_bgp(graph, patterns, vars, bound)),
+        Plan::Bgp(patterns) => CPlan::Bgp(order_bgp(graph, patterns, vars, paths, bound)),
         Plan::Sequence(parts) => CPlan::Sequence(
             parts
                 .iter()
-                .map(|p| compile_plan(graph, p, vars, bound))
+                .map(|p| compile_plan(graph, p, vars, paths, bound))
                 .collect(),
         ),
         Plan::LeftJoin(left, right) => {
-            let cl = compile_plan(graph, left, vars, bound);
+            let cl = compile_plan(graph, left, vars, paths, bound);
             // the right side always starts from a left solution, so left
             // slots count as bound for its ordering
-            let cr = compile_plan(graph, right, vars, bound);
+            let cr = compile_plan(graph, right, vars, paths, bound);
             CPlan::LeftJoin(Box::new(cl), Box::new(cr))
         }
         Plan::Union(l, r) => {
             let mut bl = bound.clone();
-            let cl = compile_plan(graph, l, vars, &mut bl);
+            let cl = compile_plan(graph, l, vars, paths, &mut bl);
             let mut br = bound.clone();
-            let cr = compile_plan(graph, r, vars, &mut br);
+            let cr = compile_plan(graph, r, vars, paths, &mut br);
             bound.extend(bl);
             bound.extend(br);
             CPlan::Union(Box::new(cl), Box::new(cr))
         }
         Plan::Filter(e, inner) => {
             let ce = compile_expr(e, vars);
-            let ci = compile_plan(graph, inner, vars, bound);
+            let ci = compile_plan(graph, inner, vars, paths, bound);
             CPlan::Filter(ce, Box::new(ci))
         }
         Plan::Values(v, terms) => {
@@ -849,11 +913,12 @@ fn order_bgp(
     graph: &Graph,
     patterns: &[TriplePatternAst],
     vars: &mut VarTable,
+    paths: &mut PathTable,
     bound: &mut BTreeSet<usize>,
 ) -> Vec<SlotPattern> {
     let mut remaining: Vec<SlotPattern> = patterns
         .iter()
-        .map(|t| compile_pattern(graph, t, vars))
+        .map(|t| compile_pattern(graph, t, vars, paths))
         .collect();
     let mut ordered = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
@@ -872,10 +937,15 @@ fn order_bgp(
     ordered
 }
 
-fn compile_pattern(graph: &Graph, t: &TriplePatternAst, vars: &mut VarTable) -> SlotPattern {
+fn compile_pattern(
+    graph: &Graph,
+    t: &TriplePatternAst,
+    vars: &mut VarTable,
+    paths: &mut PathTable,
+) -> SlotPattern {
     SlotPattern {
         s: compile_node(graph, &t.s, vars),
-        p: compile_path(graph, &t.p, vars),
+        p: compile_path(graph, &t.p, vars, paths),
         o: compile_node(graph, &t.o, vars),
     }
 }
@@ -887,11 +957,71 @@ fn compile_node(graph: &Graph, n: &NodeRef, vars: &mut VarTable) -> SlotNode {
     }
 }
 
-fn compile_path(graph: &Graph, p: &PropPath, vars: &mut VarTable) -> SlotPath {
+fn compile_path(
+    graph: &Graph,
+    p: &PropPath,
+    vars: &mut VarTable,
+    paths: &mut PathTable,
+) -> SlotPath {
     match p {
         PropPath::Iri(iri) => SlotPath::Pred(graph.pool().get_iri(iri)),
         PropPath::Var(v) => SlotPath::Var(vars.intern(v)),
-        other => SlotPath::Path(other.clone()),
+        other => SlotPath::Path(paths.intern(graph, other)),
+    }
+}
+
+/// A property path compiled against the term pool: each IRI resolved to
+/// its `Sym` once, sub-paths referenced by [`PathTable`] id.
+#[derive(Debug, Clone, Copy)]
+enum CPath {
+    /// A predicate IRI (`None` = not interned, so it matches nothing).
+    Pred(Option<Sym>),
+    /// A predicate variable inside a composite path: unsupported, so it
+    /// matches nothing.
+    Var,
+    Inverse(PathId),
+    Seq(PathId, PathId),
+    Alt(PathId, PathId),
+    OneOrMore(PathId),
+    ZeroOrMore(PathId),
+}
+
+impl CPath {
+    /// A bare predicate costs one index probe: cheaper than a memo lookup.
+    fn is_simple(self) -> bool {
+        matches!(self, CPath::Pred(_) | CPath::Var)
+    }
+}
+
+/// An index into a query's compiled path table.
+type PathId = usize;
+
+/// The compiled property paths of one query. Structurally equal
+/// sub-paths get one id, so they share memo entries exactly as the path
+/// expressions they come from compare equal.
+#[derive(Default)]
+struct PathTable {
+    nodes: Vec<CPath>,
+    ids: HashMap<PropPath, PathId>,
+}
+
+impl PathTable {
+    fn intern(&mut self, graph: &Graph, path: &PropPath) -> PathId {
+        if let Some(&id) = self.ids.get(path) {
+            return id;
+        }
+        let node = match path {
+            PropPath::Iri(iri) => CPath::Pred(graph.pool().get_iri(iri)),
+            PropPath::Var(_) => CPath::Var,
+            PropPath::Inverse(inner) => CPath::Inverse(self.intern(graph, inner)),
+            PropPath::Seq(l, r) => CPath::Seq(self.intern(graph, l), self.intern(graph, r)),
+            PropPath::Alt(l, r) => CPath::Alt(self.intern(graph, l), self.intern(graph, r)),
+            PropPath::OneOrMore(inner) => CPath::OneOrMore(self.intern(graph, inner)),
+            PropPath::ZeroOrMore(inner) => CPath::ZeroOrMore(self.intern(graph, inner)),
+        };
+        self.nodes.push(node);
+        self.ids.insert(path.clone(), self.nodes.len() - 1);
+        self.nodes.len() - 1
     }
 }
 
@@ -1041,7 +1171,9 @@ fn avg_fanout(total: usize, distinct: usize) -> usize {
 struct EvalCtx<'a> {
     graph: &'a Graph,
     opts: &'a ExecOptions,
-    paths: PathCache,
+    /// The query's compiled property paths.
+    paths: &'a [CPath],
+    path_memo: PathCache,
     rc: &'a ExecContext,
     /// May a budget violation be absorbed by truncating the result instead
     /// of failing the query? True exactly when the shape carries a row
@@ -1049,15 +1181,16 @@ struct EvalCtx<'a> {
     truncate_ok: bool,
 }
 
-/// Memo key for one path evaluation: the path plus its fixed endpoints.
-type PathKey = (PropPath, Option<Sym>, Option<Sym>);
+/// Memo key for one path evaluation: the compiled path's id plus its
+/// fixed endpoints.
+type PathKey = (PathId, Option<Sym>, Option<Sym>);
 
 /// Shared, immutable result of one path evaluation.
 type SharedPairs = Arc<Vec<(Sym, Sym)>>;
 
 /// Per-query memo table for property-path evaluation.
 ///
-/// Keyed by the path itself plus the (optional) fixed endpoints, so both
+/// Keyed by the path's id plus the (optional) fixed endpoints, so both
 /// whole-path evaluations repeated across bindings and the per-node
 /// frontier expansions inside a transitive-closure BFS hit the cache.
 #[derive(Default)]
@@ -1809,14 +1942,13 @@ fn resolve_pattern(
         }
         SlotPath::Path(path) => {
             stats.index_probes += 1;
-            let pairs = eval_path_memo(
-                ctx.graph,
-                Some(&ctx.paths),
-                Some(ctx.rc),
-                path,
-                s.known(),
-                o.known(),
-            )?;
+            let pairs = PathEval {
+                graph: ctx.graph,
+                table: ctx.paths,
+                cache: Some(&ctx.path_memo),
+                rc: Some(ctx.rc),
+            }
+            .memo(*path, s.known(), o.known())?;
             rows.extend(pairs.iter().map(|&(ms, mo)| (ms, mo, None)));
         }
     }
@@ -1867,46 +1999,25 @@ fn extend_with_pattern(
 ///
 /// This entry point is uncached — it is what [`crate::reference`] (the
 /// differential-testing oracle) uses, so the baseline's cost profile
-/// stays honest. The compiled executor routes through the same recursion
-/// with a per-query memo table instead (see [`ExecStats::path_cache_hits`]).
+/// stays honest. The compiled executor runs the same recursion over the
+/// paths it compiled with the query, with a per-query memo table (see
+/// [`ExecStats::path_cache_hits`]).
 pub fn eval_path(
     graph: &Graph,
     path: &PropPath,
     s: Option<Sym>,
     o: Option<Sym>,
 ) -> Vec<(Sym, Sym)> {
-    compute_path(graph, None, None, path, s, o)
-        .expect("unlimited path evaluation cannot trip a budget")
-}
-
-/// Memoizing wrapper around [`compute_path`]: consult the per-query cache
-/// (when one is supplied) before recomputing, and share results via `Arc`
-/// so hits cost one pointer clone.
-///
-/// Simple paths (a bare IRI or predicate variable) bypass the cache: they
-/// cost one index probe, which is cheaper than the key clone + hash +
-/// lock a lookup would take. The cache pays off on composite paths —
-/// above all transitive closures, whose BFS is the expensive part.
-fn eval_path_memo(
-    graph: &Graph,
-    cache: Option<&PathCache>,
-    rc: Option<&ExecContext>,
-    path: &PropPath,
-    s: Option<Sym>,
-    o: Option<Sym>,
-) -> Result<Arc<Vec<(Sym, Sym)>>, LimitViolation> {
-    match cache {
-        Some(c) if !path.is_simple() => {
-            let key = (path.clone(), s, o);
-            if let Some(hit) = c.get(&key) {
-                return Ok(hit);
-            }
-            let computed = Arc::new(compute_path(graph, cache, rc, path, s, o)?);
-            c.put(key, computed.clone());
-            Ok(computed)
-        }
-        _ => Ok(Arc::new(compute_path(graph, cache, rc, path, s, o)?)),
+    let mut table = PathTable::default();
+    let root = table.intern(graph, path);
+    PathEval {
+        graph,
+        table: &table.nodes,
+        cache: None,
+        rc: None,
     }
+    .compute(root, s, o)
+    .expect("unlimited path evaluation cannot trip a budget")
 }
 
 /// Pairs from a sub-path evaluation: owned when computed directly,
@@ -1927,150 +2038,181 @@ impl std::ops::Deref for Pairs {
     }
 }
 
-/// Evaluate one leg of a composite path: simple legs (and everything when
-/// no cache is in play) go straight to [`compute_path`] and return an
-/// owned `Vec`; composite legs route through the memo table.
-fn eval_leg(
-    graph: &Graph,
-    cache: Option<&PathCache>,
-    rc: Option<&ExecContext>,
-    path: &PropPath,
-    s: Option<Sym>,
-    o: Option<Sym>,
-) -> Result<Pairs, LimitViolation> {
-    if cache.is_none() || path.is_simple() {
-        Ok(Pairs::Owned(compute_path(graph, cache, rc, path, s, o)?))
-    } else {
-        Ok(Pairs::Shared(eval_path_memo(graph, cache, rc, path, s, o)?))
-    }
+/// The property-path evaluator: compiled paths of one query over one
+/// graph, with the per-query memo table (`None` for uncached
+/// evaluation) and the budget context (`None` for unlimited).
+#[derive(Clone, Copy)]
+struct PathEval<'a> {
+    graph: &'a Graph,
+    table: &'a [CPath],
+    cache: Option<&'a PathCache>,
+    rc: Option<&'a ExecContext>,
 }
 
-/// The recursive property-path evaluator shared by the cached and
-/// uncached entry points. Composite sub-paths route back through the memo
-/// table (via [`eval_leg`]), so every expensive level of a path can hit
-/// the cache.
-fn compute_path(
-    graph: &Graph,
-    cache: Option<&PathCache>,
-    rc: Option<&ExecContext>,
-    path: &PropPath,
-    s: Option<Sym>,
-    o: Option<Sym>,
-) -> Result<Vec<(Sym, Sym)>, LimitViolation> {
-    Ok(match path {
-        PropPath::Iri(iri) => match graph.pool().get_iri(iri) {
-            Some(p) => graph
+impl PathEval<'_> {
+    /// Memoizing wrapper around [`PathEval::compute`]: consult the
+    /// per-query cache (when one is supplied) before recomputing, and
+    /// share results via `Arc` so hits cost one pointer clone.
+    ///
+    /// Simple paths (a bare IRI or predicate variable) bypass the cache:
+    /// they cost one index probe, which is cheaper than the hash + lock a
+    /// lookup would take. The cache pays off on composite paths — above
+    /// all transitive closures, whose BFS is the expensive part.
+    fn memo(
+        self,
+        path: PathId,
+        s: Option<Sym>,
+        o: Option<Sym>,
+    ) -> Result<Arc<Vec<(Sym, Sym)>>, LimitViolation> {
+        match self.cache {
+            Some(c) if !self.table[path].is_simple() => {
+                let key = (path, s, o);
+                if let Some(hit) = c.get(&key) {
+                    return Ok(hit);
+                }
+                let computed = Arc::new(self.compute(path, s, o)?);
+                c.put(key, computed.clone());
+                Ok(computed)
+            }
+            _ => Ok(Arc::new(self.compute(path, s, o)?)),
+        }
+    }
+
+    /// Evaluate one leg of a composite path: simple legs (and everything
+    /// when no cache is in play) go straight to [`PathEval::compute`] and
+    /// return an owned `Vec`; composite legs route through the memo
+    /// table.
+    fn leg(self, path: PathId, s: Option<Sym>, o: Option<Sym>) -> Result<Pairs, LimitViolation> {
+        if self.cache.is_none() || self.table[path].is_simple() {
+            Ok(Pairs::Owned(self.compute(path, s, o)?))
+        } else {
+            Ok(Pairs::Shared(self.memo(path, s, o)?))
+        }
+    }
+
+    /// The recursive evaluator shared by the cached and uncached entry
+    /// points. Composite sub-paths route back through the memo table (via
+    /// [`PathEval::leg`]), so every expensive level of a path can hit the
+    /// cache.
+    fn compute(
+        self,
+        path: PathId,
+        s: Option<Sym>,
+        o: Option<Sym>,
+    ) -> Result<Vec<(Sym, Sym)>, LimitViolation> {
+        Ok(match self.table[path] {
+            CPath::Pred(Some(p)) => self
+                .graph
                 .scan_pattern(TriplePattern { s, p: Some(p), o })
                 .map(|t| (t.s, t.o))
                 .collect(),
-            None => Vec::new(),
-        },
-        PropPath::Var(_) => {
-            // a bare predicate variable is handled in extend_with_pattern;
-            // inside a composite path it is unsupported and matches nothing
-            Vec::new()
-        }
-        PropPath::Inverse(inner) => eval_leg(graph, cache, rc, inner, o, s)?
-            .iter()
-            .map(|&(a, b)| (b, a))
-            .collect(),
-        PropPath::Alt(l, r) => {
-            let mut out: Vec<(Sym, Sym)> = eval_leg(graph, cache, rc, l, s, o)?.to_vec();
-            out.extend(eval_leg(graph, cache, rc, r, s, o)?.iter().copied());
-            out.sort_unstable();
-            out.dedup();
-            out
-        }
-        PropPath::Seq(l, r) => {
-            let mut out = Vec::new();
-            // drive from the more constrained side
-            if s.is_some() || o.is_none() {
-                for &(a, mid) in eval_leg(graph, cache, rc, l, s, None)?.iter() {
-                    for &(_, b) in eval_leg(graph, cache, rc, r, Some(mid), o)?.iter() {
-                        out.push((a, b));
-                    }
-                }
-            } else {
-                for &(mid, b) in eval_leg(graph, cache, rc, r, None, o)?.iter() {
-                    for &(a, _) in eval_leg(graph, cache, rc, l, s, Some(mid))?.iter() {
-                        out.push((a, b));
-                    }
-                }
-            }
-            out.sort_unstable();
-            out.dedup();
-            out
-        }
-        PropPath::OneOrMore(inner) => closure(graph, cache, rc, inner, s, o, false)?,
-        PropPath::ZeroOrMore(inner) => closure(graph, cache, rc, inner, s, o, true)?,
-    })
-}
-
-/// Transitive closure of a path via BFS, optionally reflexive.
-///
-/// Whole-closure results are what the memo table caches (one entry per
-/// `(path, start)` — the repeated per-binding evaluations that made
-/// `property_path` queries gain the least from the compiled executor).
-/// Frontier expansions with a *composite* inner path also hit the cache
-/// via [`eval_leg`]; simple inners go straight to the index.
-fn closure(
-    graph: &Graph,
-    cache: Option<&PathCache>,
-    rc: Option<&ExecContext>,
-    inner: &PropPath,
-    s: Option<Sym>,
-    o: Option<Sym>,
-    reflexive: bool,
-) -> Result<Vec<(Sym, Sym)>, LimitViolation> {
-    let starts: Vec<Sym> = match (s, o) {
-        (Some(x), _) => vec![x],
-        (None, _) => {
-            // all nodes with any outgoing inner-path edge; for reflexive
-            // paths additionally every node in the graph
-            let mut set: BTreeSet<Sym> = eval_leg(graph, cache, rc, inner, None, None)?
+            // an unknown predicate, or a predicate variable (handled in
+            // resolve_pattern as a whole path; inside a composite path it
+            // is unsupported), matches nothing
+            CPath::Pred(None) | CPath::Var => Vec::new(),
+            CPath::Inverse(inner) => self
+                .leg(inner, o, s)?
                 .iter()
-                .map(|&(a, _)| a)
-                .collect();
-            if reflexive {
-                for e in graph.entities() {
-                    set.insert(e);
+                .map(|&(a, b)| (b, a))
+                .collect(),
+            CPath::Alt(l, r) => {
+                let mut out: Vec<(Sym, Sym)> = self.leg(l, s, o)?.to_vec();
+                out.extend(self.leg(r, s, o)?.iter().copied());
+                out.sort_unstable();
+                out.dedup();
+                out
+            }
+            CPath::Seq(l, r) => {
+                let mut out = Vec::new();
+                // drive from the more constrained side
+                if s.is_some() || o.is_none() {
+                    for &(a, mid) in self.leg(l, s, None)?.iter() {
+                        for &(_, b) in self.leg(r, Some(mid), o)?.iter() {
+                            out.push((a, b));
+                        }
+                    }
+                } else {
+                    for &(mid, b) in self.leg(r, None, o)?.iter() {
+                        for &(a, _) in self.leg(l, s, Some(mid))?.iter() {
+                            out.push((a, b));
+                        }
+                    }
                 }
+                out.sort_unstable();
+                out.dedup();
+                out
             }
-            set.into_iter().collect()
-        }
-    };
-    let mut out: Vec<(Sym, Sym)> = Vec::new();
-    for start in starts {
-        let mut reach: BTreeSet<Sym> = BTreeSet::new();
-        let mut queue = VecDeque::from([start]);
-        let mut visited: BTreeSet<Sym> = BTreeSet::from([start]);
-        while let Some(n) = queue.pop_front() {
-            let edges = eval_leg(graph, cache, rc, inner, Some(n), None)?;
-            if let Some(rc) = rc {
-                // charge every frontier expansion, so a pathological
-                // closure trips the budget instead of flooding the BFS
-                rc.note_path_expansions(edges.len().max(1) as u64)?;
-                rc.checkpoint()?;
-            }
-            for &(_, next) in edges.iter() {
-                if visited.insert(next) {
-                    queue.push_back(next);
-                }
-                reach.insert(next);
-            }
-        }
-        if reflexive {
-            reach.insert(start);
-        }
-        for r in reach {
-            if o.is_none() || o == Some(r) {
-                out.push((start, r));
-            }
-        }
+            CPath::OneOrMore(inner) => self.closure(inner, s, o, false)?,
+            CPath::ZeroOrMore(inner) => self.closure(inner, s, o, true)?,
+        })
     }
-    out.sort_unstable();
-    out.dedup();
-    Ok(out)
+
+    /// Transitive closure of a path via BFS, optionally reflexive.
+    ///
+    /// Whole-closure results are what the memo table caches (one entry
+    /// per `(path, start)` — the repeated per-binding evaluations that
+    /// made `property_path` queries gain the least from the compiled
+    /// executor). Frontier expansions with a *composite* inner path also
+    /// hit the cache via [`PathEval::leg`]; simple inners go straight to
+    /// the index.
+    fn closure(
+        self,
+        inner: PathId,
+        s: Option<Sym>,
+        o: Option<Sym>,
+        reflexive: bool,
+    ) -> Result<Vec<(Sym, Sym)>, LimitViolation> {
+        let starts: Vec<Sym> = match (s, o) {
+            (Some(x), _) => vec![x],
+            (None, _) => {
+                // all nodes with any outgoing inner-path edge; for
+                // reflexive paths additionally every node in the graph
+                let mut set: BTreeSet<Sym> = self
+                    .leg(inner, None, None)?
+                    .iter()
+                    .map(|&(a, _)| a)
+                    .collect();
+                if reflexive {
+                    for e in self.graph.entities() {
+                        set.insert(e);
+                    }
+                }
+                set.into_iter().collect()
+            }
+        };
+        let mut out: Vec<(Sym, Sym)> = Vec::new();
+        for start in starts {
+            let mut reach: BTreeSet<Sym> = BTreeSet::new();
+            let mut queue = VecDeque::from([start]);
+            let mut visited: BTreeSet<Sym> = BTreeSet::from([start]);
+            while let Some(n) = queue.pop_front() {
+                let edges = self.leg(inner, Some(n), None)?;
+                if let Some(rc) = self.rc {
+                    // charge every frontier expansion, so a pathological
+                    // closure trips the budget instead of flooding the BFS
+                    rc.note_path_expansions(edges.len().max(1) as u64)?;
+                    rc.checkpoint()?;
+                }
+                for &(_, next) in edges.iter() {
+                    if visited.insert(next) {
+                        queue.push_back(next);
+                    }
+                    reach.insert(next);
+                }
+            }
+            if reflexive {
+                reach.insert(start);
+            }
+            for r in reach {
+                if o.is_none() || o == Some(r) {
+                    out.push((start, r));
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        Ok(out)
+    }
 }
 
 /// Three-valued filter evaluation: `None` = error (treated as false).
@@ -2135,11 +2277,15 @@ mod tests {
     use crate::parser::parse;
     use kg::term::Literal;
 
-    fn run_with_opts(g: &Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet, QueryError> {
+    fn run_with_opts<'g>(
+        g: &'g Graph,
+        q: &Query,
+        opts: &ExecOptions,
+    ) -> Result<ResultSet<'g>, QueryError> {
         execute(g, q, opts, &obs::Span::disabled())
     }
 
-    fn run_default(g: &Graph, q: &Query) -> Result<ResultSet, QueryError> {
+    fn run_default<'g>(g: &'g Graph, q: &Query) -> Result<ResultSet<'g>, QueryError> {
         run_with_opts(g, q, &ExecOptions::default())
     }
 
@@ -2158,8 +2304,15 @@ mod tests {
         .expect("fixture parses")
     }
 
-    fn run(q: &str) -> ResultSet {
-        run_default(&graph(), &parse(q).expect("query parses")).expect("query executes")
+    /// One shared read-only copy of [`graph`] for [`run`]'s results to
+    /// borrow.
+    fn fixture() -> &'static Graph {
+        static GRAPH: std::sync::OnceLock<Graph> = std::sync::OnceLock::new();
+        GRAPH.get_or_init(graph)
+    }
+
+    fn run(q: &str) -> ResultSet<'static> {
+        run_default(fixture(), &parse(q).expect("query parses")).expect("query executes")
     }
 
     #[test]
@@ -2200,8 +2353,8 @@ mod tests {
             "PREFIX v: <http://v/> SELECT ?x ?n WHERE { ?x a v:Person OPTIONAL { ?x v:name ?n } }",
         );
         assert_eq!(rs.len(), 2);
-        let bound: Vec<_> = rs.rows.iter().filter(|r| r[1].is_some()).collect();
-        assert_eq!(bound.len(), 1);
+        let bound = rs.rows().filter(|r| r.get(1).is_some()).count();
+        assert_eq!(bound, 1);
     }
 
     #[test]
@@ -2365,12 +2518,11 @@ mod tests {
         assert_eq!(rs.len(), 5); // knows, type, age, name, likes
                                  // `knows` has 3 triples and must rank first
         assert_eq!(
-            rs.rows[0][0].as_ref().and_then(|t| t.as_iri()),
+            rs.get(0, 0).and_then(|t| t.as_iri()),
             Some("http://v/knows")
         );
         assert_eq!(
-            rs.rows[0][1]
-                .as_ref()
+            rs.get(0, 1)
                 .and_then(|t| t.as_literal())
                 .and_then(|l| l.as_integer()),
             Some(3)
@@ -2561,7 +2713,7 @@ mod tests {
         assert!(merged.stats.merge_joins > 0, "{:?}", merged.stats);
         assert_eq!(probed.stats.merge_joins, 0, "{:?}", probed.stats);
         assert_eq!(merged.vars, probed.vars);
-        assert_eq!(merged.rows, probed.rows);
+        assert_eq!(merged.to_terms(), probed.to_terms());
     }
 
     #[test]
@@ -2848,7 +3000,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(streaming.rows, materialized.rows);
+        assert_eq!(streaming.to_terms(), materialized.to_terms());
         assert_eq!(streaming.len(), 3);
         // evidence of the short-circuit: far fewer intermediate bindings
         // than the 100 solutions the materializing path walks
@@ -2886,7 +3038,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(fast.rows, slow.rows);
+        assert_eq!(fast.to_terms(), slow.to_terms());
         assert_eq!(fast.len(), 3);
     }
 
@@ -2910,8 +3062,8 @@ mod tests {
                 },
             )
             .unwrap();
-            let mut fr = fast.rows.clone();
-            let mut sr = slow.rows.clone();
+            let mut fr = fast.to_terms();
+            let mut sr = slow.to_terms();
             fr.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
             sr.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
             assert_eq!(fr, sr, "divergence on {q}");

@@ -53,10 +53,10 @@ use kg::Graph;
 /// Parse and execute a SPARQL query with explicit [`exec::ExecOptions`]
 /// (resource limits, cancellation, parallelism knobs). To record the run
 /// on an observability span, parse and call [`exec::execute`].
-pub fn execute_sparql_with(
-    graph: &Graph,
+pub fn execute_sparql_with<'g>(
+    graph: &'g Graph,
     query: &str,
     opts: &exec::ExecOptions,
-) -> Result<ResultSet, QueryError> {
+) -> Result<ResultSet<'g>, QueryError> {
     exec::execute(graph, &parser::parse(query)?, opts, &obs::Span::disabled())
 }

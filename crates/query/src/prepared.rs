@@ -110,7 +110,11 @@ impl PreparedQuery {
     }
 
     /// Run with no parameter bindings and no span.
-    pub fn run(&self, graph: &Graph, opts: &ExecOptions) -> Result<ResultSet, QueryError> {
+    pub fn run<'g>(
+        &self,
+        graph: &'g Graph,
+        opts: &ExecOptions,
+    ) -> Result<ResultSet<'g>, QueryError> {
         self.run_with(graph, &[], opts, &obs::Span::disabled())
     }
 
@@ -122,13 +126,13 @@ impl PreparedQuery {
     /// an empty (fully projected) result — the same subset semantics as
     /// a textual `VALUES` clause listing that term. An unknown variable
     /// name is a [`QueryError::UnboundVariable`].
-    pub fn run_with(
+    pub fn run_with<'g>(
         &self,
-        graph: &Graph,
+        graph: &'g Graph,
         params: &[(&str, Term)],
         opts: &ExecOptions,
         parent: &obs::Span,
-    ) -> Result<ResultSet, QueryError> {
+    ) -> Result<ResultSet<'g>, QueryError> {
         let bindings = self.bindings(graph, params)?;
         execute_compiled(graph, &self.compiled, opts, &bindings, parent)
     }
@@ -154,13 +158,12 @@ impl PreparedQuery {
 /// Collect the constant terms of `group` that the compiler pre-resolves
 /// against the term pool and currently finds absent — the exact set
 /// [`PreparedQuery::is_current`] must re-probe. Mirrors the compile
-/// sites in `exec`: triple-pattern constant subjects/objects, *plain*
-/// predicate IRIs, and `VALUES` terms. Composite property paths and
-/// `FILTER` constants are excluded on purpose: paths re-resolve their
-/// IRIs at evaluation time and filters compare terms by value, so
-/// neither can go stale.
+/// sites in `exec`: triple-pattern constant subjects/objects, predicate
+/// IRIs (plain or anywhere inside a composite property path), and
+/// `VALUES` terms. `FILTER` constants are excluded on purpose: filters
+/// compare terms by value, so they cannot go stale.
 fn collect_unresolved(graph: &Graph, group: &crate::ast::GroupPattern, out: &mut Vec<Term>) {
-    use crate::ast::{NodeRef, PatternElem, PropPath};
+    use crate::ast::{NodeRef, PatternElem};
     let node = |n: &NodeRef, out: &mut Vec<Term>| {
         if let NodeRef::Const(term) = n {
             if graph.pool().get(term).is_none() {
@@ -172,11 +175,7 @@ fn collect_unresolved(graph: &Graph, group: &crate::ast::GroupPattern, out: &mut
         match elem {
             PatternElem::Triple(t) => {
                 node(&t.s, out);
-                if let PropPath::Iri(iri) = &t.p {
-                    if graph.pool().get_iri(iri).is_none() {
-                        out.push(Term::iri(iri.clone()));
-                    }
-                }
+                collect_unresolved_path(graph, &t.p, out);
                 node(&t.o, out);
             }
             PatternElem::Filter(_) => {}
@@ -192,6 +191,26 @@ fn collect_unresolved(graph: &Graph, group: &crate::ast::GroupPattern, out: &mut
                     }
                 }
             }
+        }
+    }
+}
+
+/// The predicate IRIs of a property path that the pool lacks.
+fn collect_unresolved_path(graph: &Graph, path: &crate::ast::PropPath, out: &mut Vec<Term>) {
+    use crate::ast::PropPath;
+    match path {
+        PropPath::Iri(iri) => {
+            if graph.pool().get_iri(iri).is_none() {
+                out.push(Term::iri(iri.clone()));
+            }
+        }
+        PropPath::Var(_) => {}
+        PropPath::Inverse(inner) | PropPath::OneOrMore(inner) | PropPath::ZeroOrMore(inner) => {
+            collect_unresolved_path(graph, inner, out)
+        }
+        PropPath::Seq(l, r) | PropPath::Alt(l, r) => {
+            collect_unresolved_path(graph, l, out);
+            collect_unresolved_path(graph, r, out);
         }
     }
 }
@@ -577,7 +596,7 @@ mod tests {
                 .run_with(&g, &[("anchor", term)], &opts, &obs::Span::disabled())
                 .unwrap();
             assert_eq!(via_text.vars, via_params.vars, "{film}");
-            assert_eq!(via_text.rows, via_params.rows, "{film}");
+            assert_eq!(via_text.to_terms(), via_params.to_terms(), "{film}");
         }
     }
 
@@ -599,7 +618,7 @@ mod tests {
         let textual = "SELECT ?answer WHERE { VALUES ?anchor { <http://e/never-seen> } \
                        ?anchor <http://v/directedBy> ?answer }";
         let via_text = execute_sparql_with(&g, textual, &ExecOptions::default()).unwrap();
-        assert_eq!(via_text.rows, rs.rows);
+        assert_eq!(via_text.to_terms(), rs.to_terms());
     }
 
     #[test]
@@ -702,10 +721,35 @@ mod tests {
         let (p2, o2) = cache.prepare(&g, q).unwrap();
         assert_eq!(o2, CacheOutcome::Invalidated);
         let rs = p2.run(&g, &ExecOptions::default()).unwrap();
-        assert_eq!(rs.rows.len(), 1);
+        assert_eq!(rs.len(), 1);
         // and the recompiled entry (no absent constants left) hits again
         let (_, o3) = cache.prepare(&g, q).unwrap();
         assert_eq!(o3, CacheOutcome::Hit);
+    }
+
+    #[test]
+    fn interning_a_path_leg_absent_at_compile_time_invalidates() {
+        let mut g = movie_graph();
+        let cache = PlanCache::default();
+        // the second leg's predicate is not in the pool yet: the compiled
+        // path matches nothing
+        let q = "SELECT ?f ?s WHERE { ?f <http://v/directedBy>/<http://v/spouse> ?s }";
+        let (p1, o1) = cache.prepare(&g, q).unwrap();
+        assert_eq!(o1, CacheOutcome::Miss);
+        assert!(p1.run(&g, &ExecOptions::default()).unwrap().is_empty());
+        let epoch = g.stats_epoch();
+        g.insert_iri("http://e/d1", "http://v/spouse", "http://e/s1");
+        assert_eq!(g.stats_epoch(), epoch);
+        // the leg now resolves, so the cached plan must not be reused
+        assert!(!p1.is_current(&g));
+        let (p2, o2) = cache.prepare(&g, q).unwrap();
+        assert_eq!(o2, CacheOutcome::Invalidated);
+        let rs = p2.run(&g, &ExecOptions::default()).unwrap();
+        let rows = rs.to_terms();
+        let row = |f: &str| vec![Some(Term::iri(f)), Some(Term::iri("http://e/s1"))];
+        assert_eq!(rows, vec![row("http://e/f1"), row("http://e/f3")]);
+        let fresh = execute_sparql_with(&g, q, &ExecOptions::default()).unwrap();
+        assert_eq!(rs, fresh);
     }
 
     #[test]

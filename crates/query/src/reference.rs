@@ -24,7 +24,7 @@ use crate::results::ResultSet;
 pub type Binding = BTreeMap<String, Sym>;
 
 /// Execute a parsed query against a graph (reference semantics).
-pub fn execute(graph: &Graph, query: &Query) -> Result<ResultSet, QueryError> {
+pub fn execute(graph: &Graph, query: &Query) -> Result<ResultSet<'static>, QueryError> {
     let plan = compile(&query.pattern);
     let mut solutions = eval(graph, &plan, vec![Binding::new()])?;
 
@@ -100,7 +100,7 @@ fn aggregate(
     agg: &crate::ast::CountAgg,
     projected: &[String],
     solutions: Vec<Binding>,
-) -> Result<ResultSet, QueryError> {
+) -> Result<ResultSet<'static>, QueryError> {
     let bound = query.pattern.bound_vars();
     for v in query.group_by.iter().chain(agg.var.iter()) {
         if !bound.contains(v) {

@@ -493,15 +493,15 @@ impl<'a> Engine<'a> {
     }
 
     /// Render the first [`RENDERED_ROWS`] rows of a result set as display
-    /// text (entity display names, literal lexical forms).
-    fn render_rows(&self, rs: &ResultSet) -> String {
+    /// text (entity display names, literal lexical forms). Only those rows
+    /// are resolved out of the result's interned cells.
+    fn render_rows(&self, rs: &ResultSet<'_>) -> String {
         if let Some(b) = rs.ask {
             return b.to_string();
         }
         let g = self.wb.graph();
         let rendered: Vec<String> = rs
-            .rows
-            .iter()
+            .rows()
             .take(RENDERED_ROWS)
             .map(|row| {
                 row.iter()
@@ -683,6 +683,52 @@ mod tests {
             counters.get("plan_cache.hits").and_then(Value::as_u64),
             Some(1)
         );
+    }
+
+    /// The sparql reply renders the first [`RENDERED_ROWS`] rows and the
+    /// total; these texts were recorded when every result row was
+    /// resolved eagerly, and must not move.
+    #[test]
+    fn sparql_answer_text_is_pinned_for_wide_results() {
+        let wb = wb();
+        let engine = Engine::new(&wb);
+        let cancel = CancelToken::new();
+        let cases = [
+            (
+                "SELECT ?f ?y WHERE { ?f v:releaseYear ?y } ORDER BY DESC(?y) ?f",
+                8,
+                "The Courtpurtkor Bandvaim, 2021; The Bultairlur Couskur, 2020; \
+                 The Drainbiortthex Zeascisnaix, 1980; The Viotous Bonthiolmen, 1966; \
+                 The Partgio Firsealbreal, 1965; … (8 rows total)",
+            ),
+            (
+                "SELECT DISTINCT ?g WHERE { ?f v:hasGenre ?g }",
+                6,
+                "Drama; Comedy; Thriller; SciFi; Romance; … (6 rows total)",
+            ),
+            (
+                "SELECT ?a ?s WHERE { ?a a v:Director . OPTIONAL { ?a v:spouse ?s } }",
+                3,
+                "Thiolcionea Droljurtrel, ∅; Fesbroxkio Zurtwondbraix, ∅; Grulbin Stionmeand, ∅",
+            ),
+            (
+                "SELECT ?d (COUNT(?f) AS ?n) WHERE { ?f v:directedBy ?d } \
+                 GROUP BY ?d ORDER BY DESC(?n) ?d",
+                3,
+                "Grulbin Stionmeand, 4; Fesbroxkio Zurtwondbraix, 3; Thiolcionea Droljurtrel, 1",
+            ),
+        ];
+        for (q, rows, answer) in cases {
+            let q = format!("PREFIX v: <http://llmkg.dev/vocab/> {q}");
+            let v = engine.handle(&req(Scenario::Sparql, &q), Grade::Normal, &cancel);
+            let obj = v.as_object().unwrap();
+            assert_eq!(obj.get("rows").and_then(Value::as_u64), Some(rows), "{q}");
+            assert_eq!(
+                obj.get("answer").and_then(Value::as_str),
+                Some(answer),
+                "{q}"
+            );
+        }
     }
 
     #[test]

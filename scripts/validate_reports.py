@@ -7,6 +7,7 @@ inline python blocks in .github/workflows/ci.yml):
     validate_reports.py query-smoke      [reports/query_bench_smoke.json]
     validate_reports.py retrieval-smoke  [reports/retrieval_bench_smoke.json]
     validate_reports.py serve-smoke      [reports/serve_bench_smoke.json]
+                                         (also the committed full report)
     validate_reports.py plan-cache       [reports/query_bench_smoke.json]
     validate_reports.py recovery         [reports/recovery_bench.json]
 
@@ -19,6 +20,10 @@ parser, so these checks run under the system python instead of Rust.
 import json
 import os
 import sys
+
+
+# Allocations per result row of query_bench's `result_allocs` series.
+RESULT_ALLOCS_PER_ROW_BOUND = 2
 
 
 def load(path):
@@ -45,6 +50,13 @@ def validate_query_smoke(path):
     assert join["rows"] > 0 and join["checksum"], join
     assert join["probe_ns"] > 0 and join["merge_ns"] > 0, join
     validate_plan_cache_series(r)
+    # result_allocs: a deterministic allocation count, so the bound is
+    # exact on any runner. Results hold interned cells resolved on read;
+    # the sequential executor allocates one frontier binding per row
+    # plus a fixed overhead (see CHANGES.md for the measured counts).
+    ra = r["result_allocs"]
+    assert ra["rows"] > 0 and ra["allocations"] > 0, ra
+    assert ra["allocs_per_row"] < RESULT_ALLOCS_PER_ROW_BOUND, ra
     profiles = {p["name"]: p["profile"] for p in r["profiles"]}
     assert set(profiles) == {"chatbot", "rag_naive", "rag_modular", "hybrid"}, set(profiles)
     chat = profiles["chatbot"]
@@ -157,7 +169,9 @@ def validate_retrieval_smoke(path):
 
 def validate_serve_smoke(path):
     r = load(path)
-    assert r["mode"] == "smoke", r["mode"]
+    # the committed full report has the same schema; these checks are
+    # all timing-free, so they bind in both modes
+    assert r["mode"] in ("smoke", "full"), r["mode"]
     assert "never errors" in r["contract"], r["contract"]
     assert r["closed_loop"] and r["open_loop"], "missing series"
     for rung in r["closed_loop"] + r["open_loop"]:
@@ -189,7 +203,13 @@ def validate_serve_smoke(path):
     hists = r["server_stats"]["histograms"]
     for s in ("chat", "rag", "sparql", "complete"):
         assert hists["serve.latency_us." + s]["count"] > 0, s
-    print("serve JSON OK:", len(r["closed_loop"]), "closed rungs,",
+    # the stats reply's live gauges and its retrieval block
+    gauges = r["server_stats"]["gauges"]
+    assert "plan_cache.warmth" in gauges, gauges
+    retrieval = r["server_stats"]["retrieval"]
+    assert retrieval["docs_indexed"] > 0, retrieval
+    assert retrieval["dispatch"] in ("scalar", "avx2", "neon"), retrieval
+    print("serve JSON OK (%s):" % r["mode"], len(r["closed_loop"]), "closed rungs,",
           "shed", counters.get("serve.shed", 0),
           "degraded", counters.get("serve.degraded", 0))
 

@@ -6,7 +6,7 @@ use llmkg::kg::term::{Literal, Term};
 use llmkg::kg::turtle::{parse_ntriples, to_ntriples};
 use llmkg::kg::{Graph, TriplePattern};
 use llmkg::kgquery::ast::{
-    Expr, GroupPattern, NodeRef, PatternElem, PropPath, Query, QueryKind, TriplePatternAst,
+    Expr, GroupPattern, NodeRef, Order, PatternElem, PropPath, Query, QueryKind, TriplePatternAst,
 };
 use llmkg::kgquery::exec::ExecOptions;
 use llmkg::kgquery::{exec, execute_sparql_with, reference, QueryError, ResultSet};
@@ -61,13 +61,13 @@ fn bgp_pattern_strategy() -> impl Strategy<Value = TriplePatternAst> {
 }
 
 /// Execute a parsed query with `opts` and no span.
-fn run(g: &Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet, QueryError> {
+fn run<'g>(g: &'g Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet<'g>, QueryError> {
     exec::execute(g, q, opts, &Span::disabled())
 }
 
 /// Rows as a sorted multiset, so executors may enumerate in any order.
 fn normalized_rows(rs: &ResultSet) -> Vec<Vec<Option<Term>>> {
-    let mut rows = rs.rows.clone();
+    let mut rows = rs.to_terms();
     rows.sort();
     rows
 }
@@ -108,6 +108,69 @@ proptest! {
         prop_assert_eq!(normalized_rows(&fast), normalized_rows(&slow));
     }
 
+    /// `SELECT DISTINCT` dedups exactly once on every route: the
+    /// histogram short-circuit (streaming on) keeps the first occurrence
+    /// of each projected row, the materializing path (streaming off)
+    /// dedups the projected cells, and both agree with the reference
+    /// oracle — also under `LIMIT`/`OFFSET`, and under an `ORDER BY` on
+    /// every projected variable, where the answer's order is unique.
+    #[test]
+    fn distinct_agrees_with_reference_with_and_without_shortcircuit(
+        triples in triples_strategy(),
+        patterns in proptest::collection::vec(bgp_pattern_strategy(), 1..4),
+        width in 0usize..3,
+        order in 0u8..3,
+        limit in 0usize..8,
+        offset in 0usize..3,
+    ) {
+        let mut g = Graph::new();
+        for (s, p, o) in &triples {
+            g.insert_iri(s, p, o);
+        }
+        let elems: Vec<PatternElem> =
+            patterns.into_iter().map(PatternElem::Triple).collect();
+        let mut q = Query::select_all(GroupPattern { elems });
+        let bound = q.pattern.bound_vars();
+        // width 0 projects every bound variable (SELECT DISTINCT *)
+        let vars: Vec<String> = bound.iter().take(width).cloned().collect();
+        let keys = if width == 0 { bound.clone() } else { vars.clone() };
+        q.kind = QueryKind::Select { vars, distinct: true };
+        let pinned = |streaming| ExecOptions {
+            parallel_threshold: None,
+            shard_count: None,
+            streaming,
+            ..ExecOptions::default()
+        };
+        let mut sliced = q.clone();
+        sliced.limit = Some(limit);
+        sliced.offset = offset;
+        for query in [&q, &sliced] {
+            let short = run(&g, query, &pinned(true)).expect("short-circuit route runs");
+            let full = run(&g, query, &pinned(false)).expect("materializing route runs");
+            // same staged enumeration, same first occurrences
+            prop_assert_eq!(&short, &full);
+        }
+        let all = run(&g, &q, &pinned(true)).expect("unsliced run");
+        let oracle = reference::execute(&g, &q).expect("reference runs");
+        prop_assert_eq!(&all.vars, &oracle.vars);
+        prop_assert_eq!(normalized_rows(&all), normalized_rows(&oracle));
+        let window = run(&g, &sliced, &pinned(true)).expect("sliced run");
+        let rows = all.to_terms();
+        let end = offset.saturating_add(limit).min(rows.len());
+        prop_assert_eq!(window.to_terms(), rows[offset.min(end)..end].to_vec());
+        if order > 0 && !keys.is_empty() {
+            let mut ordered = sliced.clone();
+            ordered.order_by = keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (k.clone(), if i == 0 && order == 2 { Order::Desc } else { Order::Asc }))
+                .collect();
+            let compiled = run(&g, &ordered, &ExecOptions::default()).expect("ordered run");
+            let oracle = reference::execute(&g, &ordered).expect("ordered reference run");
+            prop_assert_eq!(&compiled, &oracle);
+        }
+    }
+
     /// Streaming evaluation of an `ORDER BY`-free `LIMIT`/`OFFSET` query
     /// returns exactly the rows the fully-materializing evaluator would,
     /// never does more join work, obeys the count law against the
@@ -146,7 +209,7 @@ proptest! {
         // identical answer, row for row: the budgeted evaluator enumerates
         // solutions in exactly the staged order, so the LIMIT slice matches
         prop_assert_eq!(&streamed.vars, &full.vars);
-        prop_assert_eq!(&streamed.rows, &full.rows);
+        prop_assert_eq!(streamed.to_terms(), full.to_terms());
         // streaming never does more join work than full materialization
         prop_assert!(
             streamed.stats.intermediate_bindings <= full.stats.intermediate_bindings,
@@ -165,8 +228,8 @@ proptest! {
         // rows per executor, but never rows that aren't real solutions
         let oracle = reference::execute(&g, &unlimited).expect("oracle run");
         let mut pool = normalized_rows(&oracle);
-        for row in &streamed.rows {
-            let i = pool.binary_search(row);
+        for row in streamed.to_terms() {
+            let i = pool.binary_search(&row);
             prop_assert!(i.is_ok(), "streamed row missing from oracle: {row:?}");
             pool.remove(i.unwrap());
         }
@@ -212,7 +275,7 @@ proptest! {
         )
         .expect("parallel run");
         prop_assert_eq!(&par.vars, &seq.vars);
-        prop_assert_eq!(&par.rows, &seq.rows);
+        prop_assert_eq!(par.to_terms(), seq.to_terms());
         let mut par_work = par.stats;
         par_work.parallel_shards = 0;
         let mut seq_work = seq.stats;
@@ -400,7 +463,11 @@ fn parallel_sharding_engages_and_preserves_results() {
         },
     )
     .unwrap();
-    assert_eq!(par.rows, seq.rows, "parallel run must be bit-identical");
+    assert_eq!(
+        par.to_terms(),
+        seq.to_terms(),
+        "parallel run must be bit-identical"
+    );
     assert_eq!(seq.stats.parallel_shards, 0);
     assert!(
         par.stats.parallel_shards > 0,
@@ -458,7 +525,11 @@ fn merge_join_engages_and_preserves_results() {
     );
     assert_eq!(probed.stats.merge_joins, 0);
     assert_eq!(merged.vars, probed.vars);
-    assert_eq!(merged.rows, probed.rows, "merge join must be bit-identical");
+    assert_eq!(
+        merged.to_terms(),
+        probed.to_terms(),
+        "merge join must be bit-identical"
+    );
 }
 
 /// From-scratch statistics recount over a triple list, for comparing
@@ -701,8 +772,8 @@ fn sparql_limit_offset_laws() {
             let expected = n.saturating_sub(offset).min(limit);
             assert_eq!(rs.len(), expected, "limit {limit} offset {offset}");
             // the slice agrees with the unmodified query
-            for (i, row) in rs.rows.iter().enumerate() {
-                assert_eq!(row, &all.rows[offset + i]);
+            for (i, row) in rs.to_terms().iter().enumerate() {
+                assert_eq!(row, &all.to_terms()[offset + i]);
             }
         }
     }
