@@ -36,8 +36,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use kg::synth::{movies, FreebaseLikeConfig, Scale};
 use kg::{BaselineGraph, Graph, Sym, TriplePattern};
@@ -46,7 +46,7 @@ use kgquery::exec::ExecOptions;
 use kgquery::{exec, parser, reference, QueryError, ResultSet};
 use kgrag::RagMode;
 use llmkg::{Workbench, WorkbenchConfig};
-use llmkg_bench::{header, write_report};
+use llmkg_bench::{calibrate, header, time_ns, write_report};
 use serde_json::{json, Value};
 
 /// Heap meter: every allocation and free updates one relaxed live-bytes
@@ -137,8 +137,8 @@ const QUERIES: [(&str, &str); 6] = [
          SELECT DISTINCT ?g WHERE { ?f v:hasGenre ?g . ?f v:starring ?a }",
     ),
     // non-DISTINCT twin of distinct_group: the second stage keeps a wide
-    // sorted frontier keyed on ?f, so it exercises the merge-join path
-    // that the DISTINCT short-circuit above deliberately skips
+    // sorted frontier keyed on ?f, so both take the merge-join path; the
+    // twin prices the join without the dedup
     (
         "genre_star_join",
         "PREFIX v: <http://llmkg.dev/vocab/> \
@@ -178,35 +178,10 @@ const PARALLEL_QUERY: &str = "PREFIX v: <http://llmkg.dev/vocab/> \
 const RESULT_ALLOCS_QUERY: &str = "PREFIX v: <http://llmkg.dev/vocab/> \
      SELECT ?f ?y WHERE { ?f v:releaseYear ?y }";
 
-/// Nanoseconds per call: best of three timed passes after a warmup, so
-/// scheduler noise on a shared host inflates neither side of a ratio.
-fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
-    for _ in 0..iters.div_ceil(4) {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(iters));
-    }
-    best
-}
-
-/// Pick an iteration count so each measurement runs a comparable wall
-/// time regardless of how slow one call is. In smoke mode everything
-/// runs exactly once — CI validates the harness, not the numbers.
-fn calibrate(smoke: bool, mut f: impl FnMut()) -> u32 {
-    if smoke {
-        return 1;
-    }
-    let start = Instant::now();
-    f();
-    let once = start.elapsed().as_nanos().max(1);
-    ((200_000_000 / once) as u32).clamp(5, 500)
-}
+/// Target wall time of one timed pass ([`calibrate`]): 200 ms.
+const PASS_NS: u128 = 200_000_000;
+/// Bounds on the iteration count of one timed pass.
+const PASS_ITERS: RangeInclusive<u32> = 5..=500;
 
 /// Execute a parsed query with no span attached.
 fn run<'g>(g: &'g Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet<'g>, QueryError> {
@@ -215,7 +190,7 @@ fn run<'g>(g: &'g Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet<'g>,
 
 /// Measure one evaluation mode of the compiled executor.
 fn time_exec(smoke: bool, g: &Graph, q: &Query, opts: &ExecOptions) -> f64 {
-    let iters = calibrate(smoke, || {
+    let iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         black_box(run(g, q, opts).expect("compiled runs"));
     });
     time_ns(iters, || {
@@ -428,13 +403,13 @@ fn encoded_join_series(smoke: bool) -> Value {
         "merge join must emit the probe join's rows in the probe join's order"
     );
 
-    let probe_iters = calibrate(smoke, || {
+    let probe_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         black_box(probe_join(&btree, p1, p2));
     });
     let probe_ns = time_ns(probe_iters, || {
         black_box(probe_join(&btree, p1, p2));
     });
-    let merge_iters = calibrate(smoke, || {
+    let merge_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         black_box(merge_join(&flat, p1, p2));
     });
     let merge_ns = time_ns(merge_iters, || {
@@ -579,7 +554,7 @@ fn prepared_repeat_series(smoke: bool, g: &Graph) -> Value {
 
     // planning overhead: cold parse+compile vs warm cache lookup
     let (_, text0) = QUERIES[0];
-    let cold_iters = calibrate(smoke, || {
+    let cold_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         let q = parser::parse(text0).expect("query parses");
         black_box(exec::compile_query(g, &q));
     });
@@ -587,7 +562,7 @@ fn prepared_repeat_series(smoke: bool, g: &Graph) -> Value {
         let q = parser::parse(text0).expect("query parses");
         black_box(exec::compile_query(g, &q));
     });
-    let warm_iters = calibrate(smoke, || {
+    let warm_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         black_box(cache.prepare(g, text0).expect("query prepares"));
     });
     let warm_ns = time_ns(warm_iters, || {
@@ -743,7 +718,7 @@ fn main() {
         let compiled = run(&g, &q, &ExecOptions::default()).expect("compiled runs");
         assert_eq!(compiled, baseline, "executors diverge on {name}");
 
-        let ref_iters = calibrate(smoke, || {
+        let ref_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
             black_box(reference::execute(&g, &q).expect("reference runs"));
         });
         let ref_ns = time_ns(ref_iters, || {

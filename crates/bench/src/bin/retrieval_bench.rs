@@ -31,12 +31,12 @@
 //!   the numbers.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::ops::RangeInclusive;
 
 use kgrag::reference::{scan_exact, seed_search_exact};
 use kgrag::vector::Hit;
 use kgrag::{IvfSeeding, SearchOptions, SearchRequest, SearchStats, Strategy, VectorIndex};
-use llmkg_bench::{header, write_report, EXP_SEED};
+use llmkg_bench::{calibrate, header, time_ns, write_report, EXP_SEED};
 use serde_json::{json, Value};
 use slm::embedding::{hash_vector, normalize, DIM};
 
@@ -48,36 +48,10 @@ const K: usize = 10;
 /// of the IVF series, so the quantizer can recover the true structure.
 const TOPICS: usize = 16;
 
-/// Nanoseconds per call: best of three timed passes after a warmup, so
-/// scheduler noise on a shared host inflates neither side of a ratio.
-fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
-    for _ in 0..iters.div_ceil(4) {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(iters));
-    }
-    best
-}
-
-/// Pick an iteration count so each measurement runs a comparable wall
-/// time regardless of how slow one call is. In smoke mode everything
-/// runs exactly once — CI validates the harness, not the numbers.
-fn calibrate(smoke: bool, mut f: impl FnMut()) -> u32 {
-    if smoke {
-        return 1;
-    }
-    let start = Instant::now();
-    f();
-    let once = start.elapsed().as_nanos().max(1);
-    // target ~40ms per timed pass
-    ((40_000_000 / once) as u32).clamp(3, 2_000)
-}
+/// Target wall time of one timed pass ([`calibrate`]): 40 ms.
+const PASS_NS: u128 = 40_000_000;
+/// Bounds on the iteration count of one timed pass.
+const PASS_ITERS: RangeInclusive<u32> = 3..=2_000;
 
 /// A clustered synthetic corpus: doc i sits near topic `i % TOPICS` with
 /// a per-doc perturbation, so IVF has real structure to recover while
@@ -167,7 +141,7 @@ fn exact_series(sizes: &[usize], n_queries: usize, smoke: bool) -> Vec<Value> {
             pushes += stats.heap_pushes;
         }
 
-        let iters = calibrate(smoke, || {
+        let iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
             for q in &queries {
                 black_box(exact_one(&index, q));
             }
@@ -177,7 +151,7 @@ fn exact_series(sizes: &[usize], n_queries: usize, smoke: bool) -> Vec<Value> {
                 black_box(exact_one(&index, q));
             }
         }) / n_queries as f64;
-        let seed_iters = calibrate(smoke, || {
+        let seed_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
             for q in &queries {
                 black_box(seed_search_exact(&vectors, q, K));
             }
@@ -217,7 +191,7 @@ fn parallel_series(n: usize, n_queries: usize, smoke: bool) -> Value {
     let sequential =
         VectorIndex::build(vectors.clone(), 0, EXP_SEED).with_options(SearchOptions::sequential());
 
-    let iters = calibrate(smoke, || {
+    let iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         for q in &queries {
             black_box(exact_one(&sequential, q));
         }
@@ -293,7 +267,7 @@ fn ivf_series(n: usize, n_queries: usize, smoke: bool) -> Value {
     assert!(ivf.ivf_enabled(), "bench corpus must quantize");
 
     let golds: Vec<Vec<usize>> = queries.iter().map(|q| ids(&exact_one(&exact, q))).collect();
-    let exact_iters = calibrate(smoke, || {
+    let exact_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         for q in &queries {
             black_box(exact_one(&exact, q));
         }
@@ -380,7 +354,7 @@ fn batch_series(n: usize, smoke: bool) -> Value {
                 "search diverged from the per-query scan at batch={batch}"
             );
         }
-        let single_iters = calibrate(smoke, || {
+        let single_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
             for q in &queries {
                 black_box(scan_exact(&index, q, K));
             }
@@ -390,7 +364,7 @@ fn batch_series(n: usize, smoke: bool) -> Value {
                 black_box(scan_exact(&index, q, K));
             }
         }) / batch as f64;
-        let batch_iters = calibrate(smoke, || {
+        let batch_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
             black_box(index.search(&req, &untraced));
         });
         let batch_ns = time_ns(batch_iters, || {

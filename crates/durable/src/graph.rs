@@ -15,9 +15,9 @@
 //! ## Recovery
 //!
 //! [`DurableGraph::open`] loads the newest checkpoint that decodes (see
-//! [`checkpoint`]), replays every WAL segment of the same or newer
-//! generation in order, truncates the active segment at the first torn
-//! or corrupt record, and resumes appending at that boundary. The whole
+//! [`crate::checkpoint`]), replays every WAL segment of the same or
+//! newer generation in order, truncates the active segment at the first
+//! torn or corrupt record, and resumes appending at that boundary. The whole
 //! procedure is described by the [`RecoveryReport`] it leaves behind.
 //!
 //! ## Generations and purge

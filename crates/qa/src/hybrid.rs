@@ -8,11 +8,11 @@
 //! counted, mirroring the cost accounting the hybrid-execution literature
 //! cares about.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use kg::term::Term;
 use kg::Graph;
-use kgquery::ast::{NodeRef, PatternElem, PropPath, Query};
+use kgquery::ast::{NodeRef, PatternElem, PropPath, Query, QueryKind};
 use kgquery::exec::{execute, ExecOptions};
 use kgquery::results::ResultSet;
 use kgquery::QueryError;
@@ -68,6 +68,13 @@ impl<'a> HybridExecutor<'a> {
     /// Execute a SPARQL string under hybrid semantics. Virtual patterns
     /// must be simple `(subject, <virtualPred>, ?var)` triples.
     ///
+    /// Solution modifiers hold as in plain SPARQL. `ORDER BY` runs on the
+    /// store side, so a key bound only by a virtual pattern is
+    /// [`QueryError::Unsupported`]. Projection, `DISTINCT` (first
+    /// occurrence) and `OFFSET`/`LIMIT` apply after the LLM stage, which
+    /// stops asking once `OFFSET + LIMIT` output rows (one for `ASK`) are
+    /// kept.
+    ///
     /// Under an enabled `parent`, a `hybrid.execute` child records
     /// virtual-pattern count, LLM calls and misses (the cost accounting
     /// this executor exists for), and the store part's executor counters
@@ -119,15 +126,30 @@ impl<'a> HybridExecutor<'a> {
                 HybridStats::default(),
             ));
         }
-        // project everything from the base query so we can resolve subjects
-        let mut inner = base.clone();
-        inner.kind = kgquery::ast::QueryKind::Select {
+        // ORDER BY runs on the store side, so no key may be bound by a
+        // virtual pattern alone
+        let store_bound = base.pattern.bound_vars();
+        for (key, _) in &query.order_by {
+            let virtual_only = !store_bound.contains(key)
+                && virtuals
+                    .iter()
+                    .any(|(_, _, o)| matches!(o, NodeRef::Var(v) if v == key));
+            if virtual_only {
+                return Err(QueryError::Unsupported(format!(
+                    "ORDER BY ?{key}: only a virtual pattern binds it"
+                )));
+            }
+        }
+        // project everything from the base query so we can resolve
+        // subjects; rows arrive in ORDER BY order, which the LLM stage
+        // keeps
+        let mut inner = base;
+        inner.kind = QueryKind::Select {
             vars: Vec::new(),
             distinct: false,
         };
         inner.limit = None;
         inner.offset = 0;
-        inner.order_by = Vec::new();
         let inner_rs = execute(self.graph, &inner, &opts, span)?;
 
         let mut stats = HybridStats::default();
@@ -141,8 +163,31 @@ impl<'a> HybridExecutor<'a> {
                 }
             }
         }
-        let mut rows: Vec<Vec<Option<Term>>> = Vec::new();
-        for mut extended in inner_rs.to_terms() {
+        // the requested projection, if the query names its variables
+        let out_vars = match &query.kind {
+            QueryKind::Select { vars: wanted, .. } if !wanted.is_empty() => wanted.clone(),
+            _ => vars.clone(),
+        };
+        let cols: Vec<Option<usize>> = out_vars
+            .iter()
+            .map(|w| vars.iter().position(|v| v == w))
+            .collect();
+        // DISTINCT keeps first occurrences; the LLM is asked only until
+        // OFFSET + LIMIT output rows (one for ASK) are kept
+        let (distinct, needed) = match &query.kind {
+            QueryKind::Ask => (false, Some(1)),
+            QueryKind::Select { distinct, .. } => (
+                *distinct,
+                query.limit.map(|l| query.offset.saturating_add(l)),
+            ),
+        };
+        let mut seen: HashSet<Vec<Option<Term>>> = HashSet::new();
+        let mut kept: Vec<Vec<Option<Term>>> = Vec::new();
+        for row in inner_rs.rows() {
+            if needed.is_some_and(|k| kept.len() >= k) {
+                break;
+            }
+            let mut extended: Vec<Option<Term>> = row.iter().map(|t| t.cloned()).collect();
             let mut ok = true;
             for (subject, pred, object) in &virtuals {
                 let subject_term: Option<Term> = match subject {
@@ -196,29 +241,24 @@ impl<'a> HybridExecutor<'a> {
                     }
                 }
             }
-            if ok {
-                rows.push(extended);
+            if !ok {
+                continue;
+            }
+            let out: Vec<Option<Term>> = cols
+                .iter()
+                .map(|c| c.and_then(|c| extended.get(c).cloned().flatten()))
+                .collect();
+            if !distinct || seen.insert(out.clone()) {
+                kept.push(out);
             }
         }
-        // re-apply projection if the original query asked for specific vars
         let rs = match &query.kind {
-            kgquery::ast::QueryKind::Ask => ResultSet::ask(!rows.is_empty()),
-            kgquery::ast::QueryKind::Select { vars: wanted, .. } if !wanted.is_empty() => {
-                let idx: Vec<Option<usize>> = wanted
-                    .iter()
-                    .map(|w| vars.iter().position(|v| v == w))
-                    .collect();
-                let projected: Vec<Vec<Option<Term>>> = rows
-                    .iter()
-                    .map(|r| {
-                        idx.iter()
-                            .map(|i| i.and_then(|i| r.get(i).cloned().flatten()))
-                            .collect()
-                    })
-                    .collect();
-                ResultSet::select(wanted.clone(), projected)
+            QueryKind::Ask => ResultSet::ask(!kept.is_empty()),
+            QueryKind::Select { .. } => {
+                // the loop above kept at most OFFSET + LIMIT rows
+                kept.drain(..query.offset.min(kept.len()));
+                ResultSet::select(out_vars, kept)
             }
-            _ => ResultSet::select(vars, rows),
         };
         Ok((rs, stats))
     }
@@ -402,6 +442,116 @@ mod tests {
                 assert_eq!(limit, resilience::Limit::Rows(0));
             }
             other => panic!("expected LimitExceeded, got {other:?}"),
+        }
+    }
+
+    /// Run `{head} WHERE { ?f a v:Film . {extra} ?f <famousFor> ?y }
+    /// {modifiers}` through the fixture's hybrid executor.
+    fn films<'a>(
+        exec: &HybridExecutor<'a>,
+        vpred: &str,
+        head: &str,
+        extra: &str,
+        modifiers: &str,
+    ) -> Result<(ResultSet<'a>, HybridStats), QueryError> {
+        let v = kg::namespace::SYNTH_VOCAB;
+        exec.execute(
+            &format!("{head} WHERE {{ ?f a <{v}Film> . {extra} ?f <{vpred}> ?y }} {modifiers}"),
+            &obs::Span::disabled(),
+        )
+    }
+
+    #[test]
+    fn limit_stops_calling_the_llm() {
+        let (kg, slm, vpred) = fixture();
+        let exec = HybridExecutor::new(&kg.graph, &slm, BTreeSet::from([vpred.clone()]));
+        let (all, all_stats) = films(&exec, &vpred, "SELECT ?f ?y", "", "").unwrap();
+        assert!(all.len() > 2, "{all:?}");
+        assert_eq!(all_stats.llm_calls, all.len());
+        let (one, stats) = films(&exec, &vpred, "SELECT ?f ?y", "", "LIMIT 1").unwrap();
+        assert_eq!(one.to_terms(), all.to_terms()[..1].to_vec());
+        assert_eq!(stats.llm_calls, 1);
+        let (none, stats) = films(&exec, &vpred, "SELECT ?f ?y", "", "LIMIT 0").unwrap();
+        assert!(none.is_empty());
+        assert_eq!(stats.llm_calls, 0);
+    }
+
+    #[test]
+    fn offset_skips_answered_rows() {
+        let (kg, slm, vpred) = fixture();
+        let exec = HybridExecutor::new(&kg.graph, &slm, BTreeSet::from([vpred.clone()]));
+        let (all, _) = films(&exec, &vpred, "SELECT ?f ?y", "", "").unwrap();
+        let (rest, _) = films(&exec, &vpred, "SELECT ?f ?y", "", "OFFSET 2").unwrap();
+        assert_eq!(rest.to_terms(), all.to_terms()[2..].to_vec());
+        let (window, stats) = films(&exec, &vpred, "SELECT ?f ?y", "", "OFFSET 1 LIMIT 1").unwrap();
+        assert_eq!(window.to_terms(), all.to_terms()[1..2].to_vec());
+        assert_eq!(stats.llm_calls, 2);
+    }
+
+    #[test]
+    fn distinct_dedups_the_projection() {
+        let (kg, slm, vpred) = fixture();
+        let exec = HybridExecutor::new(&kg.graph, &slm, BTreeSet::from([vpred.clone()]));
+        let genre = format!("?f <{}hasGenre> ?g .", kg::namespace::SYNTH_VOCAB);
+        let (all, _) = films(&exec, &vpred, "SELECT ?g", &genre, "").unwrap();
+        let mut first: Vec<Vec<Option<Term>>> = Vec::new();
+        for row in all.to_terms() {
+            if !first.contains(&row) {
+                first.push(row);
+            }
+        }
+        assert!(first.len() < all.len(), "fixture needs a repeated genre");
+        let (distinct, _) = films(&exec, &vpred, "SELECT DISTINCT ?g", &genre, "").unwrap();
+        assert_eq!(distinct.to_terms(), first);
+        let (sliced, _) = films(
+            &exec,
+            &vpred,
+            "SELECT DISTINCT ?g",
+            &genre,
+            "OFFSET 1 LIMIT 2",
+        )
+        .unwrap();
+        assert_eq!(sliced.to_terms(), first[1..3].to_vec());
+    }
+
+    #[test]
+    fn ask_stops_at_the_first_answer() {
+        let (kg, slm, vpred) = fixture();
+        let exec = HybridExecutor::new(&kg.graph, &slm, BTreeSet::from([vpred.clone()]));
+        let (rs, stats) = films(&exec, &vpred, "ASK", "", "").unwrap();
+        assert_eq!(rs.ask, Some(true));
+        assert_eq!(stats.llm_calls, 1);
+    }
+
+    #[test]
+    fn order_by_a_store_variable_orders_the_answer() {
+        let (kg, slm, vpred) = fixture();
+        let exec = HybridExecutor::new(&kg.graph, &slm, BTreeSet::from([vpred.clone()]));
+        let (all, _) = films(&exec, &vpred, "SELECT ?f ?y", "", "").unwrap();
+        let mut want = all.to_terms();
+        want.sort_by(|a, b| b[0].cmp(&a[0]));
+        let (desc, stats) = films(&exec, &vpred, "SELECT ?f ?y", "", "ORDER BY DESC(?f)").unwrap();
+        assert_eq!(desc.to_terms(), want);
+        assert_eq!(stats.llm_calls, all.len());
+        let (top, stats) = films(
+            &exec,
+            &vpred,
+            "SELECT ?f ?y",
+            "",
+            "ORDER BY DESC(?f) LIMIT 1",
+        )
+        .unwrap();
+        assert_eq!(top.to_terms(), want[..1].to_vec());
+        assert_eq!(stats.llm_calls, 1);
+    }
+
+    #[test]
+    fn order_by_a_virtual_variable_is_unsupported() {
+        let (kg, slm, vpred) = fixture();
+        let exec = HybridExecutor::new(&kg.graph, &slm, BTreeSet::from([vpred.clone()]));
+        match films(&exec, &vpred, "SELECT ?f ?y", "", "ORDER BY ?y") {
+            Err(QueryError::Unsupported(msg)) => assert!(msg.contains("?y"), "{msg}"),
+            other => panic!("expected Unsupported, got {other:?}"),
         }
     }
 

@@ -15,23 +15,25 @@
 //!   intermediate binding.
 //!
 //! Evaluation then threads a vector of slot bindings through the compiled
-//! plan, with three optimizations layered on top (see
+//! plan. A BGP runs through one stage kernel and two drivers (see
 //! `docs/query-executor.md` for the full architecture):
 //!
-//! * **streaming** — `ORDER BY`-free `LIMIT k` queries (and `ASK`) carry
-//!   a row budget; BGPs switch to depth-first enumeration and stop after
-//!   producing exactly the first `k` solutions of the staged order;
-//! * **parallelism** — once a stage's binding vector crosses
-//!   [`ExecOptions::parallel_threshold`], the extension loop is sharded
-//!   across scoped threads and per-shard [`ExecStats`] are merged back
-//!   deterministically (shard order), so results are bit-identical to the
-//!   sequential run;
-//! * **path memoization** — property-path evaluations (including the BFS
-//!   closure frontiers of `p+`/`p*`) are memoized per `(path, endpoints)`
-//!   within one query; hits surface as [`ExecStats::path_cache_hits`].
+//! * **the stage kernel** is the only code that turns a pattern match
+//!   into an extended binding: the last match takes the binding, earlier
+//!   matches clone it;
+//! * **the staged driver** extends the whole frontier one pattern at a
+//!   time, each stage by per-binding index probes, by one sorted-merge
+//!   pass over a compacted predicate index, or — once the frontier
+//!   crosses [`ExecOptions::parallel_threshold`] — sharded across scoped
+//!   threads whose [`ExecStats`] merge back in shard order, so results
+//!   are bit-identical to the sequential run;
+//! * **the depth-first driver** serves row budgets: `ORDER BY`-free
+//!   `LIMIT k` queries (and `ASK`) stop after producing exactly the first
+//!   `k` solutions of the staged order.
 //!
-//! Extending a binding with the matches of a pattern clones it only for
-//! all but the last match; the last match takes ownership. Work counters
+//! Property-path evaluations (including the BFS closure frontiers of
+//! `p+`/`p*`) are memoized per `(path, endpoints)` within one query; hits
+//! surface as [`ExecStats::path_cache_hits`]. Work counters
 //! ([`ExecStats`]) are threaded through evaluation and surface on the
 //! returned [`ResultSet`].
 //!
@@ -413,20 +415,9 @@ fn evaluate<'g>(
         // only prefix-meaningful shapes may absorb a violation by truncating
         truncate_ok: budget.is_some(),
     };
-    let distinct_sc = if opts.streaming && budget.is_none() {
-        distinct_shortcircuit(graph, query, &compiled.cplan, vars)
-    } else {
-        None
-    };
-    let eval_result = match rc.check_now() {
-        Ok(()) => match (&distinct_sc, &compiled.cplan) {
-            (Some((slots, target)), CPlan::Bgp(patterns)) => {
-                eval_bgp_distinct(&ctx, patterns, input, slots, *target, &mut stats)
-            }
-            _ => eval(&ctx, &compiled.cplan, input, budget, &mut stats),
-        },
-        Err(v) => Err(v),
-    };
+    let eval_result = rc
+        .check_now()
+        .and_then(|()| eval(&ctx, &compiled.cplan, input, budget, &mut stats));
     let solutions = match eval_result {
         Ok(rows) => rows,
         Err(v) if ctx.truncate_ok => {
@@ -488,12 +479,10 @@ fn evaluate<'g>(
                 .iter()
                 .map(|v| vars.lookup(v).expect("projected var is a pattern var"))
                 .collect();
-            // the short-circuit already kept only first occurrences
-            let dedup = *distinct && distinct_sc.is_none();
             let width = slots.len();
             // without a dedup, only the rows that survive LIMIT/OFFSET are
             // projected; a dedup must see every row before slicing
-            let window = if dedup {
+            let window = if *distinct {
                 0..solutions.len()
             } else {
                 let (start, end) = slice_bounds(query, solutions.len());
@@ -505,7 +494,7 @@ fn evaluate<'g>(
                 let b = &solutions[order.as_ref().map_or(i, |o| o[i] as usize)];
                 cells.extend(slots.iter().map(|&slot| Cell::from(b[slot])));
             }
-            if dedup {
+            if *distinct {
                 let distinct_rows = match width {
                     0 => len.min(1),
                     _ => dedup_rows(&mut cells, width),
@@ -1357,10 +1346,11 @@ fn eval(
     }
 }
 
-/// Staged nested-loop evaluation of a pre-ordered BGP: every binding is
-/// extended through pattern `i` before pattern `i + 1` runs. Stages whose
-/// binding vector crosses the parallel threshold are sharded across
-/// scoped threads.
+/// The staged driver: every binding is extended through pattern `i`
+/// before pattern `i + 1` runs. Each stage picks its method in this
+/// order: shards once the frontier crosses the parallel threshold
+/// ([`extend_stage_parallel`]), one sorted-merge pass when
+/// [`merge_plan`] allows it, else the per-binding [`probe_stage`].
 fn eval_bgp(
     ctx: &EvalCtx,
     patterns: &[SlotPattern],
@@ -1381,17 +1371,7 @@ fn eval_bgp(
             }
             _ => match merge_plan(ctx, pat, &current) {
                 Some(plan) => extend_stage_merge(ctx, &plan, current, stats)?,
-                None => {
-                    let mut next = Vec::new();
-                    for b in current {
-                        ctx.rc.checkpoint()?;
-                        extend_with_pattern(ctx, pat, b, &mut next, stats)?;
-                        // exact row check per input binding, so a cross-product
-                        // stage trips the budget long before it materializes
-                        ctx.rc.check_rows(next.len())?;
-                    }
-                    next
-                }
+                None => probe_stage(ctx, pat, current, stats)?,
             },
         };
         stats.intermediate_bindings += next.len();
@@ -1400,12 +1380,37 @@ fn eval_bgp(
     Ok(current)
 }
 
+/// The probe loop: one index probe per binding, whose matches extend it
+/// through [`extend_binding`]. One checkpoint per input binding, then an
+/// exact row check, so a cross-product stage trips the budget long before
+/// it materializes.
+fn probe_stage(
+    ctx: &EvalCtx,
+    pat: &SlotPattern,
+    bindings: Vec<Binding>,
+    stats: &mut ExecStats,
+) -> Result<Vec<Binding>, LimitViolation> {
+    let mut next = Vec::new();
+    for b in bindings {
+        ctx.rc.checkpoint()?;
+        if let Some(m) = resolve_pattern(ctx, pat, &b, stats)? {
+            extend_binding(b, m.at, m.rows.into_iter(), None, |nb| {
+                next.push(nb);
+                Ok(true)
+            })?;
+        }
+        ctx.rc.check_rows(next.len())?;
+    }
+    Ok(next)
+}
+
 /// Shard one extension stage across scoped threads.
 ///
-/// The binding vector is split into per-thread chunks *in order* and the
-/// shard outputs are concatenated back in shard order, so the result (and
-/// every work counter except [`ExecStats::parallel_shards`], which counts
-/// the shards themselves) is identical to the sequential loop.
+/// The binding vector is split into per-thread chunks *in order*, each
+/// chunk runs [`probe_stage`], and the shard outputs are concatenated
+/// back in shard order, so the result (and every work counter except
+/// [`ExecStats::parallel_shards`], which counts the shards themselves) is
+/// identical to the sequential loop.
 fn extend_stage_parallel(
     ctx: &EvalCtx,
     pat: &SlotPattern,
@@ -1419,13 +1424,7 @@ fn extend_stage_parallel(
     });
     let shards = threads.min(bindings.len());
     if shards <= 1 {
-        let mut next = Vec::new();
-        for b in bindings {
-            ctx.rc.checkpoint()?;
-            extend_with_pattern(ctx, pat, b, &mut next, stats)?;
-            ctx.rc.check_rows(next.len())?;
-        }
-        return Ok(next);
+        return probe_stage(ctx, pat, bindings, stats);
     }
     let chunk_len = bindings.len().div_ceil(shards);
     let mut chunks: Vec<Vec<Binding>> = Vec::with_capacity(shards);
@@ -1440,19 +1439,13 @@ fn extend_stage_parallel(
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|chunk| {
+                // the deadline/cancel state and the path-expansion counter
+                // are shared atomics, so every shard observes the same
+                // budgets; the row check is per-shard (a stage stops
+                // within one shard's share of the budget of overshoot)
                 scope.spawn(move |_| -> ShardResult {
-                    let mut local = Vec::new();
                     let mut local_stats = ExecStats::default();
-                    for b in chunk {
-                        // the deadline/cancel state and the path-expansion
-                        // counter are shared atomics, so every shard
-                        // observes the same budgets; the row check is
-                        // per-shard (a stage stops within one shard's
-                        // share of the budget of overshoot)
-                        ctx.rc.checkpoint()?;
-                        extend_with_pattern(ctx, pat, b, &mut local, &mut local_stats)?;
-                        ctx.rc.check_rows(local.len())?;
-                    }
+                    let local = probe_stage(ctx, pat, chunk, &mut local_stats)?;
                     Ok((local, local_stats))
                 })
             })
@@ -1530,8 +1523,8 @@ fn merge_plan(ctx: &EvalCtx, pat: &SlotPattern, bindings: &[Binding]) -> Option<
 /// Evaluate one eligible stage as a sorted-merge join: sort the frontier
 /// by its key symbol, walk the predicate's index once with a monotone
 /// [`kg::MergeProbe`] (one shrinking-window search per *distinct* key),
-/// then emit in the original frontier order so rows come out bit-identical
-/// to the per-binding probe loop.
+/// then emit through [`extend_binding`] in the original frontier order,
+/// so rows come out bit-identical to the per-binding probe loop.
 ///
 /// Work accounting: [`ExecStats::index_probes`] counts distinct keys
 /// (duplicate keys reuse the previous seek's matches) and
@@ -1571,32 +1564,35 @@ fn extend_stage_merge(
     stats.index_probes += distinct;
     stats.merge_joins += 1;
     let mut next = Vec::new();
-    for (binding, matches) in bindings.into_iter().zip(per) {
+    for ((binding, key), matches) in bindings.into_iter().zip(keys).zip(per) {
         ctx.rc.checkpoint()?;
-        let total = matches.len();
-        let mut source = Some(binding);
-        for (i, value) in matches.into_iter().enumerate() {
-            // same move-on-last discipline as extend_with_pattern
-            let mut b = if i + 1 == total {
-                source.take().expect("moved once, on the last match")
-            } else {
-                source
-                    .as_ref()
-                    .expect("still owned before the last match")
-                    .clone()
-            };
-            b[plan.free_slot] = Some(value);
-            next.push(b);
-        }
+        let (known, free) = (Pos::Known(key), Pos::Free(plan.free_slot));
+        let (s, o) = if plan.key_on_subject {
+            (known, free)
+        } else {
+            (free, known)
+        };
+        let at = Positions { s, o, p_slot: None };
+        // a match fills both endpoints: the known one ignores it
+        extend_binding(
+            binding,
+            at,
+            matches.into_iter().map(|v| (v, v, None)),
+            None,
+            |b| {
+                next.push(b);
+                Ok(true)
+            },
+        )?;
         ctx.rc.check_rows(next.len())?;
     }
     Ok(next)
 }
 
-/// Depth-first evaluation of a pre-ordered BGP under a row budget:
-/// enumerates solutions in exactly the staged order but one full solution
-/// at a time, stopping after `budget` rows instead of materializing the
-/// whole join frontier.
+/// The depth-first driver, for row budgets: enumerates solutions of a
+/// pre-ordered BGP in exactly the staged order but one full solution at a
+/// time, stopping after `budget` rows instead of materializing the whole
+/// join frontier.
 fn eval_bgp_streaming(
     ctx: &EvalCtx,
     patterns: &[SlotPattern],
@@ -1647,198 +1643,14 @@ fn dfs_extend(
     let Some(m) = resolve_pattern(ctx, pat, &binding, stats)? else {
         return Ok(());
     };
-    let total = m.rows.len();
-    let mut source = Some(binding);
-    for (i, (ms, mo, mp)) in m.rows.into_iter().enumerate() {
-        if out.len() >= budget {
-            return Ok(());
-        }
-        // per-iteration checkpoint: the DFS can spin through many failed
-        // extensions without ever emitting a row
-        ctx.rc.checkpoint()?;
-        let mut b = if i + 1 == total {
-            source.take().expect("moved once, on the last match")
-        } else {
-            source
-                .as_ref()
-                .expect("still owned before the last match")
-                .clone()
-        };
-        if !bind_slot(&mut b, m.s, ms) {
-            continue;
-        }
-        if let (Some(slot), Some(p_val)) = (m.p_slot, mp) {
-            if !bind_slot(&mut b, Pos::Free(slot), p_val) {
-                continue;
-            }
-        }
-        if !bind_slot(&mut b, m.o, mo) {
-            continue;
-        }
+    // per-match checkpoint: the DFS can spin through many failed
+    // extensions without ever emitting a row
+    extend_binding(binding, m.at, m.rows.into_iter(), Some(ctx.rc), |b| {
         stats.intermediate_bindings += 1;
         ctx.rc.check_rows(stats.intermediate_bindings)?;
         dfs_extend(ctx, rest, b, budget, out, stats)?;
-    }
-    Ok(())
-}
-
-/// Histogram-driven `DISTINCT` short-circuit eligibility.
-///
-/// For a streaming-eligible `SELECT DISTINCT` over a single BGP (no
-/// `ORDER BY`, no aggregate), derive an upper bound `H` on the number of
-/// distinct projected rows from the per-predicate distinct-value
-/// histograms: a slot in subject position of a known-predicate pattern
-/// can take at most that predicate's `distinct_subjects` values (object
-/// position: `distinct_objects`; tightest pattern wins), and distinct
-/// rows are bounded by the product of the per-column bounds. The counts
-/// are maintained exactly ([`kg::PredicateCard`]), so `H` can never
-/// undercount and stopping at `H` rows is exact.
-///
-/// Returns the projected slots and the row target `min(H, OFFSET +
-/// LIMIT)`; `None` when any projected slot lacks a histogram bound
-/// (composite path, predicate variable) — there is deliberately no
-/// fallback bound, because an underestimate would truncate real answers.
-fn distinct_shortcircuit(
-    graph: &Graph,
-    query: &Query,
-    cplan: &CPlan,
-    vars: &VarTable,
-) -> Option<(Vec<usize>, usize)> {
-    if query.aggregate.is_some() || !query.order_by.is_empty() {
-        return None;
-    }
-    let QueryKind::Select {
-        vars: sel,
-        distinct: true,
-    } = &query.kind
-    else {
-        return None;
-    };
-    let CPlan::Bgp(patterns) = cplan else {
-        return None;
-    };
-    let bound = query.pattern.bound_vars();
-    let projected: Vec<String> = if sel.is_empty() {
-        bound
-    } else {
-        if sel.iter().any(|v| !bound.contains(v)) {
-            return None; // surfaces as UnboundVariable on the main path
-        }
-        sel.clone()
-    };
-    let mut slots = Vec::with_capacity(projected.len());
-    let mut h: usize = 1;
-    for v in &projected {
-        let slot = vars.lookup(v)?;
-        let mut best: Option<usize> = None;
-        for pat in patterns {
-            let SlotPath::Pred(p) = &pat.p else { continue };
-            let b = match (pat.s, pat.o) {
-                (SlotNode::Var(i), _) if i == slot => match p {
-                    Some(p) => graph.predicate_card(*p).distinct_subjects,
-                    None => 0, // un-interned predicate: no matches at all
-                },
-                (_, SlotNode::Var(i)) if i == slot => match p {
-                    Some(p) => graph.predicate_card(*p).distinct_objects,
-                    None => 0,
-                },
-                _ => continue,
-            };
-            best = Some(best.map_or(b, |x| x.min(b)));
-        }
-        slots.push(slot);
-        h = h.saturating_mul(best?);
-    }
-    let cap = query.limit.map(|l| query.offset.saturating_add(l));
-    Some((slots, cap.map_or(h, |c| h.min(c))))
-}
-
-/// Depth-first evaluation of a `SELECT DISTINCT` BGP under a
-/// distinct-row target: the same staged enumeration order as
-/// [`eval_bgp_streaming`], but the stop condition counts *new distinct
-/// projected rows* instead of raw solutions, so the scan ends as soon as
-/// the histogram-derived maximum (or `OFFSET + LIMIT`) distinct rows
-/// have been seen. The output is the first occurrence of each distinct
-/// projected row in staged order — exactly the prefix the materializing
-/// path's dedup would keep — so downstream projection/dedup/slicing is
-/// unchanged and idempotent.
-fn eval_bgp_distinct(
-    ctx: &EvalCtx,
-    patterns: &[SlotPattern],
-    input: Vec<Binding>,
-    slots: &[usize],
-    target: usize,
-    stats: &mut ExecStats,
-) -> Result<Vec<Binding>, LimitViolation> {
-    let mut out = Vec::new();
-    if target == 0 || input.is_empty() {
-        return Ok(out);
-    }
-    stats.patterns_scanned += patterns.len();
-    let mut seen: BTreeSet<Vec<Option<Sym>>> = BTreeSet::new();
-    for b in input {
-        dfs_distinct(ctx, patterns, b, slots, target, &mut seen, &mut out, stats)?;
-        if out.len() >= target {
-            break;
-        }
-    }
-    Ok(out)
-}
-
-/// Recursive step of [`eval_bgp_distinct`]: [`dfs_extend`] with a
-/// first-occurrence dedup on the projected slots at the leaves.
-#[allow(clippy::too_many_arguments)]
-fn dfs_distinct(
-    ctx: &EvalCtx,
-    patterns: &[SlotPattern],
-    binding: Binding,
-    slots: &[usize],
-    target: usize,
-    seen: &mut BTreeSet<Vec<Option<Sym>>>,
-    out: &mut Vec<Binding>,
-    stats: &mut ExecStats,
-) -> Result<(), LimitViolation> {
-    let Some((pat, rest)) = patterns.split_first() else {
-        let row: Vec<Option<Sym>> = slots.iter().map(|&i| binding[i]).collect();
-        if seen.insert(row) {
-            out.push(binding);
-        }
-        return Ok(());
-    };
-    let Some(m) = resolve_pattern(ctx, pat, &binding, stats)? else {
-        return Ok(());
-    };
-    let total = m.rows.len();
-    let mut source = Some(binding);
-    for (i, (ms, mo, mp)) in m.rows.into_iter().enumerate() {
-        if out.len() >= target {
-            return Ok(());
-        }
-        ctx.rc.checkpoint()?;
-        let mut b = if i + 1 == total {
-            source.take().expect("moved once, on the last match")
-        } else {
-            source
-                .as_ref()
-                .expect("still owned before the last match")
-                .clone()
-        };
-        if !bind_slot(&mut b, m.s, ms) {
-            continue;
-        }
-        if let (Some(slot), Some(p_val)) = (m.p_slot, mp) {
-            if !bind_slot(&mut b, Pos::Free(slot), p_val) {
-                continue;
-            }
-        }
-        if !bind_slot(&mut b, m.o, mo) {
-            continue;
-        }
-        stats.intermediate_bindings += 1;
-        ctx.rc.check_rows(stats.intermediate_bindings)?;
-        dfs_distinct(ctx, rest, b, slots, target, seen, out, stats)?;
-    }
-    Ok(())
+        Ok(out.len() < budget)
+    })
 }
 
 /// A pattern position resolved under one binding.
@@ -1872,13 +1684,72 @@ fn bind_slot(b: &mut Binding, pos: Pos, value: Sym) -> bool {
     }
 }
 
-/// A pattern resolved under one binding: the endpoint positions, the slot
-/// an unbound predicate variable writes into, and the matching rows as
-/// `(subject, object, predicate-to-bind)` triples.
-struct PatternMatches {
+/// Where a pattern resolved under one binding writes its matches: the
+/// endpoint positions and the slot an unbound predicate variable binds.
+#[derive(Debug, Clone, Copy)]
+struct Positions {
     s: Pos,
     o: Pos,
     p_slot: Option<usize>,
+}
+
+/// The stage kernel, the only code that turns a pattern match into an
+/// extended binding. Each `(subject, object, predicate)` match is written
+/// into the free positions of `at`; a match that disagrees with a slot an
+/// earlier position of the same match set (`?x p ?x`) is skipped. The
+/// last match takes `binding`, earlier matches clone it. `emit` receives
+/// each extended binding and returns whether to go on.
+///
+/// With `poll`, the kernel checkpoints before every match, extended or
+/// not: the depth-first driver's budget check. The staged driver's probe
+/// and merge stages pass `None` and check once per input binding instead.
+// Inlined into each caller so `emit` and the positions fold into the
+// caller's loop: called out of line, it made the merge-stage joins of
+// `query_bench` about 3 % slower.
+#[inline(always)]
+fn extend_binding(
+    binding: Binding,
+    at: Positions,
+    matches: impl ExactSizeIterator<Item = (Sym, Sym, Option<Sym>)>,
+    poll: Option<&ExecContext>,
+    mut emit: impl FnMut(Binding) -> Result<bool, LimitViolation>,
+) -> Result<(), LimitViolation> {
+    let total = matches.len();
+    let mut source = Some(binding);
+    for (i, (ms, mo, mp)) in matches.enumerate() {
+        if let Some(rc) = poll {
+            rc.checkpoint()?;
+        }
+        let mut b = if i + 1 == total {
+            source.take().expect("moved once, on the last match")
+        } else {
+            source
+                .as_ref()
+                .expect("still owned before the last match")
+                .clone()
+        };
+        if !bind_slot(&mut b, at.s, ms) {
+            continue;
+        }
+        if let (Some(slot), Some(p_val)) = (at.p_slot, mp) {
+            if !bind_slot(&mut b, Pos::Free(slot), p_val) {
+                continue;
+            }
+        }
+        if !bind_slot(&mut b, at.o, mo) {
+            continue;
+        }
+        if !emit(b)? {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// A pattern resolved under one binding: where its matches write, and the
+/// matching rows as `(subject, object, predicate-to-bind)` triples.
+struct PatternMatches {
+    at: Positions,
     rows: Vec<(Sym, Sym, Option<Sym>)>,
 }
 
@@ -1952,46 +1823,10 @@ fn resolve_pattern(
             rows.extend(pairs.iter().map(|&(ms, mo)| (ms, mo, None)));
         }
     }
-    Ok(Some(PatternMatches { s, o, p_slot, rows }))
-}
-
-/// Extend one binding with all matches of a pattern. The binding is moved
-/// in: the last match receives it, earlier matches clone it.
-fn extend_with_pattern(
-    ctx: &EvalCtx,
-    t: &SlotPattern,
-    binding: Binding,
-    out: &mut Vec<Binding>,
-    stats: &mut ExecStats,
-) -> Result<(), LimitViolation> {
-    let Some(m) = resolve_pattern(ctx, t, &binding, stats)? else {
-        return Ok(());
-    };
-    let total = m.rows.len();
-    let mut source = Some(binding);
-    for (i, (ms, mo, mp)) in m.rows.into_iter().enumerate() {
-        let mut b = if i + 1 == total {
-            source.take().expect("moved once, on the last match")
-        } else {
-            source
-                .as_ref()
-                .expect("still owned before the last match")
-                .clone()
-        };
-        if !bind_slot(&mut b, m.s, ms) {
-            continue;
-        }
-        if let (Some(slot), Some(p_val)) = (m.p_slot, mp) {
-            if !bind_slot(&mut b, Pos::Free(slot), p_val) {
-                continue;
-            }
-        }
-        if !bind_slot(&mut b, m.o, mo) {
-            continue;
-        }
-        out.push(b);
-    }
-    Ok(())
+    Ok(Some(PatternMatches {
+        at: Positions { s, o, p_slot },
+        rows,
+    }))
 }
 
 /// Evaluate a property path, returning `(start, end)` pairs consistent
@@ -2975,49 +2810,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_shortcircuit_stops_at_histogram_bound() {
-        // 3 distinct subjects spread across 100 triples: the histogram
-        // says at most 3 distinct ?s, so the scan may stop after finding
-        // them. (With only the predicate bound the scan walks the POS
-        // index, whose rows cycle through the subjects every few entries,
-        // so the third distinct subject shows up almost immediately.)
-        let mut g = Graph::new();
-        for i in 0..100 {
-            g.insert_iri(
-                &format!("http://e/s{}", i % 3),
-                "http://v/p",
-                &format!("http://e/o{i}"),
-            );
-        }
-        let q = parse("SELECT DISTINCT ?s WHERE { ?s <http://v/p> ?o }").unwrap();
-        let streaming = run_with_opts(&g, &q, &ExecOptions::default()).unwrap();
-        let materialized = run_with_opts(
-            &g,
-            &q,
-            &ExecOptions {
-                streaming: false,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(streaming.to_terms(), materialized.to_terms());
-        assert_eq!(streaming.len(), 3);
-        // evidence of the short-circuit: far fewer intermediate bindings
-        // than the 100 solutions the materializing path walks
-        assert!(
-            streaming.stats.intermediate_bindings < materialized.stats.intermediate_bindings,
-            "streaming {:?} vs materialized {:?}",
-            streaming.stats,
-            materialized.stats
-        );
-        assert!(
-            streaming.stats.intermediate_bindings <= 10,
-            "{:?}",
-            streaming.stats
-        );
-    }
-
-    #[test]
     fn distinct_shortcircuit_respects_offset_and_limit() {
         let mut g = Graph::new();
         for i in 0..50 {
@@ -3045,8 +2837,8 @@ mod tests {
     #[test]
     fn distinct_shortcircuit_ineligible_shapes_still_agree() {
         let g = graph();
-        // composite path / predicate variable: no histogram bound exists,
-        // so the short-circuit must decline and results stay correct
+        // composite path / predicate variable: streaming on and off take
+        // the same staged route and agree
         for q in [
             "PREFIX v: <http://v/> PREFIX e: <http://e/> SELECT DISTINCT ?z WHERE { e:a v:knows+ ?z }",
             "SELECT DISTINCT ?p WHERE { ?s ?p ?o }",
@@ -3067,6 +2859,188 @@ mod tests {
             fr.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
             sr.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
             assert_eq!(fr, sr, "divergence on {q}");
+        }
+    }
+
+    #[test]
+    fn exec_stats_are_pinned_per_route() {
+        // Every work counter of every evaluation route, pinned exactly
+        // (`DISTINCT` takes the staged route, as with `streaming: false`).
+        // Counters: patterns_scanned, index_probes, intermediate_bindings,
+        // path_cache_hits, parallel_shards, merge_joins.
+        let mut synth = kg::synth::movies(
+            11,
+            kg::synth::Scale {
+                entities_per_class: 30,
+            },
+        )
+        .graph;
+        synth.compact();
+        let mut looped = graph();
+        looped.insert_iri("http://e/loop", "http://v/knows", "http://e/loop");
+        let seq = ExecOptions {
+            parallel_threshold: None,
+            ..ExecOptions::default()
+        };
+        let sharded = ExecOptions {
+            parallel_threshold: Some(1),
+            shard_count: Some(3),
+            ..ExecOptions::default()
+        };
+        let capped = ExecOptions {
+            parallel_threshold: None,
+            ..ExecOptions::with_limits(ResourceLimits::unlimited().with_max_rows(3))
+        };
+        let e = "PREFIX v: <http://v/> PREFIX e: <http://e/> ";
+        let v = "PREFIX v: <http://llmkg.dev/vocab/> ";
+        let join = format!("{v}SELECT ?a ?d WHERE {{ ?f v:starring ?a . ?f v:directedBy ?d }}");
+        let knows_self = format!("{e}SELECT ?x WHERE {{ ?x v:knows ?x . ?x ?p ?o }}");
+        let cases = [
+            (
+                "probe loop",
+                fixture(),
+                format!("{e}SELECT ?x ?z WHERE {{ ?x v:knows ?y . ?y v:knows ?z }}"),
+                &seq,
+                2,
+                [2, 4, 5, 0, 0, 0],
+            ),
+            (
+                "merge stage",
+                &synth,
+                format!("{v}SELECT ?g ?a WHERE {{ ?f v:hasGenre ?g . ?f v:starring ?a }}"),
+                &seq,
+                130,
+                [2, 31, 171, 0, 0, 1],
+            ),
+            (
+                "forced shards",
+                &synth,
+                join.clone(),
+                &sharded,
+                95,
+                [2, 31, 125, 0, 3, 0],
+            ),
+            (
+                "limit dfs",
+                &synth,
+                format!("{join} LIMIT 7"),
+                &seq,
+                7,
+                [2, 4, 10, 0, 0, 0],
+            ),
+            (
+                "ask",
+                &synth,
+                format!("{v}ASK {{ ?f v:starring ?a . ?f v:directedBy ?d }}"),
+                &seq,
+                0,
+                [2, 2, 2, 0, 0, 0],
+            ),
+            (
+                "optional",
+                fixture(),
+                format!("{e}SELECT ?x ?n WHERE {{ ?x a v:Person OPTIONAL {{ ?x v:name ?n }} }}"),
+                &seq,
+                2,
+                [3, 3, 3, 0, 0, 0],
+            ),
+            (
+                "union",
+                fixture(),
+                format!("{e}SELECT ?x WHERE {{ {{ ?x a v:Person }} UNION {{ ?x a v:Robot }} }}"),
+                &seq,
+                3,
+                [2, 2, 3, 0, 0, 0],
+            ),
+            (
+                "values",
+                fixture(),
+                format!("{e}SELECT ?y WHERE {{ VALUES ?x {{ e:a e:b }} ?x v:knows ?y }}"),
+                &seq,
+                2,
+                [1, 2, 4, 0, 0, 0],
+            ),
+            (
+                "filter",
+                fixture(),
+                format!("{e}SELECT ?x WHERE {{ ?x v:age ?a FILTER(?a > 26) }}"),
+                &seq,
+                1,
+                [1, 1, 2, 0, 0, 0],
+            ),
+            (
+                "composite path",
+                &synth,
+                format!("{v}SELECT ?f ?x WHERE {{ ?f v:directedBy ?d . ?d v:spouse* ?x }}"),
+                &seq,
+                36,
+                [2, 31, 66, 20, 0, 0],
+            ),
+            (
+                "predicate variable",
+                fixture(),
+                format!("{e}SELECT ?p ?o WHERE {{ e:a ?p ?o }}"),
+                &seq,
+                4,
+                [1, 1, 4, 0, 0, 0],
+            ),
+            (
+                "?x p ?x",
+                &looped,
+                knows_self.clone(),
+                &seq,
+                1,
+                [2, 2, 2, 0, 0, 0],
+            ),
+            (
+                "?x p ?x, limit",
+                &looped,
+                format!("{knows_self} LIMIT 2"),
+                &seq,
+                1,
+                [2, 2, 2, 0, 0, 0],
+            ),
+            (
+                "truncated limit",
+                fixture(),
+                "SELECT ?x ?y WHERE { ?x ?p ?y . ?a ?q ?b } LIMIT 500".to_string(),
+                &capped,
+                2,
+                [2, 2, 4, 0, 0, 0],
+            ),
+            (
+                "distinct",
+                &synth,
+                format!("{v}SELECT DISTINCT ?g WHERE {{ ?f v:hasGenre ?g . ?f v:starring ?a }}"),
+                &seq,
+                7,
+                [2, 31, 171, 0, 0, 1],
+            ),
+            (
+                "distinct, sliced",
+                &synth,
+                format!(
+                    "{v}SELECT DISTINCT ?d WHERE {{ ?f v:hasGenre ?g . ?f v:directedBy ?d }} \
+                     OFFSET 1 LIMIT 3"
+                ),
+                &seq,
+                3,
+                [2, 31, 71, 0, 0, 1],
+            ),
+        ];
+        for (route, g, q, opts, rows, want) in cases {
+            let rs = run_with_opts(g, &parse(&q).expect("parses"), opts).expect("runs");
+            let s = rs.stats;
+            let got = [
+                s.patterns_scanned,
+                s.index_probes,
+                s.intermediate_bindings,
+                s.path_cache_hits,
+                s.parallel_shards,
+                s.merge_joins,
+            ];
+            assert_eq!((rs.len(), got), (rows, want), "{route}: {q}");
+            assert_eq!(rs.truncated, route == "truncated limit", "{route}");
         }
     }
 }

@@ -108,10 +108,10 @@ proptest! {
         prop_assert_eq!(normalized_rows(&fast), normalized_rows(&slow));
     }
 
-    /// `SELECT DISTINCT` dedups exactly once on every route: the
-    /// histogram short-circuit (streaming on) keeps the first occurrence
-    /// of each projected row, the materializing path (streaming off)
-    /// dedups the projected cells, and both agree with the reference
+    /// `SELECT DISTINCT` dedups exactly once, after staged evaluation,
+    /// whether streaming is on or off (the name recalls the histogram
+    /// short-circuit that streaming once enabled): both keep the first
+    /// occurrence of each projected row and agree with the reference
     /// oracle — also under `LIMIT`/`OFFSET`, and under an `ORDER BY` on
     /// every projected variable, where the answer's order is unique.
     #[test]
@@ -145,8 +145,8 @@ proptest! {
         sliced.limit = Some(limit);
         sliced.offset = offset;
         for query in [&q, &sliced] {
-            let short = run(&g, query, &pinned(true)).expect("short-circuit route runs");
-            let full = run(&g, query, &pinned(false)).expect("materializing route runs");
+            let short = run(&g, query, &pinned(true)).expect("streaming-on route runs");
+            let full = run(&g, query, &pinned(false)).expect("streaming-off route runs");
             // same staged enumeration, same first occurrences
             prop_assert_eq!(&short, &full);
         }
