@@ -1,6 +1,6 @@
 //! Before/after benchmark for the executor rewrite.
 //!
-//! Four comparisons, all correctness-gated, all written to
+//! Five series, all correctness-gated, all written to
 //! `reports/query_bench.json`:
 //!
 //! 1. the seed's reference evaluator (map-based bindings, per-binding
@@ -8,21 +8,20 @@
 //!    slot-based executor on the standard query workload;
 //! 2. `ORDER BY`-free `LIMIT k` queries: full materialization (the PR 1
 //!    compiled executor, `streaming: false`) vs row-budget streaming;
-//! 3. a wide join on a larger graph: sequential vs parallel BGP stages;
-//! 4. `encoded_join` — the flat sorted-arena store vs the seed's
+//! 3. `encoded_join` — the flat sorted-arena store vs the seed's
 //!    BTreeSet index graph at million-triple scale: bytes per triple
 //!    (live-heap deltas) and two-hop join throughput (per-binding
 //!    probes vs one sorted-merge pass), gated by an order-sensitive
 //!    checksum proving bit-identical output;
-//! 5. `prepared_repeat` — plan-once-run-many through the
+//! 4. `prepared_repeat` — plan-once-run-many through the
 //!    [`kgquery::PlanCache`]: per-iteration planning overhead of a
 //!    cache hit vs cold parse+compile (gated ≥5× in full mode), two
 //!    passes over one cache with per-pass hit/miss counts and the
 //!    second-pass hit rate, and bit-identical gates for cached-vs-fresh
 //!    results and parameter-bound vs `VALUES`-injected execution;
-//! 6. `result_allocs` — heap allocations per result row of one wide
-//!    sequential SELECT run through a prepared plan, counted by the
-//!    global allocator: a deterministic work counter CI gates exactly.
+//! 5. `result_allocs` — heap allocations per result row of one wide
+//!    SELECT run through a prepared plan, counted by the global
+//!    allocator: a deterministic work counter CI gates exactly.
 //!
 //! Flags:
 //!
@@ -167,12 +166,6 @@ const LIMIT_QUERIES: [(&str, &str); 3] = [
     ),
 ];
 
-/// Wide two-stage join for the parallel-scaling comparison: the frontier
-/// after the first stage is ~3 bindings per film, so at the larger scale
-/// it crosses the executor's sharding threshold.
-const PARALLEL_QUERY: &str = "PREFIX v: <http://llmkg.dev/vocab/> \
-     SELECT ?a ?d WHERE { ?f v:starring ?a . ?f v:directedBy ?d }";
-
 /// The `result_allocs` query: one pattern, one row per film, an IRI and
 /// a typed literal per row.
 const RESULT_ALLOCS_QUERY: &str = "PREFIX v: <http://llmkg.dev/vocab/> \
@@ -276,7 +269,6 @@ fn stats_json(stats: &kgquery::ExecStats) -> Value {
         "index_probes": stats.index_probes,
         "intermediate_bindings": stats.intermediate_bindings,
         "path_cache_hits": stats.path_cache_hits,
-        "parallel_shards": stats.parallel_shards,
         "merge_joins": stats.merge_joins,
     })
 }
@@ -620,19 +612,17 @@ fn prepared_repeat_series(smoke: bool, g: &Graph) -> Value {
 }
 
 /// The `result_allocs` series: heap allocations made by one
-/// [`kgquery::PreparedQuery::run`] of [`RESULT_ALLOCS_QUERY`], sequential
-/// (`parallel_threshold: None`), per result row. Planning happens before
-/// the count starts; the result is dropped after it ends. Single-threaded
-/// and seeded, so the count repeats exactly from run to run.
+/// [`kgquery::PreparedQuery::run`] of [`RESULT_ALLOCS_QUERY`], per result
+/// row. Planning happens before the count starts; the result is dropped
+/// after it ends. Single-threaded and seeded, so the count repeats
+/// exactly from run to run.
 fn result_allocs_series(g: &Graph) -> Value {
     let prepared =
         kgquery::PreparedQuery::prepare(g, RESULT_ALLOCS_QUERY, &[]).expect("query prepares");
-    let opts = ExecOptions {
-        parallel_threshold: None,
-        ..ExecOptions::default()
-    };
     let before = allocations();
-    let rs = prepared.run(g, &opts).expect("query runs");
+    let rs = prepared
+        .run(g, &ExecOptions::default())
+        .expect("query runs");
     let allocs = allocations() - before;
     let rows = rs.len();
     assert!(rows > 0, "result_allocs query returns no rows");
@@ -643,18 +633,15 @@ fn result_allocs_series(g: &Graph) -> Value {
     );
     json!({
         "query": RESULT_ALLOCS_QUERY,
-        "parallel_threshold": Value::Null,
         "rows": rows,
         "allocations": allocs,
         "allocs_per_row": per_row,
     })
 }
 
-/// The PR 1 compiled executor: full materialization, no sharding.
+/// The PR 1 compiled executor: full materialization.
 fn materializing() -> ExecOptions {
     ExecOptions {
-        parallel_threshold: None,
-        shard_count: None,
         streaming: false,
         ..ExecOptions::default()
     }
@@ -742,12 +729,7 @@ fn main() {
         "\n{:<22} {:>14} {:>14} {:>9}",
         "limit query", "materialize ns", "streamed ns", "speedup"
     );
-    let streaming_only = ExecOptions {
-        parallel_threshold: None,
-        shard_count: None,
-        streaming: true,
-        ..ExecOptions::default()
-    };
+    let streaming_only = ExecOptions::default();
     let mut limit_entries: Vec<Value> = Vec::new();
     for (name, text) in LIMIT_QUERIES {
         let q = parser::parse(text).expect("query parses");
@@ -771,82 +753,16 @@ fn main() {
         }));
     }
 
-    // -- parallel: shard wide extension stages across cores --------------
-    // The join-ordered first stage binds one row per film, so the second
-    // stage's input frontier equals the film count; n=6000 puts it well
-    // past the sharding threshold.
-    // In smoke mode a 64-film graph with threshold 1 still exercises the
-    // sharding machinery (the second stage's frontier is one binding per
-    // film) without the multi-second graph build.
-    let parallel_n: usize = if smoke { 64 } else { 6000 };
-    let threshold: usize = if smoke { 1 } else { 2048 };
+    // -- result_allocs: allocations per row of one wide SELECT ----------
+    // One row per film: 64 rows in smoke mode, 6,000 in full mode.
+    let allocs_n: usize = if smoke { 64 } else { 6000 };
     let big = movies(
         11,
         Scale {
-            entities_per_class: parallel_n,
+            entities_per_class: allocs_n,
         },
     );
-    let bg = big.graph;
-    let q = parser::parse(PARALLEL_QUERY).expect("query parses");
-    let seq_rs = run(&bg, &q, &materializing()).expect("sequential runs");
-    let seq_ns = time_exec(smoke, &bg, &q, &materializing());
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "\nparallel scaling: movies n={parallel_n}, {} triples, {} rows, {cores} core(s), \
-         sequential {seq_ns:.0} ns",
-        bg.len(),
-        seq_rs.len(),
-    );
-    println!(
-        "{:<22} {:>14} {:>9} {:>7}",
-        "workers", "parallel ns", "speedup", "shards"
-    );
-    let mut sweep: Vec<Value> = Vec::new();
-    // `auto` = one worker per core; the pinned counts measure the sharding
-    // machinery itself, which on a single-core host is pure overhead (the
-    // honest number to report there is how small that overhead is)
-    let modes: [(&str, Option<usize>); 4] = [
-        ("auto", None),
-        ("2", Some(2)),
-        ("4", Some(4)),
-        ("8", Some(8)),
-    ];
-    for (label, shard_count) in modes {
-        let opts = ExecOptions {
-            parallel_threshold: Some(threshold),
-            shard_count,
-            streaming: false,
-            ..ExecOptions::default()
-        };
-        let par_rs = run(&bg, &q, &opts).expect("parallel runs");
-        assert_eq!(
-            par_rs.to_terms(),
-            seq_rs.to_terms(),
-            "parallel evaluation must be bit-identical (workers {label})"
-        );
-        let par_ns = time_exec(smoke, &bg, &q, &opts);
-        let speedup = seq_ns / par_ns;
-        println!(
-            "{label:<22} {par_ns:>14.0} {speedup:>8.2}x {:>7}",
-            par_rs.stats.parallel_shards,
-        );
-        sweep.push(json!({
-            "workers": label,
-            "parallel_ns": par_ns,
-            "speedup": speedup,
-            "parallel_shards": par_rs.stats.parallel_shards,
-        }));
-    }
-    let result_allocs_entry = result_allocs_series(&bg);
-    let parallel_entry = json!({
-        "query": "parallel_join",
-        "graph": {"generator": "movies", "seed": 11, "entities_per_class": parallel_n, "triples": bg.len()},
-        "rows": seq_rs.len(),
-        "host_cores": cores,
-        "threshold": threshold,
-        "sequential_ns": seq_ns,
-        "workers": sweep,
-    });
+    let result_allocs_entry = result_allocs_series(&big.graph);
 
     // -- encoded_join: flat arena vs BTree storage at scale --------------
     let encoded_entry = encoded_join_series(smoke);
@@ -913,14 +829,13 @@ fn main() {
             "mode": if smoke { "smoke" } else { "full" },
             "graph": {"generator": "movies", "seed": 11, "entities_per_class": scale.entities_per_class, "triples": g.len()},
             "baseline": "reference executor (BTreeMap bindings, per-binding join ordering)",
-            "candidate": "compiled executor (slot bindings, histogram join ordering, streaming LIMIT, parallel stages)",
+            "candidate": "compiled executor (slot bindings, histogram join ordering, streaming LIMIT)",
             "queries": entries,
             "limit_streaming": {
                 "baseline": "compiled executor, full materialization (PR 1 behavior)",
                 "candidate": "compiled executor, row-budget streaming",
                 "queries": limit_entries,
             },
-            "parallel": parallel_entry,
             "encoded_join": encoded_entry,
             "prepared_repeat": prepared_entry,
             "result_allocs": result_allocs_entry,

@@ -1,6 +1,6 @@
 //! Before/after benchmark for the flat-arena retrieval kernel.
 //!
-//! Three comparisons, all correctness-gated, all written to
+//! Four series, all correctness-gated, all written to
 //! `reports/retrieval_bench.json`:
 //!
 //! 1. **exact top-k**: the seed brute-force (`Vec<Vec<f32>>` storage,
@@ -8,19 +8,15 @@
 //!    O(n log n) sort; preserved in `kgrag::reference`) vs a one-query
 //!    `VectorIndex::search` (unit-normalized rows, blocked dot kernel,
 //!    bounded-heap top-k). Gated on identical hit-id lists per query.
-//! 2. **parallel sharding**: the sequential arena scan vs forced shard
-//!    counts, gated on bit-identical hits (ids and score bits). On a
-//!    single-core host this honestly measures sharding *overhead*; the
-//!    auto threshold disables it there (see `docs/retrieval.md`).
-//! 3. **IVF probe sweep**: recall@k of the k-means-quantized search
+//! 2. **IVF probe sweep**: recall@k of the k-means-quantized search
 //!    against exact, per probe count, with the scanned-vector fraction.
-//! 4. **batched query-matrix retrieval**: QPS of a Q-query `search` (the
+//! 3. **batched query-matrix retrieval**: QPS of a Q-query `search` (the
 //!    register-blocked `matmul_tile` kernel with runtime SIMD dispatch)
 //!    vs the sequential per-query scan (`kgrag::reference::scan_exact`),
 //!    across batch sizes. Recall is fixed by construction — the series
 //!    gates on bit-identical hits — and the full run gates batch ≥ 3×
 //!    per-query throughput at batch 16+.
-//! 5. **IVF seeding**: shuffle vs k-means++ recall at fixed probes
+//! 4. **IVF seeding**: shuffle vs k-means++ recall at fixed probes
 //!    (regression-gated), plus the elbow heuristic's `build_auto` pick.
 //!
 //! Flags:
@@ -35,7 +31,7 @@ use std::ops::RangeInclusive;
 
 use kgrag::reference::{scan_exact, seed_search_exact};
 use kgrag::vector::Hit;
-use kgrag::{IvfSeeding, SearchOptions, SearchRequest, SearchStats, Strategy, VectorIndex};
+use kgrag::{IvfSeeding, SearchRequest, SearchStats, Strategy, VectorIndex};
 use llmkg_bench::{calibrate, header, time_ns, write_report, EXP_SEED};
 use serde_json::{json, Value};
 use slm::embedding::{hash_vector, normalize, DIM};
@@ -121,8 +117,7 @@ fn exact_series(sizes: &[usize], n_queries: usize, smoke: bool) -> Vec<Value> {
     for &n in sizes {
         let vectors = make_corpus(n, "exact");
         let queries = make_queries(n_queries, "exact");
-        let index = VectorIndex::build(vectors.clone(), 0, EXP_SEED)
-            .with_options(SearchOptions::sequential());
+        let index = VectorIndex::build(vectors.clone(), 0, EXP_SEED);
 
         // correctness gate: identical hit-id lists on every query (the
         // restructured kernel rounds differently, so scores are compared
@@ -183,80 +178,7 @@ fn exact_series(sizes: &[usize], n_queries: usize, smoke: bool) -> Vec<Value> {
     entries
 }
 
-/// Series 2: forced shard counts vs the sequential scan, bit-identical.
-fn parallel_series(n: usize, n_queries: usize, smoke: bool) -> Value {
-    header("Parallel sharded scan (bit-identical gate)");
-    let vectors = make_corpus(n, "par");
-    let queries = make_queries(n_queries, "par");
-    let sequential =
-        VectorIndex::build(vectors.clone(), 0, EXP_SEED).with_options(SearchOptions::sequential());
-
-    let iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
-        for q in &queries {
-            black_box(exact_one(&sequential, q));
-        }
-    });
-    let seq_ns = time_ns(iters, || {
-        for q in &queries {
-            black_box(exact_one(&sequential, q));
-        }
-    }) / n_queries as f64;
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let auto_threshold = kgrag::vector::default_parallel_threshold();
-    println!("host cores: {cores}, auto threshold: {auto_threshold:?}");
-    println!(
-        "{:<10} {:>12} {:>9} {:>8}",
-        "workers", "ns/q", "speedup", "shards"
-    );
-    println!("{:<10} {seq_ns:>12.0} {:>9} {:>8}", "seq", "1.00x", 0);
-
-    let mut workers = Vec::new();
-    for w in [2usize, 4] {
-        let sharded =
-            VectorIndex::build(vectors.clone(), 0, EXP_SEED).with_options(SearchOptions {
-                parallel_threshold: Some(1),
-                shard_count: Some(w),
-            });
-        let mut shards = 0usize;
-        for q in &queries {
-            let (hits, stats) = search_one(&sharded, q, Strategy::Exact);
-            let seq_hits = exact_one(&sequential, q);
-            assert_eq!(
-                bits(&hits),
-                bits(&seq_hits),
-                "sharded scan diverged at workers={w}"
-            );
-            shards = stats.parallel_shards;
-        }
-        let ns = time_ns(iters, || {
-            for q in &queries {
-                black_box(exact_one(&sharded, q));
-            }
-        }) / n_queries as f64;
-        let speedup = seq_ns / ns;
-        println!("{w:<10} {ns:>12.0} {speedup:>8.2}x {shards:>8}");
-        workers.push(json!({
-            "workers": w,
-            "ns_per_query": ns,
-            "speedup": speedup,
-            "bit_identical": true,
-            "parallel_shards": shards,
-        }));
-    }
-    json!({
-        "n_docs": n,
-        "queries": n_queries,
-        "host_cores": cores,
-        "auto_threshold": auto_threshold,
-        "sequential_ns_per_query": seq_ns,
-        "workers": workers,
-    })
-}
-
-/// Series 3: IVF probe sweep — recall@K against exact and the scanned
+/// Series 2: IVF probe sweep — recall@K against exact and the scanned
 /// fraction per probe count.
 fn ivf_series(n: usize, n_queries: usize, smoke: bool) -> Value {
     header("IVF probe sweep (k-means on the arena)");
@@ -326,13 +248,13 @@ fn ivf_series(n: usize, n_queries: usize, smoke: bool) -> Value {
     })
 }
 
-/// Series 4: batched query-matrix retrieval vs the sequential per-query
+/// Series 3: batched query-matrix retrieval vs the sequential per-query
 /// scan, across batch sizes, bit-identical and therefore at *fixed*
 /// recall.
 fn batch_series(n: usize, smoke: bool) -> Value {
     header("Batched query-matrix kernel (QPS at fixed recall@10)");
     let vectors = make_corpus(n, "batch");
-    let index = VectorIndex::build(vectors, 0, EXP_SEED).with_options(SearchOptions::sequential());
+    let index = VectorIndex::build(vectors, 0, EXP_SEED);
     let dispatch = slm::dispatch_path().label();
     println!("n_docs: {n}, dispatch path: {dispatch}");
     println!(
@@ -407,7 +329,7 @@ fn batch_series(n: usize, smoke: bool) -> Value {
     })
 }
 
-/// Series 5: IVF seeding quality — shuffle vs k-means++ at fixed probe
+/// Series 4: IVF seeding quality — shuffle vs k-means++ at fixed probe
 /// count (recall regression gate) and the elbow heuristic's pick.
 fn seeding_series(n: usize, n_queries: usize) -> Value {
     header("IVF seeding: shuffle vs k-means++ (recall regression gate)");
@@ -493,7 +415,6 @@ fn main() {
     };
 
     let exact = exact_series(&sizes, n_queries, smoke);
-    let parallel = parallel_series(*sizes.last().expect("sizes"), n_queries, smoke);
     let ivf = ivf_series(*sizes.last().expect("sizes"), n_queries, smoke);
     let batch = batch_series(*sizes.last().expect("sizes"), smoke);
     let seeding = seeding_series(*sizes.last().expect("sizes"), n_queries);
@@ -510,7 +431,6 @@ fn main() {
             "baseline": "seed VectorIndex (Vec<Vec<f32>> rows, full cosine per pair, full sort)",
             "candidate": "flat arena (unit-normalized rows, blocked dot kernel, bounded-heap top-k)",
             "exact": Value::Array(exact),
-            "parallel": parallel,
             "ivf": ivf,
             "batch": batch,
             "seeding": seeding,

@@ -36,9 +36,6 @@ pub struct RetrievalProfile {
     /// Top-k heap insertions across those scans
     /// (`retrieval.heap_pushes`).
     pub heap_pushes: u64,
-    /// Worker shards spawned by parallel scans
-    /// (`retrieval.parallel_shards`; zero on sequential scans).
-    pub parallel_shards: u64,
 }
 
 /// Executor-stage counters of one answered question — the
@@ -131,7 +128,6 @@ impl AnswerProfile {
                 "context_chars": self.retrieval.context_chars,
                 "vectors_scanned": self.retrieval.vectors_scanned,
                 "heap_pushes": self.retrieval.heap_pushes,
-                "parallel_shards": self.retrieval.parallel_shards,
             },
             "executor": {
                 "queries_issued": self.executor.queries_issued,
@@ -140,7 +136,6 @@ impl AnswerProfile {
                 "index_probes": self.executor.stats.index_probes,
                 "intermediate_bindings": self.executor.stats.intermediate_bindings,
                 "path_cache_hits": self.executor.stats.path_cache_hits,
-                "parallel_shards": self.executor.stats.parallel_shards,
                 "merge_joins": self.executor.stats.merge_joins,
             },
             "generation": {
@@ -220,7 +215,6 @@ mod tests {
                     index_probes: 4,
                     intermediate_bindings: 5,
                     path_cache_hits: 0,
-                    parallel_shards: 0,
                     merge_joins: 0,
                 },
             },

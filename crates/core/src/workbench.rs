@@ -113,7 +113,7 @@ impl Workbench {
 
     /// Run a SPARQL query. The result carries the executor's work
     /// counters (patterns scanned, index probes, intermediate bindings,
-    /// path-cache hits, parallel shards) — the workbench's lightweight
+    /// path-cache hits, merge joins) — the workbench's lightweight
     /// profiling surface.
     ///
     /// ```
@@ -252,7 +252,6 @@ impl Workbench {
                 context_chars: if grounded { reply.text.len() } else { 0 },
                 vectors_scanned: counters.counter("retrieval.vectors_scanned"),
                 heap_pushes: counters.counter("retrieval.heap_pushes"),
-                parallel_shards: counters.counter("retrieval.parallel_shards"),
             },
             executor: ExecutorProfile {
                 queries_issued: counters.counter("exec.queries") as usize,
@@ -307,7 +306,6 @@ impl Workbench {
                 context_chars: answer.context_chars,
                 vectors_scanned: counters.counter("retrieval.vectors_scanned"),
                 heap_pushes: counters.counter("retrieval.heap_pushes"),
-                parallel_shards: counters.counter("retrieval.parallel_shards"),
             },
             executor: ExecutorProfile::default(),
             generation: GenerationProfile {
@@ -379,7 +377,6 @@ impl Workbench {
                 context_chars: answer.len(),
                 vectors_scanned: counters.counter("retrieval.vectors_scanned"),
                 heap_pushes: counters.counter("retrieval.heap_pushes"),
-                parallel_shards: counters.counter("retrieval.parallel_shards"),
             },
             executor: ExecutorProfile {
                 queries_issued: counters.counter("exec.queries") as usize,
@@ -389,7 +386,6 @@ impl Workbench {
                     index_probes: counters.counter("exec.index_probes") as usize,
                     intermediate_bindings: counters.counter("exec.intermediate_bindings") as usize,
                     path_cache_hits: counters.counter("exec.path_cache_hits") as usize,
-                    parallel_shards: counters.counter("exec.parallel_shards") as usize,
                     merge_joins: counters.counter("exec.merge_joins") as usize,
                 },
             },

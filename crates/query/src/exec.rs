@@ -22,28 +22,28 @@
 //!   into an extended binding: the last match takes the binding, earlier
 //!   matches clone it;
 //! * **the staged driver** extends the whole frontier one pattern at a
-//!   time, each stage by per-binding index probes, by one sorted-merge
-//!   pass over a compacted predicate index, or — once the frontier
-//!   crosses [`ExecOptions::parallel_threshold`] — sharded across scoped
-//!   threads whose [`ExecStats`] merge back in shard order, so results
-//!   are bit-identical to the sequential run;
+//!   time, each stage by per-binding index probes or by one sorted-merge
+//!   pass over a compacted predicate index;
 //! * **the depth-first driver** serves row budgets: `ORDER BY`-free
 //!   `LIMIT k` queries (and `ASK`) stop after producing exactly the first
 //!   `k` solutions of the staged order.
+//!
+//! A query runs on the thread that calls it; a server gets its
+//! parallelism across requests, not inside one.
 //!
 //! Property-path evaluations (including the BFS closure frontiers of
 //! `p+`/`p*`) are memoized per `(path, endpoints)` within one query; hits
 //! surface as [`ExecStats::path_cache_hits`]. Work counters
 //! ([`ExecStats`]) are threaded through evaluation and surface on the
-//! returned [`ResultSet`].
+//! returned [`ResultSet`]; they depend only on the query and the graph.
 //!
 //! The seed map-based evaluator is preserved as [`crate::reference`] and
 //! serves as the differential-testing oracle and benchmark baseline.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use kg::store::TriplePattern;
 use kg::term::{Sym, Term};
@@ -59,18 +59,6 @@ use crate::results::{Cell, ExecStats, ResultSet, Terms};
 /// A solution mapping: one cell per compiled variable slot.
 pub type Binding = Vec<Option<Sym>>;
 
-/// Baseline binding-vector size at which a BGP extension stage shards
-/// across threads, calibrated for a two-core host. Below the (scaled)
-/// threshold, thread spawn/join overhead outweighs the per-binding index
-/// probes. [`default_parallel_threshold`] derives the actual default from
-/// the running host's core count.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
-
-/// Never shard a frontier smaller than this, no matter how many cores
-/// exist: per-binding probes are tens of nanoseconds, so a smaller stage
-/// finishes before the spawned workers do.
-const MIN_PARALLEL_THRESHOLD: usize = 512;
-
 /// Default binding-vector size at which an eligible BGP extension stage
 /// switches from per-binding index probes to one sorted-merge pass over
 /// the predicate's index ([`ExecOptions::merge_threshold`]). Small on
@@ -79,49 +67,13 @@ const MIN_PARALLEL_THRESHOLD: usize = 512;
 /// searches at modest `n`.
 pub const DEFAULT_MERGE_THRESHOLD: usize = 16;
 
-/// The sharding threshold for this host, derived at runtime from
-/// [`std::thread::available_parallelism`]:
-///
-/// * single core ⇒ `None` — sharding is pure overhead when no second
-///   core can pick the work up (the CI box that tuned the old constant);
-/// * `n > 1` cores ⇒ [`DEFAULT_PARALLEL_THRESHOLD`] scaled down as cores
-///   grow (`2·2048 / n`, floored at 512), since a wide frontier amortizes
-///   spawn cost faster when more workers share it.
-///
-/// ```
-/// let threshold = kgquery::exec::default_parallel_threshold();
-/// match std::thread::available_parallelism() {
-///     Ok(n) if n.get() > 1 => assert!(threshold.unwrap() >= 512),
-///     _ => assert_eq!(threshold, None),
-/// }
-/// ```
-pub fn default_parallel_threshold() -> Option<usize> {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    if cores <= 1 {
-        None
-    } else {
-        Some((DEFAULT_PARALLEL_THRESHOLD * 2 / cores).max(MIN_PARALLEL_THRESHOLD))
-    }
-}
-
 /// Knobs controlling how [`execute`] evaluates a query.
 ///
-/// The defaults (streaming on, parallelism above the host-derived
-/// [`default_parallel_threshold`]) suit serving; benchmarks and
-/// differential tests pin individual knobs to isolate one evaluation
-/// mode.
+/// The defaults (merge joins and streaming on, no budgets) suit serving;
+/// benchmarks and differential tests pin individual knobs to isolate one
+/// evaluation mode.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// Shard a BGP extension stage across scoped threads once its input
-    /// binding vector reaches this size; `None` disables parallelism.
-    pub parallel_threshold: Option<usize>,
-    /// Worker count for sharded stages; `None` uses
-    /// [`std::thread::available_parallelism`]. Pinning this lets tests and
-    /// benchmarks exercise the threaded path deterministically even on a
-    /// single-core host.
-    pub shard_count: Option<usize>,
     /// Evaluate an eligible BGP extension stage (constant predicate, one
     /// endpoint bound in every binding, the other free in every binding,
     /// compacted graph) as one sorted-merge pass against the predicate
@@ -148,8 +100,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            parallel_threshold: default_parallel_threshold(),
-            shard_count: None,
             merge_threshold: Some(DEFAULT_MERGE_THRESHOLD),
             streaming: true,
             limits: ResourceLimits::unlimited(),
@@ -161,11 +111,6 @@ impl Default for ExecOptions {
 
 impl ExecOptions {
     /// Default options with the given resource budgets attached.
-    ///
-    /// Note that the defaults include the host-derived
-    /// [`default_parallel_threshold`]; determinism-sensitive tests should
-    /// pin `parallel_threshold` (and `shard_count`) explicitly — see
-    /// `docs/query-executor.md`.
     ///
     /// ```
     /// use std::time::Duration;
@@ -1153,10 +1098,10 @@ fn avg_fanout(total: usize, distinct: usize) -> usize {
 // Evaluation over slot bindings
 // ---------------------------------------------------------------------------
 
-/// Shared, read-only evaluation state: the graph, the options, the
-/// per-query path memo table (internally synchronized, so shards on
-/// worker threads share one cache), and the resource-governance context
-/// (also internally synchronized) that evaluation checks cooperatively.
+/// Per-query evaluation state: the graph, the options, the path memo
+/// table, and the resource-governance context that evaluation checks
+/// cooperatively. The memo table is single-threaded (`RefCell`), so an
+/// `EvalCtx` cannot be shared across threads.
 struct EvalCtx<'a> {
     graph: &'a Graph,
     opts: &'a ExecOptions,
@@ -1175,7 +1120,7 @@ struct EvalCtx<'a> {
 type PathKey = (PathId, Option<Sym>, Option<Sym>);
 
 /// Shared, immutable result of one path evaluation.
-type SharedPairs = Arc<Vec<(Sym, Sym)>>;
+type SharedPairs = Rc<Vec<(Sym, Sym)>>;
 
 /// Per-query memo table for property-path evaluation.
 ///
@@ -1184,25 +1129,25 @@ type SharedPairs = Arc<Vec<(Sym, Sym)>>;
 /// frontier expansions inside a transitive-closure BFS hit the cache.
 #[derive(Default)]
 struct PathCache {
-    map: Mutex<HashMap<PathKey, SharedPairs>>,
-    hits: AtomicUsize,
+    map: RefCell<HashMap<PathKey, SharedPairs>>,
+    hits: std::cell::Cell<usize>,
 }
 
 impl PathCache {
     fn get(&self, key: &PathKey) -> Option<SharedPairs> {
-        let hit = self.map.lock().expect("path cache lock").get(key).cloned();
+        let hit = self.map.borrow().get(key).cloned();
         if hit.is_some() {
-            self.hits.fetch_add(1, AtomicOrdering::Relaxed);
+            self.hits.set(self.hits.get() + 1);
         }
         hit
     }
 
     fn put(&self, key: PathKey, value: SharedPairs) {
-        self.map.lock().expect("path cache lock").insert(key, value);
+        self.map.borrow_mut().insert(key, value);
     }
 
     fn hits(&self) -> usize {
-        self.hits.load(AtomicOrdering::Relaxed)
+        self.hits.get()
     }
 }
 
@@ -1347,9 +1292,7 @@ fn eval(
 }
 
 /// The staged driver: every binding is extended through pattern `i`
-/// before pattern `i + 1` runs. Each stage picks its method in this
-/// order: shards once the frontier crosses the parallel threshold
-/// ([`extend_stage_parallel`]), one sorted-merge pass when
+/// before pattern `i + 1` runs. Each stage is one sorted-merge pass when
 /// [`merge_plan`] allows it, else the per-binding [`probe_stage`].
 fn eval_bgp(
     ctx: &EvalCtx,
@@ -1365,14 +1308,9 @@ fn eval_bgp(
         // stage boundary: poll cancellation/deadline before each pass
         ctx.rc.check_now()?;
         stats.patterns_scanned += 1;
-        let next = match ctx.opts.parallel_threshold {
-            Some(threshold) if current.len() >= threshold.max(1) => {
-                extend_stage_parallel(ctx, pat, current, stats)?
-            }
-            _ => match merge_plan(ctx, pat, &current) {
-                Some(plan) => extend_stage_merge(ctx, &plan, current, stats)?,
-                None => probe_stage(ctx, pat, current, stats)?,
-            },
+        let next = match merge_plan(ctx, pat, &current) {
+            Some(plan) => extend_stage_merge(ctx, &plan, current, stats)?,
+            None => probe_stage(ctx, pat, current, stats)?,
         };
         stats.intermediate_bindings += next.len();
         current = next;
@@ -1402,73 +1340,6 @@ fn probe_stage(
         ctx.rc.check_rows(next.len())?;
     }
     Ok(next)
-}
-
-/// Shard one extension stage across scoped threads.
-///
-/// The binding vector is split into per-thread chunks *in order*, each
-/// chunk runs [`probe_stage`], and the shard outputs are concatenated
-/// back in shard order, so the result (and every work counter except
-/// [`ExecStats::parallel_shards`], which counts the shards themselves) is
-/// identical to the sequential loop.
-fn extend_stage_parallel(
-    ctx: &EvalCtx,
-    pat: &SlotPattern,
-    bindings: Vec<Binding>,
-    stats: &mut ExecStats,
-) -> Result<Vec<Binding>, LimitViolation> {
-    let threads = ctx.opts.shard_count.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    });
-    let shards = threads.min(bindings.len());
-    if shards <= 1 {
-        return probe_stage(ctx, pat, bindings, stats);
-    }
-    let chunk_len = bindings.len().div_ceil(shards);
-    let mut chunks: Vec<Vec<Binding>> = Vec::with_capacity(shards);
-    let mut rest = bindings;
-    while rest.len() > chunk_len {
-        let tail = rest.split_off(chunk_len);
-        chunks.push(std::mem::replace(&mut rest, tail));
-    }
-    chunks.push(rest);
-    type ShardResult = Result<(Vec<Binding>, ExecStats), LimitViolation>;
-    let results: Vec<ShardResult> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                // the deadline/cancel state and the path-expansion counter
-                // are shared atomics, so every shard observes the same
-                // budgets; the row check is per-shard (a stage stops
-                // within one shard's share of the budget of overshoot)
-                scope.spawn(move |_| -> ShardResult {
-                    let mut local_stats = ExecStats::default();
-                    let local = probe_stage(ctx, pat, chunk, &mut local_stats)?;
-                    Ok((local, local_stats))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("extension worker panicked"))
-            .collect()
-    })
-    .expect("extension scope");
-    // fold in shard order so the first violation reported is deterministic
-    let mut shard_outputs = Vec::with_capacity(results.len());
-    for r in results {
-        shard_outputs.push(r?);
-    }
-    stats.parallel_shards += shard_outputs.len();
-    let mut out = Vec::with_capacity(shard_outputs.iter().map(|(rows, _)| rows.len()).sum());
-    for (rows, shard_stats) in shard_outputs {
-        stats.merge(&shard_stats);
-        out.extend(rows);
-        ctx.rc.check_rows(out.len())?;
-    }
-    Ok(out)
 }
 
 /// A BGP extension stage that qualifies for sorted-merge evaluation: a
@@ -1857,10 +1728,10 @@ pub fn eval_path(
 
 /// Pairs from a sub-path evaluation: owned when computed directly,
 /// shared when answered by the memo table. Lets cheap uncached legs skip
-/// the `Arc` allocation entirely.
+/// the `Rc` allocation entirely.
 enum Pairs {
     Owned(Vec<(Sym, Sym)>),
-    Shared(Arc<Vec<(Sym, Sym)>>),
+    Shared(SharedPairs),
 }
 
 impl std::ops::Deref for Pairs {
@@ -1887,29 +1758,29 @@ struct PathEval<'a> {
 impl PathEval<'_> {
     /// Memoizing wrapper around [`PathEval::compute`]: consult the
     /// per-query cache (when one is supplied) before recomputing, and
-    /// share results via `Arc` so hits cost one pointer clone.
+    /// share results via `Rc` so hits cost one pointer clone.
     ///
     /// Simple paths (a bare IRI or predicate variable) bypass the cache:
-    /// they cost one index probe, which is cheaper than the hash + lock a
-    /// lookup would take. The cache pays off on composite paths — above
+    /// they cost one index probe, which is cheaper than the hash a lookup
+    /// would take. The cache pays off on composite paths — above
     /// all transitive closures, whose BFS is the expensive part.
     fn memo(
         self,
         path: PathId,
         s: Option<Sym>,
         o: Option<Sym>,
-    ) -> Result<Arc<Vec<(Sym, Sym)>>, LimitViolation> {
+    ) -> Result<SharedPairs, LimitViolation> {
         match self.cache {
             Some(c) if !self.table[path].is_simple() => {
                 let key = (path, s, o);
                 if let Some(hit) = c.get(&key) {
                     return Ok(hit);
                 }
-                let computed = Arc::new(self.compute(path, s, o)?);
+                let computed = Rc::new(self.compute(path, s, o)?);
                 c.put(key, computed.clone());
                 Ok(computed)
             }
-            _ => Ok(Arc::new(self.compute(path, s, o)?)),
+            _ => Ok(Rc::new(self.compute(path, s, o)?)),
         }
     }
 
@@ -2529,7 +2400,6 @@ mod tests {
             &g,
             &parsed,
             &ExecOptions {
-                parallel_threshold: None,
                 merge_threshold: Some(1),
                 ..ExecOptions::default()
             },
@@ -2539,7 +2409,6 @@ mod tests {
             &g,
             &parsed,
             &ExecOptions {
-                parallel_threshold: None,
                 merge_threshold: None,
                 ..ExecOptions::default()
             },
@@ -2562,7 +2431,6 @@ mod tests {
             &g,
             &parse(q).unwrap(),
             &ExecOptions {
-                parallel_threshold: None,
                 merge_threshold: Some(1),
                 ..ExecOptions::default()
             },
@@ -2597,6 +2465,46 @@ mod tests {
                 assert!(observed > 2);
             }
             other => panic!("expected LimitExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn row_budget_trips_within_one_fanout_on_a_wide_stage() {
+        // 2,400 films, each starring one of 200 actors: the second stage
+        // of the self-join takes 2,400 bindings and emits 12 rows for
+        // each (28,800 in all). The budget must trip within one binding's
+        // fan-out of `max_rows`, under the serving options, on either
+        // stage method (probe loop on the delta, merge join compacted).
+        let (films, actors) = (2_400, 200);
+        let fanout = films / actors;
+        let max_rows = 20_000;
+        let mut g = Graph::new();
+        for f in 0..films {
+            g.insert_iri(
+                &format!("http://e/film{f}"),
+                "http://v/starring",
+                &format!("http://e/actor{}", f % actors),
+            );
+        }
+        let q = parse(
+            "PREFIX v: <http://v/> SELECT ?f ?a ?f2 WHERE { ?f v:starring ?a . ?f2 v:starring ?a }",
+        )
+        .unwrap();
+        let opts = ExecOptions::with_limits(ResourceLimits::unlimited().with_max_rows(max_rows));
+        for compacted in [false, true] {
+            if compacted {
+                g.compact();
+            }
+            match run_with_opts(&g, &q, &opts) {
+                Err(QueryError::LimitExceeded { limit, observed }) => {
+                    assert_eq!(limit, resilience::Limit::Rows(max_rows));
+                    assert!(
+                        observed > max_rows && observed <= max_rows + fanout as u64,
+                        "compacted {compacted}: observed {observed}"
+                    );
+                }
+                other => panic!("expected LimitExceeded, got {other:?}"),
+            }
         }
     }
 
@@ -2867,7 +2775,7 @@ mod tests {
         // Every work counter of every evaluation route, pinned exactly
         // (`DISTINCT` takes the staged route, as with `streaming: false`).
         // Counters: patterns_scanned, index_probes, intermediate_bindings,
-        // path_cache_hits, parallel_shards, merge_joins.
+        // path_cache_hits, merge_joins.
         let mut synth = kg::synth::movies(
             11,
             kg::synth::Scale {
@@ -2878,19 +2786,8 @@ mod tests {
         synth.compact();
         let mut looped = graph();
         looped.insert_iri("http://e/loop", "http://v/knows", "http://e/loop");
-        let seq = ExecOptions {
-            parallel_threshold: None,
-            ..ExecOptions::default()
-        };
-        let sharded = ExecOptions {
-            parallel_threshold: Some(1),
-            shard_count: Some(3),
-            ..ExecOptions::default()
-        };
-        let capped = ExecOptions {
-            parallel_threshold: None,
-            ..ExecOptions::with_limits(ResourceLimits::unlimited().with_max_rows(3))
-        };
+        let seq = ExecOptions::default();
+        let capped = ExecOptions::with_limits(ResourceLimits::unlimited().with_max_rows(3));
         let e = "PREFIX v: <http://v/> PREFIX e: <http://e/> ";
         let v = "PREFIX v: <http://llmkg.dev/vocab/> ";
         let join = format!("{v}SELECT ?a ?d WHERE {{ ?f v:starring ?a . ?f v:directedBy ?d }}");
@@ -2902,7 +2799,7 @@ mod tests {
                 format!("{e}SELECT ?x ?z WHERE {{ ?x v:knows ?y . ?y v:knows ?z }}"),
                 &seq,
                 2,
-                [2, 4, 5, 0, 0, 0],
+                [2, 4, 5, 0, 0],
             ),
             (
                 "merge stage",
@@ -2910,15 +2807,7 @@ mod tests {
                 format!("{v}SELECT ?g ?a WHERE {{ ?f v:hasGenre ?g . ?f v:starring ?a }}"),
                 &seq,
                 130,
-                [2, 31, 171, 0, 0, 1],
-            ),
-            (
-                "forced shards",
-                &synth,
-                join.clone(),
-                &sharded,
-                95,
-                [2, 31, 125, 0, 3, 0],
+                [2, 31, 171, 0, 1],
             ),
             (
                 "limit dfs",
@@ -2926,7 +2815,7 @@ mod tests {
                 format!("{join} LIMIT 7"),
                 &seq,
                 7,
-                [2, 4, 10, 0, 0, 0],
+                [2, 4, 10, 0, 0],
             ),
             (
                 "ask",
@@ -2934,7 +2823,7 @@ mod tests {
                 format!("{v}ASK {{ ?f v:starring ?a . ?f v:directedBy ?d }}"),
                 &seq,
                 0,
-                [2, 2, 2, 0, 0, 0],
+                [2, 2, 2, 0, 0],
             ),
             (
                 "optional",
@@ -2942,7 +2831,7 @@ mod tests {
                 format!("{e}SELECT ?x ?n WHERE {{ ?x a v:Person OPTIONAL {{ ?x v:name ?n }} }}"),
                 &seq,
                 2,
-                [3, 3, 3, 0, 0, 0],
+                [3, 3, 3, 0, 0],
             ),
             (
                 "union",
@@ -2950,7 +2839,7 @@ mod tests {
                 format!("{e}SELECT ?x WHERE {{ {{ ?x a v:Person }} UNION {{ ?x a v:Robot }} }}"),
                 &seq,
                 3,
-                [2, 2, 3, 0, 0, 0],
+                [2, 2, 3, 0, 0],
             ),
             (
                 "values",
@@ -2958,7 +2847,7 @@ mod tests {
                 format!("{e}SELECT ?y WHERE {{ VALUES ?x {{ e:a e:b }} ?x v:knows ?y }}"),
                 &seq,
                 2,
-                [1, 2, 4, 0, 0, 0],
+                [1, 2, 4, 0, 0],
             ),
             (
                 "filter",
@@ -2966,7 +2855,7 @@ mod tests {
                 format!("{e}SELECT ?x WHERE {{ ?x v:age ?a FILTER(?a > 26) }}"),
                 &seq,
                 1,
-                [1, 1, 2, 0, 0, 0],
+                [1, 1, 2, 0, 0],
             ),
             (
                 "composite path",
@@ -2974,7 +2863,7 @@ mod tests {
                 format!("{v}SELECT ?f ?x WHERE {{ ?f v:directedBy ?d . ?d v:spouse* ?x }}"),
                 &seq,
                 36,
-                [2, 31, 66, 20, 0, 0],
+                [2, 31, 66, 20, 0],
             ),
             (
                 "predicate variable",
@@ -2982,7 +2871,7 @@ mod tests {
                 format!("{e}SELECT ?p ?o WHERE {{ e:a ?p ?o }}"),
                 &seq,
                 4,
-                [1, 1, 4, 0, 0, 0],
+                [1, 1, 4, 0, 0],
             ),
             (
                 "?x p ?x",
@@ -2990,7 +2879,7 @@ mod tests {
                 knows_self.clone(),
                 &seq,
                 1,
-                [2, 2, 2, 0, 0, 0],
+                [2, 2, 2, 0, 0],
             ),
             (
                 "?x p ?x, limit",
@@ -2998,7 +2887,7 @@ mod tests {
                 format!("{knows_self} LIMIT 2"),
                 &seq,
                 1,
-                [2, 2, 2, 0, 0, 0],
+                [2, 2, 2, 0, 0],
             ),
             (
                 "truncated limit",
@@ -3006,7 +2895,7 @@ mod tests {
                 "SELECT ?x ?y WHERE { ?x ?p ?y . ?a ?q ?b } LIMIT 500".to_string(),
                 &capped,
                 2,
-                [2, 2, 4, 0, 0, 0],
+                [2, 2, 4, 0, 0],
             ),
             (
                 "distinct",
@@ -3014,7 +2903,7 @@ mod tests {
                 format!("{v}SELECT DISTINCT ?g WHERE {{ ?f v:hasGenre ?g . ?f v:starring ?a }}"),
                 &seq,
                 7,
-                [2, 31, 171, 0, 0, 1],
+                [2, 31, 171, 0, 1],
             ),
             (
                 "distinct, sliced",
@@ -3025,7 +2914,7 @@ mod tests {
                 ),
                 &seq,
                 3,
-                [2, 31, 71, 0, 0, 1],
+                [2, 31, 71, 0, 1],
             ),
         ];
         for (route, g, q, opts, rows, want) in cases {
@@ -3036,7 +2925,6 @@ mod tests {
                 s.index_probes,
                 s.intermediate_bindings,
                 s.path_cache_hits,
-                s.parallel_shards,
                 s.merge_joins,
             ];
             assert_eq!((rs.len(), got), (rows, want), "{route}: {q}");

@@ -16,11 +16,10 @@
 //!   into slots, each BGP is join-ordered once using the per-predicate
 //!   cardinality histograms [`kg::Graph`] maintains, and evaluation
 //!   threads flat `Vec<Option<Sym>>` bindings over the graph. ORDER-BY-free
-//!   `LIMIT` queries stream (stop after the budgeted number of rows), wide
-//!   join frontiers shard across threads, transitive path operators are
-//!   BFS-evaluated through a per-query memo table, and work counters
-//!   surface as [`ExecStats`] on every result. See `docs/query-executor.md`
-//!   for the architecture;
+//!   `LIMIT` queries stream (stop after the budgeted number of rows),
+//!   transitive path operators are BFS-evaluated through a per-query memo
+//!   table, and work counters surface as [`ExecStats`] on every result.
+//!   See `docs/query-executor.md` for the architecture;
 //! * [`prepared`] — prepared queries (parse + compile + join-order once,
 //!   run many times with fresh bindings) and the [`PlanCache`] keyed on
 //!   normalized query text, invalidated on the graph's statistics epoch;
@@ -51,7 +50,7 @@ pub use results::{ExecStats, ResultSet};
 use kg::Graph;
 
 /// Parse and execute a SPARQL query with explicit [`exec::ExecOptions`]
-/// (resource limits, cancellation, parallelism knobs). To record the run
+/// (resource limits, cancellation, evaluation knobs). To record the run
 /// on an observability span, parse and call [`exec::execute`].
 pub fn execute_sparql_with<'g>(
     graph: &'g Graph,

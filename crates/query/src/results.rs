@@ -24,11 +24,6 @@ pub struct ExecStats {
     /// Property-path memo-table hits: evaluations of a `(path, endpoints)`
     /// pair answered from the per-query cache instead of recomputed.
     pub path_cache_hits: usize,
-    /// Worker shards spawned by parallel BGP stages. Zero for fully
-    /// sequential executions. Scheduling metadata, not work: two runs of
-    /// the same query may differ here while agreeing on every other
-    /// counter (see [`ExecStats::merge`]).
-    pub parallel_shards: usize,
     /// BGP extension stages evaluated as sorted-merge joins against a
     /// compacted graph's predicate index instead of per-binding probes
     /// (see [`crate::exec::ExecOptions::merge_threshold`]). Each merged
@@ -56,7 +51,6 @@ impl ExecStats {
             ("index_probes", self.index_probes),
             ("intermediate_bindings", self.intermediate_bindings),
             ("path_cache_hits", self.path_cache_hits),
-            ("parallel_shards", self.parallel_shards),
             ("merge_joins", self.merge_joins),
         ] {
             span.add(name, value as u64);
@@ -64,16 +58,13 @@ impl ExecStats {
         }
     }
 
-    /// Accumulate another set of counters into `self` — used to fold the
-    /// per-shard statistics of a parallel BGP stage back into the query's
-    /// totals, so a parallel run reports the same work counters as the
-    /// sequential run it replaces.
+    /// Accumulate another set of counters into `self`, e.g. to total the
+    /// work of several queries.
     pub fn merge(&mut self, other: &ExecStats) {
         self.patterns_scanned += other.patterns_scanned;
         self.index_probes += other.index_probes;
         self.intermediate_bindings += other.intermediate_bindings;
         self.path_cache_hits += other.path_cache_hits;
-        self.parallel_shards += other.parallel_shards;
         self.merge_joins += other.merge_joins;
     }
 }
@@ -428,7 +419,6 @@ mod tests {
             index_probes: 7,
             intermediate_bindings: 9,
             path_cache_hits: 2,
-            parallel_shards: 4,
             merge_joins: 1,
         });
         assert_eq!(a, b);
@@ -442,7 +432,6 @@ mod tests {
             index_probes: 2,
             intermediate_bindings: 3,
             path_cache_hits: 4,
-            parallel_shards: 5,
             merge_joins: 6,
         };
         a.merge(&ExecStats {
@@ -450,7 +439,6 @@ mod tests {
             index_probes: 20,
             intermediate_bindings: 30,
             path_cache_hits: 40,
-            parallel_shards: 50,
             merge_joins: 60,
         });
         assert_eq!(
@@ -460,7 +448,6 @@ mod tests {
                 index_probes: 22,
                 intermediate_bindings: 33,
                 path_cache_hits: 44,
-                parallel_shards: 55,
                 merge_joins: 66,
             }
         );

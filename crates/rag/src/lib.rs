@@ -8,11 +8,10 @@
 //! * [`chunk`] — sentence-window chunking with overlap,
 //! * [`vector`] — a vector index over a flat pre-normalized arena behind
 //!   one entrypoint, [`VectorIndex::search`]: exact top-k through a
-//!   batched dot-product kernel with bounded-heap top-k (optionally
-//!   sharded across threads) plus an IVF-lite variant (seeded k-means coarse
-//!   quantizer with cluster probing); the seed brute force and the
-//!   per-query arena scan survive in [`mod@reference`] as differential
-//!   oracles,
+//!   batched dot-product kernel with bounded-heap top-k plus an IVF-lite
+//!   variant (seeded k-means coarse quantizer with cluster probing); the
+//!   seed brute force and the per-query arena scan survive in
+//!   [`mod@reference`] as differential oracles,
 //! * [`inject`] — K-BERT-sim \[60\] triple injection into prompts and
 //!   Dict-BERT-sim \[93\] rare-term definitions,
 //! * [`pipeline`] — the RAG ladder \[30\]: closed-book, Naive RAG
@@ -35,6 +34,5 @@ pub use graphrag::GraphRag;
 pub use inject::{inject_knowledge, rare_term_definitions};
 pub use pipeline::{BatchWindow, RagAnswer, RagMode, RagPipeline};
 pub use vector::{
-    IvfFallback, IvfSeeding, SearchOptions, SearchRequest, SearchResult, SearchStats, Strategy,
-    VectorIndex,
+    IvfFallback, IvfSeeding, SearchRequest, SearchResult, SearchStats, Strategy, VectorIndex,
 };

@@ -58,7 +58,7 @@ pub fn seed_search_exact(vectors: &[Vec<f32>], query: &[f32], k: usize) -> Vec<H
 
 /// Sequential per-query exact search over the index's arena: the query
 /// prepared as the index prepares it, one [`dot`] per document in id
-/// order, offered to one bounded top-k heap. No sharding, no batching.
+/// order, offered to one bounded top-k heap. No batching.
 pub fn scan_exact(index: &VectorIndex, query: &[f32], k: usize) -> Vec<Hit> {
     if index.is_empty() || k == 0 {
         return Vec::new();

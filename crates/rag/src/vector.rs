@@ -1,8 +1,8 @@
 //! Vector index over a flat arena with one retrieval entrypoint,
 //! [`VectorIndex::search`]: exact top-k through a register-blocked
-//! batched kernel (optionally sharded across crossbeam-scoped threads),
-//! or an IVF-lite approximate variant (seeded k-means coarse quantizer,
-//! probe-nearest-clusters) sharing the same arena.
+//! batched kernel, or an IVF-lite approximate variant (seeded k-means
+//! coarse quantizer, probe-nearest-clusters) sharing the same arena. A
+//! search runs on the thread that calls it.
 //!
 //! # Layout
 //!
@@ -36,18 +36,6 @@
 //! the kernel preserves the scalar accumulation order and the total-order
 //! heap makes the top-k set unique regardless of offer order.
 //!
-//! # Parallelism
-//!
-//! Above [`SearchOptions::parallel_threshold`] documents, the exact pass
-//! shards the **arena** (not the query set) across crossbeam-scoped
-//! threads: every query visits every shard, each shard keeps one top-k
-//! heap per query, and the ≤ `shards × k` survivors per query merge under
-//! the same total-order comparator — so the parallel result is
-//! bit-identical to the sequential pass. The default threshold is derived
-//! from the host's core count exactly like
-//! `kgquery::exec::default_parallel_threshold` (`None` on a single core —
-//! sharding is pure overhead there).
-//!
 //! # IVF
 //!
 //! [`Strategy::Ivf`] runs the probe loop once per query: score the
@@ -73,65 +61,6 @@ const BATCH_TILE: usize = 1024;
 
 /// A (document id, score) search hit.
 pub type Hit = (usize, f32);
-
-/// Baseline document count at which an exact scan shards across threads,
-/// calibrated for a two-core host. One document costs one `dim`-wide dot
-/// product (~tens of nanoseconds at `dim = 64`), so a scan below the
-/// (scaled) threshold finishes before spawned workers would.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 16_384;
-
-/// Never shard a scan smaller than this, no matter how many cores exist.
-const MIN_PARALLEL_THRESHOLD: usize = 4_096;
-
-/// The sharding threshold for this host, derived at runtime from
-/// [`std::thread::available_parallelism`] with the same shape as
-/// `kgquery::exec::default_parallel_threshold`:
-///
-/// * single core ⇒ `None` — no second core can pick the work up;
-/// * `n > 1` cores ⇒ [`DEFAULT_PARALLEL_THRESHOLD`] scaled down as cores
-///   grow (`2·16384 / n`, floored at 4096).
-pub fn default_parallel_threshold() -> Option<usize> {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    if cores <= 1 {
-        None
-    } else {
-        Some((DEFAULT_PARALLEL_THRESHOLD * 2 / cores).max(MIN_PARALLEL_THRESHOLD))
-    }
-}
-
-/// Knobs controlling how searches run; mirrors the shape of
-/// `kgquery::exec::ExecOptions`' parallel knobs.
-#[derive(Debug, Clone)]
-pub struct SearchOptions {
-    /// Shard an exact scan across scoped threads once the scanned
-    /// document count reaches this size; `None` disables parallelism.
-    pub parallel_threshold: Option<usize>,
-    /// Worker count for sharded scans; `None` uses
-    /// [`std::thread::available_parallelism`]. Pinning this lets tests
-    /// exercise the threaded path deterministically on any host.
-    pub shard_count: Option<usize>,
-}
-
-impl Default for SearchOptions {
-    fn default() -> Self {
-        SearchOptions {
-            parallel_threshold: default_parallel_threshold(),
-            shard_count: None,
-        }
-    }
-}
-
-impl SearchOptions {
-    /// Options that never shard — the deterministic single-thread scan.
-    pub fn sequential() -> Self {
-        SearchOptions {
-            parallel_threshold: None,
-            shard_count: None,
-        }
-    }
-}
 
 /// Why an IVF search fell back to an exact scan. Carried on
 /// [`SearchStats`] (and queryable via [`VectorIndex::ivf_fallback`]) so
@@ -178,12 +107,8 @@ pub struct SearchStats {
     /// **per query**.
     pub vectors_scanned: usize,
     /// Insertions into a top-k heap (pushes that displaced or grew the
-    /// candidate set). Scheduling-sensitive: a sharded scan keeps one
-    /// heap per shard, so this may exceed the sequential count while the
-    /// returned hits are bit-identical.
+    /// candidate set).
     pub heap_pushes: usize,
-    /// Worker shards spawned; zero for sequential scans.
-    pub parallel_shards: usize,
     /// Clusters probed by an IVF search; zero for exact scans.
     pub ivf_probes: usize,
     /// Queries serviced by the batched kernel invocation this request
@@ -345,12 +270,6 @@ impl TopK {
         sort_hits(&mut hits);
         hits
     }
-
-    /// Drain into best-first order alongside the heap pushes it cost.
-    pub(crate) fn into_scan(self) -> (Vec<Hit>, usize) {
-        let pushes = self.pushes;
-        (self.into_sorted(), pushes)
-    }
 }
 
 /// A vector index over document embeddings, stored as a flat arena of
@@ -370,7 +289,6 @@ pub struct VectorIndex {
     /// back to exact and say so via the `retrieval.ivf_disabled` counter
     /// plus this structured reason.
     ivf_fallback: Option<IvfFallback>,
-    options: SearchOptions,
 }
 
 impl VectorIndex {
@@ -422,7 +340,6 @@ impl VectorIndex {
             centroids,
             clusters,
             ivf_fallback,
-            options: SearchOptions::default(),
         }
     }
 
@@ -454,12 +371,6 @@ impl VectorIndex {
     /// Number of IVF clusters in use (0 when IVF is disabled).
     pub fn n_clusters(&self) -> usize {
         self.clusters.len()
-    }
-
-    /// Replace the search options (parallelism knobs).
-    pub fn with_options(mut self, options: SearchOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// Number of indexed documents.
@@ -592,64 +503,29 @@ impl VectorIndex {
         out
     }
 
-    /// An exact request: one kernel pass for all queries, the per-query
-    /// counters summed.
+    /// An exact request: top-k of every query in **one arena pass**, the
+    /// per-query counters summed. Unless `k` is 0, every query scans all
+    /// `n_docs` rows.
     fn exact_search(&self, queries: &[Vec<f32>], k: usize) -> SearchResult {
-        let (scans, shards) = self.exact_scan(queries, k);
-        let scanned = if k == 0 { 0 } else { self.n_docs };
         let mut stats = SearchStats {
-            parallel_shards: shards,
             batch_queries: queries.len(),
             ..SearchStats::default()
         };
-        let hits = scans
+        if self.n_docs == 0 || k == 0 || queries.is_empty() {
+            let hits = vec![Vec::new(); queries.len()];
+            return SearchResult { hits, stats };
+        }
+        let qmat = self.prepare_batch(queries);
+        let hits = self
+            .batch_scan(&qmat, queries.len(), k)
             .into_iter()
-            .map(|(hits, pushes)| {
-                stats.vectors_scanned += scanned;
-                stats.heap_pushes += pushes;
-                hits
+            .map(|top| {
+                stats.vectors_scanned += self.n_docs;
+                stats.heap_pushes += top.pushes;
+                top.into_sorted()
             })
             .collect();
         SearchResult { hits, stats }
-    }
-
-    /// Exact top-k of every query in **one arena pass**, tile-sharded
-    /// across threads past the parallel threshold. Returns each query's
-    /// hits with its heap pushes, plus the worker shards the pass spawned
-    /// (zero when it ran sequentially). Unless `k` is 0, every query
-    /// scanned all `n_docs` rows.
-    fn exact_scan(&self, queries: &[Vec<f32>], k: usize) -> (Vec<(Vec<Hit>, usize)>, usize) {
-        if self.n_docs == 0 || k == 0 || queries.is_empty() {
-            return (vec![(Vec::new(), 0); queries.len()], 0);
-        }
-        let qmat = self.prepare_batch(queries);
-        let n_q = queries.len();
-        let shards = self.scan_shards();
-        if shards > 1 {
-            (self.batch_scan_parallel(&qmat, n_q, k, shards), shards)
-        } else {
-            let tops = self.batch_scan_range(&qmat, n_q, 0, self.n_docs, k);
-            (tops.into_iter().map(TopK::into_scan).collect(), 0)
-        }
-    }
-
-    /// Worker count for an exact pass over the whole arena: 1 (run
-    /// sequentially) below the parallel threshold, otherwise the pinned
-    /// or available worker count, capped at the document count.
-    fn scan_shards(&self) -> usize {
-        let parallel = self
-            .options
-            .parallel_threshold
-            .is_some_and(|threshold| self.n_docs >= threshold.max(1));
-        if !parallel {
-            return 1;
-        }
-        let workers = self.options.shard_count.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        workers.min(self.n_docs)
     }
 
     /// Pack queries into a flat row-major `Q × dim` matrix, each row
@@ -665,22 +541,15 @@ impl VectorIndex {
         qmat
     }
 
-    /// Score arena rows `[start, end)` against all `n_q` queries,
-    /// tile-by-tile through the blocked kernel, maintaining one bounded
-    /// top-k heap per query.
-    fn batch_scan_range(
-        &self,
-        qmat: &[f32],
-        n_q: usize,
-        start: usize,
-        end: usize,
-        k: usize,
-    ) -> Vec<TopK> {
+    /// Score every arena row against all `n_q` queries, tile-by-tile
+    /// through the blocked kernel, maintaining one bounded top-k heap per
+    /// query.
+    fn batch_scan(&self, qmat: &[f32], n_q: usize, k: usize) -> Vec<TopK> {
         let mut tops: Vec<TopK> = (0..n_q).map(|_| TopK::new(k)).collect();
-        let mut scores = vec![0.0f32; n_q * BATCH_TILE.min(end - start)];
-        let mut t0 = start;
-        while t0 < end {
-            let t1 = (t0 + BATCH_TILE).min(end);
+        let mut scores = vec![0.0f32; n_q * BATCH_TILE.min(self.n_docs)];
+        let mut t0 = 0;
+        while t0 < self.n_docs {
+            let t1 = (t0 + BATCH_TILE).min(self.n_docs);
             let n_rows = t1 - t0;
             let rows = &self.data[t0 * self.dim..t1 * self.dim];
             matmul_tile(
@@ -719,56 +588,6 @@ impl VectorIndex {
             t0 = t1;
         }
         tops
-    }
-
-    /// Tile-sharded exact pass: the **arena** is split into `shards`
-    /// contiguous row ranges (every query visits every shard — the dual
-    /// of sharding by query, which would forfeit the amortized arena
-    /// pass). Per-shard, per-query top-k survivors merge under the
-    /// total-order comparator, so results are bit-identical to the
-    /// sequential pass; each query's pushes sum over its shard heaps.
-    fn batch_scan_parallel(
-        &self,
-        qmat: &[f32],
-        n_q: usize,
-        k: usize,
-        shards: usize,
-    ) -> Vec<(Vec<Hit>, usize)> {
-        let n = self.n_docs;
-        let chunk = n.div_ceil(shards);
-        let results: Vec<Vec<(Vec<Hit>, usize)>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    let lo = s * chunk;
-                    let hi = (lo + chunk).min(n);
-                    scope.spawn(move |_| {
-                        self.batch_scan_range(qmat, n_q, lo, hi, k)
-                            .into_iter()
-                            .map(TopK::into_scan)
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch scan worker panicked"))
-                .collect()
-        })
-        .expect("batch scan scope");
-        let mut merged: Vec<(Vec<Hit>, usize)> = (0..n_q)
-            .map(|_| (Vec::with_capacity(shards * k), 0))
-            .collect();
-        for shard in results {
-            for ((hits, pushes), (shard_hits, shard_pushes)) in merged.iter_mut().zip(shard) {
-                hits.extend(shard_hits);
-                *pushes += shard_pushes;
-            }
-        }
-        for (hits, _) in &mut merged {
-            sort_hits(hits);
-            hits.truncate(k);
-        }
-        merged
     }
 
     /// Approximate top-k for every query, one probe loop each.
@@ -837,11 +656,9 @@ fn record_search(
     span.set("hits", result.hits.iter().map(Vec::len).sum::<usize>());
     span.set("vectors_scanned", stats.vectors_scanned);
     span.set("heap_pushes", stats.heap_pushes);
-    span.set("parallel_shards", stats.parallel_shards);
     span.count("retrieval.searches", 1);
     span.count("retrieval.vectors_scanned", stats.vectors_scanned as u64);
     span.count("retrieval.heap_pushes", stats.heap_pushes as u64);
-    span.count("retrieval.parallel_shards", stats.parallel_shards as u64);
     if stats.ivf_probes > 0 {
         span.set("ivf_probes", stats.ivf_probes);
         span.count("retrieval.ivf_probes", stats.ivf_probes as u64);
@@ -1239,29 +1056,6 @@ mod tests {
                     assert!(w[0] >= w[1], "{hits:?}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn forced_sharding_is_bit_identical_to_sequential() {
-        let (idx, e, _) = corpus_index(0);
-        let sequential = idx.clone().with_options(SearchOptions::sequential());
-        let sharded = idx.with_options(SearchOptions {
-            parallel_threshold: Some(1),
-            shard_count: Some(3),
-        });
-        for n_q in [1, 5] {
-            let queries: Vec<Vec<f32>> = (0..n_q).map(|i| e.embed(&format!("topic {i}"))).collect();
-            let req = SearchRequest::exact(&queries, 4);
-            let seq = sequential.search(&req, &obs::Span::disabled());
-            let par = sharded.search(&req, &obs::Span::disabled());
-            for (s, p) in seq.hits.iter().zip(&par.hits) {
-                assert_eq!(hit_bits(s), hit_bits(p));
-            }
-            assert_eq!(par.stats.parallel_shards, 3);
-            assert_eq!(seq.stats.parallel_shards, 0);
-            assert_eq!(seq.stats.vectors_scanned, par.stats.vectors_scanned);
-            assert_eq!(seq.stats.batch_queries, n_q);
         }
     }
 

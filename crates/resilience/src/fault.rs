@@ -52,8 +52,8 @@ impl FaultPoint {
 
 /// A source of injected faults, consulted by the serving paths.
 ///
-/// Implementations must be `Send + Sync`: the executor may consult the
-/// injector from sharded worker threads.
+/// Implementations must be `Send + Sync`: the serve workers share one
+/// engine, and with it the injector its pipelines hold.
 pub trait FaultInjector: Send + Sync {
     /// Should the next operation at `point` fail?
     ///

@@ -5,16 +5,18 @@ One entrypoint for every CI report gate (the checks used to live as
 inline python blocks in .github/workflows/ci.yml):
 
     validate_reports.py query-smoke      [reports/query_bench_smoke.json]
+    validate_reports.py query-counters   <committed.json> <fresh.json>
     validate_reports.py retrieval-smoke  [reports/retrieval_bench_smoke.json]
     validate_reports.py serve-smoke      [reports/serve_bench_smoke.json]
                                          (also the committed full report)
     validate_reports.py plan-cache       [reports/query_bench_smoke.json]
     validate_reports.py recovery         [reports/recovery_bench.json]
 
-Each subcommand loads one report, asserts its schema and invariants, and
-prints a one-line OK summary. Any assertion failure exits non-zero with
-the offending value in the message. The vendored serde_json stub has no
-parser, so these checks run under the system python instead of Rust.
+Each subcommand loads one report (query-counters: two), asserts its
+schema and invariants, and prints a one-line OK summary. Any assertion
+failure exits non-zero with the offending value in the message. The
+vendored serde_json stub has no parser, so these checks run under the
+system python instead of Rust.
 """
 
 import json
@@ -36,7 +38,6 @@ def validate_query_smoke(path):
     assert r["mode"] == "smoke", r["mode"]
     assert r["queries"], "no query entries"
     assert r["limit_streaming"]["queries"], "no limit entries"
-    assert r["parallel"]["workers"], "no parallel sweep"
     # the synthetic graphs arrive compacted, so at least one BGP
     # stage of the standard workload must take the merge-join path
     assert any(q["stats"]["merge_joins"] > 0 for q in r["queries"]), \
@@ -90,6 +91,41 @@ def validate_query_smoke(path):
     print("profile JSON OK:", ", ".join(sorted(profiles)))
 
 
+# query_bench's deterministic work counters, per series: a function from
+# a report to {entry name: {counter: value}}. Allocation counts are left
+# to RESULT_ALLOCS_PER_ROW_BOUND, since they may move with the toolchain.
+QUERY_COUNTER_SERIES = {
+    "queries": lambda r: {
+        q["query"]: {"rows": q["rows"], **q["stats"]} for q in r["queries"]
+    },
+    "limit_streaming": lambda r: {
+        q["query"]: {
+            k: q[k] for k in ("rows", "streamed_bindings", "materialized_bindings")
+        }
+        for q in r["limit_streaming"]["queries"]
+    },
+    "encoded_join": lambda r: {
+        "join": {k: r["encoded_join"]["join"][k] for k in ("rows", "checksum")}
+    },
+}
+
+
+def validate_query_counters(committed_path, fresh_path):
+    """A fresh query_bench run must reproduce the committed report's work
+    counters exactly: same entries, same rows, same counters. They depend
+    only on the seeded graphs and the executor, never on the runner."""
+    committed, fresh = load(committed_path), load(fresh_path)
+    assert committed["mode"] == fresh["mode"], (committed["mode"], fresh["mode"])
+    checked = 0
+    for series, counters in QUERY_COUNTER_SERIES.items():
+        want, got = counters(committed), counters(fresh)
+        assert sorted(want) == sorted(got), (series, sorted(want), sorted(got))
+        for name, values in want.items():
+            assert got[name] == values, (series, name, values, got[name])
+            checked += 1
+    print("query counters OK: %d entries match %s" % (checked, committed_path))
+
+
 def validate_plan_cache_series(r):
     """The prepared_repeat invariants, shared by query-smoke and plan-cache."""
     pr = r["prepared_repeat"]
@@ -132,9 +168,6 @@ def validate_retrieval_smoke(path):
     for e in r["exact"]:
         assert e["hits_identical"], e
         assert e["vectors_scanned"] > 0, e
-    for w in r["parallel"]["workers"]:
-        assert w["bit_identical"], w
-        assert w["parallel_shards"] == w["workers"], w
     for p in r["ivf"]["probes"]:
         if p["n_probe"] >= 2:
             assert p["recall_at_10"] >= 0.9, p
@@ -251,29 +284,36 @@ def validate_recovery(path):
           % (len(commit), len(series), ckpt["speedup"]))
 
 
+# subcommand -> (check, default report paths); the arguments given on
+# the command line replace the defaults, and there must be as many.
 COMMANDS = {
-    "query-smoke": (validate_query_smoke, "reports/query_bench_smoke.json"),
-    "retrieval-smoke": (validate_retrieval_smoke, "reports/retrieval_bench_smoke.json"),
-    "serve-smoke": (validate_serve_smoke, "reports/serve_bench_smoke.json"),
-    "plan-cache": (validate_plan_cache, "reports/query_bench_smoke.json"),
-    "recovery": (validate_recovery, "reports/recovery_bench.json"),
+    "query-smoke": (validate_query_smoke, ["reports/query_bench_smoke.json"]),
+    "query-counters": (validate_query_counters, [None, None]),
+    "retrieval-smoke": (validate_retrieval_smoke, ["reports/retrieval_bench_smoke.json"]),
+    "serve-smoke": (validate_serve_smoke, ["reports/serve_bench_smoke.json"]),
+    "plan-cache": (validate_plan_cache, ["reports/query_bench_smoke.json"]),
+    "recovery": (validate_recovery, ["reports/recovery_bench.json"]),
 }
 
 
 def main(argv):
     if len(argv) < 2 or argv[1] not in COMMANDS:
         names = " | ".join(sorted(COMMANDS))
-        print(f"usage: validate_reports.py <{names}> [report.json]", file=sys.stderr)
+        print(f"usage: validate_reports.py <{names}> [report.json ...]", file=sys.stderr)
         return 2
-    fn, default_path = COMMANDS[argv[1]]
-    path = argv[2] if len(argv) > 2 else default_path
+    fn, defaults = COMMANDS[argv[1]]
+    paths = argv[2:] or defaults
+    if len(paths) != len(defaults) or None in paths:
+        print(f"usage: validate_reports.py {argv[1]} "
+              f"{' '.join('<report.json>' for _ in defaults)}", file=sys.stderr)
+        return 2
     try:
-        fn(path)
+        fn(*paths)
     except AssertionError as e:
         print(f"{argv[1]}: report invariant violated: {e!r}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError, KeyError) as e:
-        print(f"{argv[1]}: cannot validate {path}: {e!r}", file=sys.stderr)
+        print(f"{argv[1]}: cannot validate {' '.join(paths)}: {e!r}", file=sys.stderr)
         return 1
     return 0
 

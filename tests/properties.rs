@@ -136,8 +136,6 @@ proptest! {
         let keys = if width == 0 { bound.clone() } else { vars.clone() };
         q.kind = QueryKind::Select { vars, distinct: true };
         let pinned = |streaming| ExecOptions {
-            parallel_threshold: None,
-            shard_count: None,
             streaming,
             ..ExecOptions::default()
         };
@@ -193,14 +191,10 @@ proptest! {
         q.limit = Some(limit);
         q.offset = offset;
         let sequential = ExecOptions {
-            parallel_threshold: None,
-            shard_count: None,
             streaming: false,
             ..ExecOptions::default()
         };
         let streaming = ExecOptions {
-            parallel_threshold: None,
-            shard_count: None,
             streaming: true,
             ..ExecOptions::default()
         };
@@ -233,55 +227,6 @@ proptest! {
             prop_assert!(i.is_ok(), "streamed row missing from oracle: {row:?}");
             pool.remove(i.unwrap());
         }
-    }
-
-    /// Sharding BGP stages across threads changes neither the rows (not
-    /// even their order) nor any work counter other than
-    /// `parallel_shards`, which is scheduling metadata.
-    #[test]
-    fn parallel_execution_matches_sequential(
-        triples in triples_strategy(),
-        patterns in proptest::collection::vec(bgp_pattern_strategy(), 1..4),
-    ) {
-        let mut g = Graph::new();
-        for (s, p, o) in &triples {
-            g.insert_iri(s, p, o);
-        }
-        let elems: Vec<PatternElem> =
-            patterns.into_iter().map(PatternElem::Triple).collect();
-        let q = Query::select_all(GroupPattern { elems });
-        let seq = run(
-            &g,
-            &q,
-            &ExecOptions {
-                parallel_threshold: None,
-                shard_count: None,
-                streaming: false,
-            ..ExecOptions::default()
-            },
-        )
-        .expect("sequential run");
-        // force 3 workers so the threaded path really runs, even on a
-        // single-core host where available_parallelism() is 1
-        let par = run(
-            &g,
-            &q,
-            &ExecOptions {
-                parallel_threshold: Some(1),
-                shard_count: Some(3),
-                streaming: false,
-            ..ExecOptions::default()
-            },
-        )
-        .expect("parallel run");
-        prop_assert_eq!(&par.vars, &seq.vars);
-        prop_assert_eq!(par.to_terms(), seq.to_terms());
-        let mut par_work = par.stats;
-        par_work.parallel_shards = 0;
-        let mut seq_work = seq.stats;
-        seq_work.parallel_shards = 0;
-        prop_assert_eq!(par_work, seq_work);
-        prop_assert_eq!(seq.stats.parallel_shards, 0);
     }
 }
 
@@ -424,61 +369,6 @@ proptest! {
     }
 }
 
-/// On a frontier wide enough to cross the threshold, the parallel path
-/// actually engages (worker count pinned so this holds on any host),
-/// reports its shards, and still produces byte-identical rows and work
-/// counters.
-#[test]
-fn parallel_sharding_engages_and_preserves_results() {
-    let kg = llmkg::kg::synth::movies(7, llmkg::kg::synth::Scale::default());
-    let q = llmkg::kgquery::parser::parse(
-        "PREFIX v: <http://llmkg.dev/vocab/>
-         SELECT ?a ?f ?d WHERE { ?f v:starring ?a . ?f v:directedBy ?d }",
-    )
-    .unwrap();
-    // merge joins are pinned off on both sides: the synth graph arrives
-    // compacted, and a merged stage counts index_probes per distinct key,
-    // which would break the exact work-counter comparison below
-    let seq = run(
-        &kg.graph,
-        &q,
-        &ExecOptions {
-            parallel_threshold: None,
-            shard_count: None,
-            merge_threshold: None,
-            streaming: false,
-            ..ExecOptions::default()
-        },
-    )
-    .unwrap();
-    let par = run(
-        &kg.graph,
-        &q,
-        &ExecOptions {
-            parallel_threshold: Some(8),
-            shard_count: Some(4),
-            merge_threshold: None,
-            streaming: false,
-            ..ExecOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(
-        par.to_terms(),
-        seq.to_terms(),
-        "parallel run must be bit-identical"
-    );
-    assert_eq!(seq.stats.parallel_shards, 0);
-    assert!(
-        par.stats.parallel_shards > 0,
-        "frontier of {} rows should shard across 4 pinned workers",
-        seq.len(),
-    );
-    let mut par_work = par.stats;
-    par_work.parallel_shards = 0;
-    assert_eq!(par_work, seq.stats);
-}
-
 /// On a compacted graph, the sorted-merge join path engages for an
 /// eligible stage and produces rows bit-identical to the per-binding
 /// probe loop it replaces.
@@ -498,8 +388,6 @@ fn merge_join_engages_and_preserves_results() {
         &kg.graph,
         &q,
         &ExecOptions {
-            parallel_threshold: None,
-            shard_count: None,
             merge_threshold: Some(1),
             streaming: false,
             ..ExecOptions::default()
@@ -510,8 +398,6 @@ fn merge_join_engages_and_preserves_results() {
         &kg.graph,
         &q,
         &ExecOptions {
-            parallel_threshold: None,
-            shard_count: None,
             merge_threshold: None,
             streaming: false,
             ..ExecOptions::default()
@@ -663,8 +549,6 @@ proptest! {
             &g,
             &q,
             &ExecOptions {
-                parallel_threshold: None,
-                shard_count: None,
                 merge_threshold: Some(1),
                 streaming: false,
                 ..ExecOptions::default()
@@ -695,11 +579,7 @@ proptest! {
             g.insert_iri(s, p, o);
         }
         let text = render_select_all(&patterns);
-        let opts = ExecOptions {
-            parallel_threshold: None,
-            shard_count: None,
-            ..ExecOptions::default()
-        };
+        let opts = ExecOptions::default();
         let cache = PlanCache::default();
 
         let (prepared, outcome) = cache.prepare(&g, &text).expect("prepare");
@@ -874,9 +754,8 @@ proptest! {
         k in 0usize..12,
     ) {
         use llmkg::kgrag::reference::seed_search_exact;
-        use llmkg::kgrag::{SearchOptions, SearchRequest, VectorIndex};
-        let index = VectorIndex::build(vectors.clone(), 0, 0)
-            .with_options(SearchOptions::sequential());
+        use llmkg::kgrag::{SearchRequest, VectorIndex};
+        let index = VectorIndex::build(vectors.clone(), 0, 0);
         let queries = [query];
         let (arena, _) = index
             .search(&SearchRequest::exact(&queries, k), &llmkg::obs::Span::disabled())
@@ -894,34 +773,6 @@ proptest! {
         }
     }
 
-    /// A forced-shard parallel one-query scan is bit-identical to the
-    /// sequential scan — same ids, same score bit patterns — for any
-    /// worker count, because per-shard top-k heaps merge under a total
-    /// order that never compares two distinct docs equal.
-    #[test]
-    fn forced_sharding_matches_sequential_bitwise(
-        vectors in doc_vectors_strategy(),
-        query in vector_strategy(),
-        workers in 2usize..5,
-        k in 1usize..8,
-    ) {
-        use llmkg::kgrag::{SearchOptions, SearchRequest, VectorIndex};
-        let sequential = VectorIndex::build(vectors.clone(), 0, 0)
-            .with_options(SearchOptions::sequential());
-        let sharded = VectorIndex::build(vectors, 0, 0).with_options(SearchOptions {
-            parallel_threshold: Some(1),
-            shard_count: Some(workers),
-        });
-        let queries = [query];
-        let req = SearchRequest::exact(&queries, k);
-        let untraced = llmkg::obs::Span::disabled();
-        let (seq, _) = sequential.search(&req, &untraced).into_single();
-        let (par, _) = sharded.search(&req, &untraced).into_single();
-        let seq: Vec<(usize, u32)> = seq.into_iter().map(|(i, s)| (i, s.to_bits())).collect();
-        let par: Vec<(usize, u32)> = par.into_iter().map(|(i, s)| (i, s.to_bits())).collect();
-        prop_assert_eq!(seq, par);
-    }
-
     /// A Q-query exact `search` (Q = 0..6, so one-query requests are
     /// covered) is bit-identical to running each query through the
     /// sequential per-query scan in `kgrag::reference` — same ids, same
@@ -937,9 +788,8 @@ proptest! {
         k in 0usize..10,
     ) {
         use llmkg::kgrag::reference::scan_exact;
-        use llmkg::kgrag::{SearchOptions, SearchRequest, VectorIndex};
-        let index = VectorIndex::build(vectors, 0, 0)
-            .with_options(SearchOptions::sequential());
+        use llmkg::kgrag::{SearchRequest, VectorIndex};
+        let index = VectorIndex::build(vectors, 0, 0);
         let batch = index
             .search(&SearchRequest::exact(&queries, k), &llmkg::obs::Span::disabled())
             .hits;
@@ -955,41 +805,6 @@ proptest! {
                 single == batched,
                 "query {} diverged: single {:?} vs batched {:?}",
                 qi, single, batched
-            );
-        }
-    }
-
-    /// Exact search under a forced shard count merges per-tile heaps
-    /// into exactly the sequential result for every query, for 1..5
-    /// queries and any worker count — the shard merge and the
-    /// fast-reject floor commute bitwise, because per-shard top-k heaps
-    /// merge under a total order that never compares two distinct docs
-    /// equal.
-    #[test]
-    fn batch_forced_sharding_matches_sequential_batch_bitwise(
-        vectors in doc_vectors_strategy(),
-        queries in proptest::collection::vec(query_strategy(), 1..5),
-        workers in 2usize..5,
-        k in 1usize..8,
-    ) {
-        use llmkg::kgrag::{SearchOptions, SearchRequest, VectorIndex};
-        let sequential = VectorIndex::build(vectors.clone(), 0, 0)
-            .with_options(SearchOptions::sequential());
-        let sharded = VectorIndex::build(vectors, 0, 0).with_options(SearchOptions {
-            parallel_threshold: Some(1),
-            shard_count: Some(workers),
-        });
-        let req = SearchRequest::exact(&queries, k);
-        let untraced = llmkg::obs::Span::disabled();
-        let seq = sequential.search(&req, &untraced).hits;
-        let par = sharded.search(&req, &untraced).hits;
-        for (qi, (s, p)) in seq.iter().zip(&par).enumerate() {
-            let s: Vec<(usize, u32)> = s.iter().map(|&(i, x)| (i, x.to_bits())).collect();
-            let p: Vec<(usize, u32)> = p.iter().map(|&(i, x)| (i, x.to_bits())).collect();
-            prop_assert!(
-                s == p,
-                "query {} diverged under {} shards: {:?} vs {:?}",
-                qi, workers, s, p
             );
         }
     }
