@@ -1,6 +1,6 @@
 //! **Ablations** — sensitivity of the design choices the per-task systems
-//! make: RAG retrieval depth, ANN probe count, embedding dimensionality,
-//! negative-sampling rate, and retrieval context size for QA.
+//! make: RAG retrieval depth, embedding dimensionality, negative-sampling
+//! rate, and retrieval context size for QA.
 
 use kg::namespace as ns;
 use kg::synth::{academic, freebase_like, movies, FreebaseLikeConfig, Scale};
@@ -13,7 +13,6 @@ use kgqa::datasets::generate_dataset;
 use kgqa::multihop::{evaluate as qa_evaluate, QaMethod};
 use kgrag::chunk::chunk_sentences;
 use kgrag::pipeline::{RagMode, RagPipeline};
-use kgrag::vector::{SearchRequest, VectorIndex};
 use llmkg_bench::EXP_SEED;
 use slm::Slm;
 
@@ -60,38 +59,6 @@ fn main() {
         let acc = correct as f64 / questions.len() as f64;
         println!("{k:>4} {acc:>10.3}");
         report.insert(format!("rag_k/{k}"), serde_json::json!(acc));
-    }
-
-    // ── A2: IVF probe count vs exact recall ────────────────────────
-    llmkg_bench::header("A2 — IVF recall@8 vs probes (16 clusters)");
-    let vectors: Vec<Vec<f32>> = sentences.iter().map(|s| slm.embed(s)).collect();
-    let exact_idx = VectorIndex::build(vectors.clone(), 0, 0);
-    let ivf = VectorIndex::build(vectors, 16, EXP_SEED);
-    let probes_queries: Vec<Vec<f32>> = questions
-        .iter()
-        .take(10)
-        .map(|(q, _)| slm.embed(q))
-        .collect();
-    println!("{:>7} {:>10}", "probes", "recall@8");
-    let untraced = obs::Span::disabled();
-    let golds = exact_idx
-        .search(&SearchRequest::exact(&probes_queries, 8), &untraced)
-        .hits;
-    for n_probe in [1usize, 2, 4, 8, 16] {
-        let mut recall = 0.0;
-        let probed = ivf
-            .search(&SearchRequest::ivf(&probes_queries, 8, n_probe), &untraced)
-            .hits;
-        for (gold, got) in golds.iter().zip(&probed) {
-            let found = gold
-                .iter()
-                .filter(|&&(id, _)| got.iter().any(|&(g, _)| g == id))
-                .count();
-            recall += found as f64 / gold.len().max(1) as f64;
-        }
-        recall /= probes_queries.len() as f64;
-        println!("{n_probe:>7} {recall:>10.3}");
-        report.insert(format!("ivf_probe/{n_probe}"), serde_json::json!(recall));
     }
 
     // ── A3: embedding dimension & negatives sweep ──────────────────

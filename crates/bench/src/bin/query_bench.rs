@@ -45,7 +45,7 @@ use kgquery::exec::ExecOptions;
 use kgquery::{exec, parser, reference, QueryError, ResultSet};
 use kgrag::RagMode;
 use llmkg::{Workbench, WorkbenchConfig};
-use llmkg_bench::{calibrate, header, time_ns, write_report};
+use llmkg_bench::{calibrate, header, time_ns, write_report, Timing};
 use serde_json::{json, Value};
 
 /// Heap meter: every allocation and free updates one relaxed live-bytes
@@ -182,7 +182,7 @@ fn run<'g>(g: &'g Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet<'g>,
 }
 
 /// Measure one evaluation mode of the compiled executor.
-fn time_exec(smoke: bool, g: &Graph, q: &Query, opts: &ExecOptions) -> f64 {
+fn time_exec(smoke: bool, g: &Graph, q: &Query, opts: &ExecOptions) -> Timing {
     let iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         black_box(run(g, q, opts).expect("compiled runs"));
     });
@@ -398,18 +398,18 @@ fn encoded_join_series(smoke: bool) -> Value {
     let probe_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         black_box(probe_join(&btree, p1, p2));
     });
-    let probe_ns = time_ns(probe_iters, || {
+    let probe = time_ns(probe_iters, || {
         black_box(probe_join(&btree, p1, p2));
     });
     let merge_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         black_box(merge_join(&flat, p1, p2));
     });
-    let merge_ns = time_ns(merge_iters, || {
+    let merge = time_ns(merge_iters, || {
         black_box(merge_join(&flat, p1, p2));
     });
 
     let mem_ratio = btree_bytes as f64 / flat_bytes.max(1) as f64;
-    let join_speedup = probe_ns / merge_ns;
+    let join_speedup = probe.median / merge.median;
     println!(
         "\nencoded join: freebase_like(7), {} triples, {} ⨝ {} = {} rows",
         rows.len(),
@@ -430,7 +430,7 @@ fn encoded_join_series(smoke: bool) -> Value {
     );
     println!(
         "{:<22} {:>14.0} {:>14.0} {:>8.2}x",
-        "two-hop join ns", probe_ns, merge_ns, join_speedup,
+        "two-hop join ns", probe.median, merge.median, join_speedup,
     );
 
     json!({
@@ -455,8 +455,10 @@ fn encoded_join_series(smoke: bool) -> Value {
             "p2": source.pool().label(p2),
             "rows": probe_rows,
             "checksum": format!("{merge_sum:016x}"),
-            "probe_ns": probe_ns,
-            "merge_ns": merge_ns,
+            "probe_ns": probe.median,
+            "probe_ns_quartiles": probe.quartiles(),
+            "merge_ns": merge.median,
+            "merge_ns_quartiles": merge.quartiles(),
             "speedup": join_speedup,
         },
     })
@@ -550,16 +552,17 @@ fn prepared_repeat_series(smoke: bool, g: &Graph) -> Value {
         let q = parser::parse(text0).expect("query parses");
         black_box(exec::compile_query(g, &q));
     });
-    let cold_ns = time_ns(cold_iters, || {
+    let cold = time_ns(cold_iters, || {
         let q = parser::parse(text0).expect("query parses");
         black_box(exec::compile_query(g, &q));
     });
     let warm_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         black_box(cache.prepare(g, text0).expect("query prepares"));
     });
-    let warm_ns = time_ns(warm_iters, || {
+    let warm = time_ns(warm_iters, || {
         black_box(cache.prepare(g, text0).expect("query prepares"));
     });
+    let (cold_ns, warm_ns) = (cold.median, warm.median);
     let plan_speedup = cold_ns / warm_ns;
     if !smoke {
         assert!(
@@ -589,7 +592,9 @@ fn prepared_repeat_series(smoke: bool, g: &Graph) -> Value {
         "workload_queries": QUERIES.len(),
         "planning": {
             "cold_plan_ns": cold_ns,
+            "cold_plan_ns_quartiles": cold.quartiles(),
             "cached_plan_ns": warm_ns,
+            "cached_plan_ns_quartiles": warm.quartiles(),
             "speedup": plan_speedup,
         },
         "passes": [
@@ -708,16 +713,19 @@ fn main() {
         let ref_iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
             black_box(reference::execute(&g, &q).expect("reference runs"));
         });
-        let ref_ns = time_ns(ref_iters, || {
+        let ref_t = time_ns(ref_iters, || {
             black_box(reference::execute(&g, &q).expect("reference runs"));
         });
-        let new_ns = time_exec(smoke, &g, &q, &ExecOptions::default());
+        let new_t = time_exec(smoke, &g, &q, &ExecOptions::default());
+        let (ref_ns, new_ns) = (ref_t.median, new_t.median);
         let speedup = ref_ns / new_ns;
         println!("{name:<22} {ref_ns:>14.0} {new_ns:>14.0} {speedup:>8.2}x");
         entries.push(json!({
             "query": name,
             "reference_ns": ref_ns,
+            "reference_ns_quartiles": ref_t.quartiles(),
             "compiled_ns": new_ns,
+            "compiled_ns_quartiles": new_t.quartiles(),
             "speedup": speedup,
             "rows": compiled.len(),
             "stats": stats_json(&compiled.stats),
@@ -738,14 +746,17 @@ fn main() {
         let streamed = run(&g, &q, &streaming_only).expect("streamed runs");
         assert_eq!(streamed, full, "streaming diverges on {name}");
 
-        let full_ns = time_exec(smoke, &g, &q, &materializing());
-        let stream_ns = time_exec(smoke, &g, &q, &streaming_only);
+        let full_t = time_exec(smoke, &g, &q, &materializing());
+        let stream_t = time_exec(smoke, &g, &q, &streaming_only);
+        let (full_ns, stream_ns) = (full_t.median, stream_t.median);
         let speedup = full_ns / stream_ns;
         println!("{name:<22} {full_ns:>14.0} {stream_ns:>14.0} {speedup:>8.2}x");
         limit_entries.push(json!({
             "query": name,
             "materialized_ns": full_ns,
+            "materialized_ns_quartiles": full_t.quartiles(),
             "streamed_ns": stream_ns,
+            "streamed_ns_quartiles": stream_t.quartiles(),
             "speedup": speedup,
             "rows": streamed.len(),
             "streamed_bindings": streamed.stats.intermediate_bindings,

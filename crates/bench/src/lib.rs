@@ -32,21 +32,62 @@ pub fn write_report(experiment: &str, value: &Value) {
     }
 }
 
-/// Nanoseconds per call: best of three timed passes after a warmup, so
-/// scheduler noise on a shared host inflates neither side of a ratio.
-pub fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
+/// Timed passes [`time_ns`] runs after its warmup: seven, so the median
+/// and both quartiles are single passes.
+const TIMED_PASSES: usize = 7;
+
+/// Nanoseconds per call over the seven timed passes of [`time_ns`]. A
+/// report writes the median under the timed field's name and `[q1, q3]`
+/// beside it ([`Timing::quartiles`]); a speedup is a ratio of medians.
+#[derive(Debug, Clone, Copy)]
+pub struct Timing {
+    /// The middle pass.
+    pub median: f64,
+    /// The median of the three fastest passes.
+    pub q1: f64,
+    /// The median of the three slowest passes.
+    pub q3: f64,
+}
+
+impl Timing {
+    /// Each statistic divided by `n`: the per-item cost of a pass over
+    /// `n` items.
+    pub fn per(self, n: usize) -> Timing {
+        let n = n as f64;
+        Timing {
+            median: self.median / n,
+            q1: self.q1 / n,
+            q3: self.q3 / n,
+        }
+    }
+
+    /// `[q1, q3]`, as a report writes it beside the median.
+    pub fn quartiles(&self) -> Value {
+        serde_json::json!([self.q1, self.q3])
+    }
+}
+
+/// Time `f`: a warmup of a quarter of `iters` calls, then seven timed
+/// passes of `iters` calls each, so scheduler noise on a shared host
+/// shows as spread instead of moving a single reading.
+pub fn time_ns(iters: u32, mut f: impl FnMut()) -> Timing {
     for _ in 0..iters.div_ceil(4) {
         f();
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
+    let mut passes = [0.0f64; TIMED_PASSES];
+    for pass in &mut passes {
         let start = Instant::now();
         for _ in 0..iters {
             f();
         }
-        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(iters));
+        *pass = start.elapsed().as_nanos() as f64 / f64::from(iters);
     }
-    best
+    passes.sort_by(f64::total_cmp);
+    Timing {
+        median: passes[TIMED_PASSES / 2],
+        q1: passes[TIMED_PASSES / 4],
+        q3: passes[TIMED_PASSES - 1 - TIMED_PASSES / 4],
+    }
 }
 
 /// Pick an iteration count so each timed pass of [`time_ns`] runs about
@@ -78,6 +119,18 @@ pub fn header(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn time_ns_reports_ordered_quartiles() {
+        let mut calls = 0u32;
+        let t = time_ns(4, || calls += 1);
+        // one warmup call, then seven passes of four
+        assert_eq!(calls, 1 + 7 * 4);
+        assert!(t.q1 <= t.median && t.median <= t.q3, "{t:?}");
+        let half = t.per(2);
+        assert_eq!(half.median, t.median / 2.0);
+        assert_eq!(t.quartiles(), serde_json::json!([t.q1, t.q3]));
+    }
 
     #[test]
     fn reports_are_writable() {

@@ -1,9 +1,9 @@
 //! Batched dot-product kernels with runtime SIMD dispatch.
 //!
 //! This module is the arithmetic floor of the retrieval stack: everything
-//! that scores vectors — exact query-matrix scans, gathered-row
-//! reranking, IVF probes — bottoms out in the two entry points here
-//! ([`dot`], [`matmul_tile`]). Both share one contract:
+//! that scores vectors — exact scans and gathered-row reranking —
+//! bottoms out in the two entry points here ([`dot`], [`matmul_tile`]).
+//! Both share one contract:
 //!
 //! **Every dispatch path produces bit-identical results.** The scalar
 //! kernel accumulates into [`DOT_LANES`] (8) independent lanes over
@@ -30,12 +30,13 @@
 //!
 //! The batched kernels are cache-blocked: [`matmul_tile`] walks the row
 //! arena in panels small enough to stay cache-resident and streams every
-//! query over each panel, so each arena cache line comes from memory once
-//! per call instead of once per query. That turns Q independent
-//! memory-bound scans into one pass — the whole point of batching. Inside
-//! a panel the AVX2 path scores one query against eight rows per
-//! register block; the scalar and NEON paths score [`Q_TILE`] queries
-//! against one row.
+//! query over each panel. Every caller passes one query (a vector search
+//! scores one query per call), so what a tile buys is the row-block
+//! register layout and one dispatch per tile; the query dimension stays
+//! until its NEON path can be compiled and checked on aarch64. Inside a
+//! panel the AVX2 path scores one query against eight rows per register
+//! block; the scalar and NEON paths score [`Q_TILE`] queries against one
+//! row.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -14,7 +14,7 @@ use kg::term::Sym;
 use kg::Graph;
 use slm::Slm;
 
-use crate::vector::{SearchRequest, VectorIndex};
+use crate::vector::VectorIndex;
 
 /// A community of entities with its generated summary.
 #[derive(Debug, Clone)]
@@ -93,11 +93,8 @@ impl<'a> GraphRag<'a> {
             .into_values()
             .map(|members| summarize(graph, members))
             .collect();
-        let summary_index = VectorIndex::build(
-            communities.iter().map(|c| slm.embed(&c.summary)).collect(),
-            0,
-            0,
-        );
+        let summary_index =
+            VectorIndex::build(communities.iter().map(|c| slm.embed(&c.summary)).collect());
         GraphRag {
             graph,
             slm,
@@ -166,11 +163,9 @@ impl<'a> GraphRag<'a> {
         span.count("graphrag.local_questions", 1);
         // top-1 retrieval over pre-embedded summaries; ties go to the
         // lowest community id, matching the seed's first-wins scan
-        let query = [self.slm.embed(question)];
         let best = self
             .summary_index
-            .search(&SearchRequest::exact(&query, 1), &span)
-            .into_single()
+            .search(&self.slm.embed(question), 1, &span)
             .0
             .first()
             .map(|&(ci, sim)| (sim, &self.communities[ci]));

@@ -7,10 +7,9 @@
 //!
 //! * [`chunk`] — sentence-window chunking with overlap,
 //! * [`vector`] — a vector index over a flat pre-normalized arena behind
-//!   one entrypoint, [`VectorIndex::search`]: exact top-k through a
-//!   batched dot-product kernel with bounded-heap top-k plus an IVF-lite
-//!   variant (seeded k-means coarse quantizer with cluster probing); the
-//!   seed brute force and the per-query arena scan survive in
+//!   one entrypoint, [`VectorIndex::search`]: exact top-k of one query
+//!   through a blocked dot-product kernel and a bounded heap; the seed
+//!   brute force and the per-row arena scan survive in
 //!   [`mod@reference`] as differential oracles,
 //! * [`inject`] — K-BERT-sim \[60\] triple injection into prompts and
 //!   Dict-BERT-sim \[93\] rare-term definitions,
@@ -33,6 +32,4 @@ pub use chunk::{chunk_sentences, Chunk};
 pub use graphrag::GraphRag;
 pub use inject::{inject_knowledge, rare_term_definitions};
 pub use pipeline::{BatchWindow, RagAnswer, RagMode, RagPipeline};
-pub use vector::{
-    IvfFallback, IvfSeeding, SearchRequest, SearchResult, SearchStats, Strategy, VectorIndex,
-};
+pub use vector::{SearchStats, VectorIndex};

@@ -13,7 +13,7 @@ use resilience::{CancelToken, DegradationTrace, FaultInjector, FaultPoint, NoFau
 use slm::Slm;
 
 use crate::chunk::Chunk;
-use crate::vector::{Hit, SearchRequest, VectorIndex};
+use crate::vector::{Hit, VectorIndex};
 
 /// The production default injector.
 static NO_FAULTS: NoFaults = NoFaults;
@@ -106,7 +106,7 @@ impl<'a> RagPipeline<'a> {
     /// Build: embeds every chunk with the LM's embedder.
     pub fn new(slm: &'a Slm, chunks: Vec<Chunk>, graph: Option<&'a Graph>) -> Self {
         let vectors = chunks.iter().map(|c| slm.embed(&c.text)).collect();
-        let index = VectorIndex::build(vectors, 0, 0);
+        let index = VectorIndex::build(vectors);
         RagPipeline {
             slm,
             chunks,
@@ -132,8 +132,8 @@ impl<'a> RagPipeline<'a> {
         self
     }
 
-    /// The pipeline's vector index — serve surfaces its IVF fallback
-    /// reason in `stats` replies.
+    /// The pipeline's vector index: serve reports its size in `stats`
+    /// replies, and the `perfbench` replay searches it directly.
     pub fn vector_index(&self) -> &VectorIndex {
         &self.index
     }
@@ -209,7 +209,7 @@ impl<'a> RagPipeline<'a> {
                     fall(span, trace, "vector", "fault injected: exec");
                     return self.closed_book_rung(question, span, trace);
                 }
-                let hits = self.retrieve(&[self.slm.embed(question)], self.k, span);
+                let hits = self.retrieve(&self.slm.embed(question), self.k, span);
                 let candidates = hits.len();
                 self.vector_rung(question, &hits, candidates, span, trace)
             }
@@ -220,7 +220,7 @@ impl<'a> RagPipeline<'a> {
                 }
                 // round 1: retrieve, harvest expansion terms (the question
                 // embedding is reused for the semantic rerank leg below)
-                let q_vec = [self.slm.embed(question)];
+                let q_vec = self.slm.embed(question);
                 let first = self.retrieve(&q_vec, self.k, span);
                 let mut expanded = question.to_string();
                 for &(id, _) in first.iter().take(2) {
@@ -234,7 +234,7 @@ impl<'a> RagPipeline<'a> {
                 span.set("expanded_query_chars", expanded.len());
                 // round 2: retrieve with the expanded query, then rerank by
                 // blended semantic + lexical score against the ORIGINAL query
-                let candidates = self.retrieve(&[self.slm.embed(&expanded)], self.k * 2, span);
+                let candidates = self.retrieve(&self.slm.embed(&expanded), self.k * 2, span);
                 let lexical = slm::EvidenceIndex::from_sentences(
                     candidates
                         .iter()
@@ -251,7 +251,7 @@ impl<'a> RagPipeline<'a> {
                 // measure similarity to the expanded query, not the one
                 // the user asked)
                 let ids: Vec<usize> = candidates.iter().map(|&(id, _)| id).collect();
-                let sem = self.index.score_docs(&q_vec[0], &ids);
+                let sem = self.index.score_docs(&q_vec, &ids);
                 let mut reranked: Vec<(usize, f32)> = ids
                     .iter()
                     .zip(&sem)
@@ -332,7 +332,7 @@ impl<'a> RagPipeline<'a> {
                     fall(span, trace, "vector", "fault injected: exec");
                     return self.closed_book_rung(question, span, trace);
                 }
-                let hits = self.retrieve(&[self.slm.embed(question)], self.k, span);
+                let hits = self.retrieve(&self.slm.embed(question), self.k, span);
                 let candidates = hits.len();
                 self.vector_rung(question, &hits, candidates, span, trace)
             }
@@ -340,11 +340,8 @@ impl<'a> RagPipeline<'a> {
     }
 
     /// Exact top-`k` chunks for one query embedding.
-    fn retrieve(&self, query: &[Vec<f32>; 1], k: usize, span: &obs::Span) -> Vec<Hit> {
-        self.index
-            .search(&SearchRequest::exact(query, k), span)
-            .into_single()
-            .0
+    fn retrieve(&self, query: &[f32], k: usize, span: &obs::Span) -> Vec<Hit> {
+        self.index.search(query, k, span).0
     }
 
     /// The vector-retrieval rung: generate over the retrieved chunks,

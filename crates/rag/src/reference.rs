@@ -11,8 +11,8 @@
 //! * [`scan_exact`] — the arena's sequential per-query scan: one
 //!   [`slm::embedding::dot`] per stored row through a bounded top-k heap.
 //!   [`crate::VectorIndex::search`] must match it **bit for bit** on
-//!   every query (ids and score bits), and `retrieval_bench`'s batch
-//!   series times it as the per-query baseline.
+//!   every query (ids and score bits); the unit tests, the differential
+//!   proptest and `retrieval_bench`'s exact series all check that.
 //!
 //! One deliberate deviation from the seed: hits are ordered with the same
 //! NaN-safe total-order comparator the arena uses, not the seed's
@@ -58,7 +58,7 @@ pub fn seed_search_exact(vectors: &[Vec<f32>], query: &[f32], k: usize) -> Vec<H
 
 /// Sequential per-query exact search over the index's arena: the query
 /// prepared as the index prepares it, one [`dot`] per document in id
-/// order, offered to one bounded top-k heap. No batching.
+/// order, offered to one bounded top-k heap. No kernel tiles.
 pub fn scan_exact(index: &VectorIndex, query: &[f32], k: usize) -> Vec<Hit> {
     if index.is_empty() || k == 0 {
         return Vec::new();

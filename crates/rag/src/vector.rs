@@ -1,7 +1,6 @@
 //! Vector index over a flat arena with one retrieval entrypoint,
-//! [`VectorIndex::search`]: exact top-k through a register-blocked
-//! batched kernel, or an IVF-lite approximate variant (seeded k-means
-//! coarse quantizer, probe-nearest-clusters) sharing the same arena. A
+//! [`VectorIndex::search`]: exact top-k of one query, scored through the
+//! register-blocked [`slm::kernel::matmul_tile`] into a bounded heap. A
 //! search runs on the thread that calls it.
 //!
 //! # Layout
@@ -25,162 +24,39 @@
 //!
 //! # Exact search
 //!
-//! An exact [`SearchRequest`] of Q queries is serviced in **one arena
-//! pass**: the queries are packed into a flat Q×dim matrix and scored
-//! tile-by-tile through the SIMD-dispatched
-//! [`slm::kernel::matmul_tile`], so each arena cache line is touched once
-//! per query *group* instead of once per query. A single query takes the
-//! same route — the kernel's row-block layout beats a plain dot loop even
-//! with nothing to share. Every per-query result is **bit-identical** to
-//! the sequential per-query scan kept in [`crate::reference::scan_exact`]:
-//! the kernel preserves the scalar accumulation order and the total-order
-//! heap makes the top-k set unique regardless of offer order.
-//!
-//! # IVF
-//!
-//! [`Strategy::Ivf`] runs the probe loop once per query: score the
-//! centroids, then the members of the `probes` nearest clusters through
-//! one heap. It falls back to the exact pass when the index has no
-//! quantizer.
+//! A search scores the arena tile by tile, `SCAN_TILE` (1 024) rows per
+//! [`slm::kernel::matmul_tile`] call: the kernel's row-block layout beats
+//! a plain dot loop, and one call amortizes its dispatch over a whole
+//! tile. Every result is **bit-identical** to the sequential per-row scan
+//! kept in [`crate::reference::scan_exact`]: the kernel preserves the
+//! scalar accumulation order and the total-order heap makes the top-k set
+//! unique regardless of offer order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
 use kgquery::exec::compare_f64_total;
-use slm::embedding::{dot, normalize};
+use slm::embedding::normalize;
 use slm::kernel::{first_above, matmul_tile};
 
-/// Arena rows scored per [`slm::kernel::matmul_tile`] call in exact
-/// scans: the per-tile score buffer stays small (`Q × 1024` floats)
-/// while each call still amortizes dispatch overhead over many rows.
-const BATCH_TILE: usize = 1024;
+/// Arena rows scored per [`slm::kernel::matmul_tile`] call: the per-tile
+/// score buffer stays small (1024 floats) while each call still
+/// amortizes dispatch overhead over many rows.
+const SCAN_TILE: usize = 1024;
 
 /// A (document id, score) search hit.
 pub type Hit = (usize, f32);
-
-/// Why an IVF search fell back to an exact scan. Carried on
-/// [`SearchStats`] (and queryable via [`VectorIndex::ivf_fallback`]) so
-/// the condition is diagnosable from serve `stats` replies instead of
-/// only visible as the anonymous `retrieval.ivf_disabled` counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IvfFallback {
-    /// IVF was requested at build time but the corpus held fewer than
-    /// `min_docs` (= `n_clusters × 2`) documents, so quantization was
-    /// skipped and every search scans exactly.
-    CorpusTooSmall {
-        /// Documents actually indexed.
-        n_docs: usize,
-        /// Minimum corpus size that would have enabled IVF.
-        min_docs: usize,
-    },
-}
-
-impl IvfFallback {
-    /// Stable machine-readable reason tag.
-    pub fn reason(&self) -> &'static str {
-        match self {
-            IvfFallback::CorpusTooSmall { .. } => "corpus_too_small",
-        }
-    }
-
-    /// Human-readable description with the concrete sizes.
-    pub fn describe(&self) -> String {
-        match self {
-            IvfFallback::CorpusTooSmall { n_docs, min_docs } => {
-                format!("corpus_too_small: {n_docs} docs < {min_docs} required")
-            }
-        }
-    }
-}
 
 /// Work counters of one search, surfaced as `retrieval.*` observability
 /// counters by [`VectorIndex::search`] (catalogue in
 /// `docs/observability.md`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Vectors scored (documents plus, for IVF, centroids), summed over
-    /// the request's queries: an exact pass counts each document once
-    /// **per query**.
+    /// Documents scored: every indexed document, or zero when `k` is 0.
     pub vectors_scanned: usize,
-    /// Insertions into a top-k heap (pushes that displaced or grew the
+    /// Insertions into the top-k heap (pushes that displaced or grew the
     /// candidate set).
     pub heap_pushes: usize,
-    /// Clusters probed by an IVF search; zero for exact scans.
-    pub ivf_probes: usize,
-    /// Queries serviced by the batched kernel invocation this request
-    /// ran: Q for an exact request, zero for IVF probing.
-    pub batch_queries: usize,
-    /// Structured reason when an IVF search fell back to exact;
-    /// `None` for exact searches and healthy IVF searches.
-    pub ivf_fallback: Option<IvfFallback>,
-}
-
-/// How a [`SearchRequest`] finds its hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Score every document in one batched kernel pass.
-    Exact,
-    /// Score the members of the `probes` nearest IVF clusters, per query
-    /// (at least one cluster). Runs exactly when the index has no
-    /// quantizer, recording [`SearchStats::ivf_fallback`].
-    Ivf {
-        /// Clusters probed per query.
-        probes: usize,
-    },
-}
-
-/// One retrieval call: 1..Q query embeddings, a depth `k`, a strategy.
-/// Queries are zero-padded or truncated to the index dimension and
-/// unit-normalized before scoring.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchRequest<'a> {
-    /// The query embeddings, answered in order.
-    pub queries: &'a [Vec<f32>],
-    /// Hits to return per query.
-    pub k: usize,
-    /// Exact or IVF.
-    pub strategy: Strategy,
-}
-
-impl<'a> SearchRequest<'a> {
-    /// Exact top-`k` for every query.
-    pub fn exact(queries: &'a [Vec<f32>], k: usize) -> Self {
-        SearchRequest {
-            queries,
-            k,
-            strategy: Strategy::Exact,
-        }
-    }
-
-    /// Approximate top-`k` for every query, probing `probes` IVF
-    /// clusters each.
-    pub fn ivf(queries: &'a [Vec<f32>], k: usize, probes: usize) -> Self {
-        SearchRequest {
-            queries,
-            k,
-            strategy: Strategy::Ivf { probes },
-        }
-    }
-}
-
-/// The answer to a [`SearchRequest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchResult {
-    /// One best-first hit list per query, in request order.
-    pub hits: Vec<Vec<Hit>>,
-    /// The request's work counters.
-    pub stats: SearchStats,
-}
-
-impl SearchResult {
-    /// The hits and work counters of a one-query request.
-    pub fn into_single(self) -> (Vec<Hit>, SearchStats) {
-        (self.hits.into_iter().next().unwrap_or_default(), self.stats)
-    }
 }
 
 /// Ranking order of two hits, best first: score descending under the
@@ -281,36 +157,15 @@ pub struct VectorIndex {
     data: Vec<f32>,
     dim: usize,
     n_docs: usize,
-    /// IVF state: flat `n_clusters × dim` centroid arena (unit rows) and
-    /// per-cluster member lists.
-    centroids: Vec<f32>,
-    clusters: Vec<Vec<usize>>,
-    /// IVF was requested (`n_clusters > 0`) but impossible; searches fall
-    /// back to exact and say so via the `retrieval.ivf_disabled` counter
-    /// plus this structured reason.
-    ivf_fallback: Option<IvfFallback>,
 }
 
 impl VectorIndex {
-    /// Build from document vectors. `n_clusters = 0` disables IVF (exact
-    /// search only). Rows are copied into the arena and unit-normalized,
-    /// so later scans score cosine with a plain dot product. Vectors
-    /// shorter than the first row's dimensionality are zero-padded,
-    /// longer ones truncated (all real callers embed with one model, so
-    /// this is defensive only). IVF centroids are seeded with k-means++
-    /// ([`IvfSeeding::KmeansPP`]); use [`VectorIndex::build_with_seeding`]
-    /// to pin the baseline shuffle seeding.
-    pub fn build(vectors: Vec<Vec<f32>>, n_clusters: usize, seed: u64) -> Self {
-        Self::build_with_seeding(vectors, n_clusters, seed, IvfSeeding::KmeansPP)
-    }
-
-    /// [`VectorIndex::build`] with an explicit centroid-seeding strategy.
-    pub fn build_with_seeding(
-        vectors: Vec<Vec<f32>>,
-        n_clusters: usize,
-        seed: u64,
-        seeding: IvfSeeding,
-    ) -> Self {
+    /// Build from document vectors. Rows are copied into the arena and
+    /// unit-normalized, so later scans score cosine with a plain dot
+    /// product. Vectors shorter than the first row's dimensionality are
+    /// zero-padded, longer ones truncated (all real callers embed with
+    /// one model, so this is defensive only).
+    pub fn build(vectors: Vec<Vec<f32>>) -> Self {
         let n_docs = vectors.len();
         let dim = vectors.first().map(Vec::len).unwrap_or(0);
         let mut data = vec![0.0f32; n_docs * dim];
@@ -319,58 +174,7 @@ impl VectorIndex {
             row[..n].copy_from_slice(&v[..n]);
             normalize(row);
         }
-        let ivf_possible = n_clusters > 0 && n_docs >= n_clusters * 2;
-        let (centroids, clusters) = if ivf_possible {
-            kmeans(&data, dim, n_docs, n_clusters, seed, seeding)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let ivf_fallback = if n_clusters > 0 && !ivf_possible {
-            Some(IvfFallback::CorpusTooSmall {
-                n_docs,
-                min_docs: n_clusters * 2,
-            })
-        } else {
-            None
-        };
-        VectorIndex {
-            data,
-            dim,
-            n_docs,
-            centroids,
-            clusters,
-            ivf_fallback,
-        }
-    }
-
-    /// Build with `n_clusters` chosen by an elbow heuristic: sweep `k`
-    /// over powers of two (while `k × 2 ≤ n_docs`, capped at 256), run a
-    /// short quantization pass per candidate, and keep the largest `k`
-    /// whose doubling still cut inertia by at least 10% relative —
-    /// diminishing returns past the corpus's natural cluster count. A
-    /// corpus with no exploitable structure (every doubling below the
-    /// threshold) gets the smallest candidate rather than a large `k`
-    /// that would only fragment recall. Falls back to exact-only when
-    /// the corpus is too small for any candidate.
-    pub fn build_auto(vectors: Vec<Vec<f32>>, seed: u64) -> Self {
-        let n_docs = vectors.len();
-        let dim = vectors.first().map(Vec::len).unwrap_or(0);
-        if n_docs < 4 || dim == 0 {
-            return Self::build(vectors, 0, seed);
-        }
-        let mut data = vec![0.0f32; n_docs * dim];
-        for (row, v) in data.chunks_exact_mut(dim).zip(&vectors) {
-            let n = row.len().min(v.len());
-            row[..n].copy_from_slice(&v[..n]);
-            normalize(row);
-        }
-        let chosen = elbow_n_clusters(&data, dim, n_docs, seed);
-        Self::build(vectors, chosen, seed)
-    }
-
-    /// Number of IVF clusters in use (0 when IVF is disabled).
-    pub fn n_clusters(&self) -> usize {
-        self.clusters.len()
+        VectorIndex { data, dim, n_docs }
     }
 
     /// Number of indexed documents.
@@ -386,23 +190,6 @@ impl VectorIndex {
     /// Embedding dimensionality of the arena (0 when empty).
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Whether IVF was requested at build time but silently impossible
-    /// (corpus smaller than `n_clusters * 2`).
-    pub fn ivf_disabled(&self) -> bool {
-        self.ivf_fallback.is_some()
-    }
-
-    /// The structured reason IVF is falling back to exact scans, if it
-    /// is (surfaced in serve `stats` replies).
-    pub fn ivf_fallback(&self) -> Option<IvfFallback> {
-        self.ivf_fallback
-    }
-
-    /// Whether IVF search is active.
-    pub fn ivf_enabled(&self) -> bool {
-        !self.centroids.is_empty()
     }
 
     /// The unit-normalized arena row of a document.
@@ -426,64 +213,96 @@ impl VectorIndex {
         q
     }
 
-    /// Run a [`SearchRequest`] — the one retrieval entrypoint.
+    /// Exact top-`k` of one query embedding, best first, with the scan's
+    /// work counters — the one retrieval entrypoint. The query is
+    /// unit-normalized; one of another length than the index dimension
+    /// is a caller bug (debug builds assert, release builds zero-pad or
+    /// truncate it). Unless `k` is 0, every document is scored. Hits are
+    /// bit-identical to [`crate::reference::scan_exact`].
     ///
-    /// [`Strategy::Exact`] scores every query in one batched kernel
-    /// pass; [`Strategy::Ivf`] probes per query, falling back
-    /// to the exact pass when the index has no quantizer. Exact hits are
-    /// bit-identical to [`crate::reference::scan_exact`] on every query.
-    ///
-    /// `span` receives one `retrieval.search` child carrying the request
-    /// shape and work counters, and the `retrieval.*` counters accumulate
-    /// in its tracer (catalogue in `docs/observability.md`); pass
+    /// `span` receives one `retrieval.search` child carrying the work
+    /// counters, and the `retrieval.*` counters accumulate in its tracer
+    /// (catalogue in `docs/observability.md`); pass
     /// [`obs::Span::disabled`] when untraced.
     ///
     /// ```
-    /// use kgrag::{SearchRequest, VectorIndex};
+    /// use kgrag::VectorIndex;
     ///
     /// let docs = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.7, 0.7]];
-    /// let index = VectorIndex::build(docs, 0, 7);
-    /// let queries = [vec![1.0, 0.1]];
-    /// let result = index.search(&SearchRequest::exact(&queries, 2), &obs::Span::disabled());
-    /// let ids: Vec<usize> = result.hits[0].iter().map(|&(id, _)| id).collect();
+    /// let index = VectorIndex::build(docs);
+    /// let (hits, stats) = index.search(&[1.0, 0.1], 2, &obs::Span::disabled());
+    /// let ids: Vec<usize> = hits.iter().map(|&(id, _)| id).collect();
     /// assert_eq!(ids, [0, 2]);
-    /// assert_eq!(result.stats.vectors_scanned, 3);
+    /// assert_eq!(stats.vectors_scanned, 3);
     /// ```
-    pub fn search(&self, req: &SearchRequest<'_>, span: &obs::Span) -> SearchResult {
-        let ivf_probes = match req.strategy {
-            Strategy::Ivf { probes } if self.ivf_enabled() => Some(probes),
-            _ => None,
-        };
-        let mut result = match ivf_probes {
-            Some(probes) => self.ivf_search(req.queries, req.k, probes),
-            None => self.exact_search(req.queries, req.k),
-        };
-        if matches!(req.strategy, Strategy::Ivf { .. }) {
-            result.stats.ivf_fallback = self.ivf_fallback;
+    pub fn search(&self, query: &[f32], k: usize, span: &obs::Span) -> (Vec<Hit>, SearchStats) {
+        let mut top = TopK::new(k);
+        let mut stats = SearchStats::default();
+        if k > 0 && self.n_docs > 0 {
+            let q = self.prepare_query(query);
+            let mut scores = vec![0.0f32; SCAN_TILE.min(self.n_docs)];
+            let mut t0 = 0;
+            while t0 < self.n_docs {
+                let t1 = (t0 + SCAN_TILE).min(self.n_docs);
+                let n_rows = t1 - t0;
+                let rows = &self.data[t0 * self.dim..t1 * self.dim];
+                let scores = &mut scores[..n_rows];
+                matmul_tile(&q, 1, rows, n_rows, self.dim, scores);
+                // IEEE fast-reject against the cached worst: once the heap
+                // is full, a score `<=` the current worst loses under
+                // `cmp_hits` too (equal scores tie-break toward the heap's
+                // smaller doc id — rows arrive in ascending id order), so
+                // the O(1) f32 compare skips the f64 total-order compare
+                // without changing which offers succeed. NaN falls through
+                // (`NaN <= w` is false) and takes the slow path, where the
+                // total order ranks it. `first_above` skips a whole run of
+                // losers at once, several scores per compare.
+                let mut worst = top.worst_score_if_full();
+                let mut r = 0;
+                while r < n_rows {
+                    if let Some(w) = worst {
+                        match first_above(&scores[r..], w) {
+                            Some(skip) => r += skip,
+                            None => break,
+                        }
+                    }
+                    top.offer((t0 + r, scores[r]));
+                    worst = top.worst_score_if_full();
+                    r += 1;
+                }
+                t0 = t1;
+            }
+            stats = SearchStats {
+                vectors_scanned: self.n_docs,
+                heap_pushes: top.pushes,
+            };
         }
-        let kind = if ivf_probes.is_some() { "ivf" } else { "exact" };
-        record_search(span, kind, self, req, &result);
-        result
+        let hits = top.into_sorted();
+        let child = span.child("retrieval.search");
+        child.set("docs_indexed", self.n_docs);
+        child.set("k", k);
+        child.set("hits", hits.len());
+        child.set("vectors_scanned", stats.vectors_scanned);
+        child.set("heap_pushes", stats.heap_pushes);
+        child.count("retrieval.searches", 1);
+        child.count("retrieval.vectors_scanned", stats.vectors_scanned as u64);
+        child.count("retrieval.heap_pushes", stats.heap_pushes as u64);
+        (hits, stats)
     }
 
-    /// Exact top-k of one query, with the scan's work counters: a
-    /// one-query [`VectorIndex::search`], kept because the `perfbench`
-    /// replay calls it.
+    /// [`VectorIndex::search`] untraced, kept because the `perfbench`
+    /// replay calls it (ROADMAP item 2).
     pub fn search_exact_with_stats(&self, query: &[f32], k: usize) -> (Vec<Hit>, SearchStats) {
-        self.search(
-            &SearchRequest::exact(&[query.to_vec()], k),
-            &obs::Span::disabled(),
-        )
-        .into_single()
+        self.search(query, k, &obs::Span::disabled())
     }
 
     /// Score a gathered set of stored rows against one query in a single
-    /// batched kernel invocation: the rows are packed into one contiguous
-    /// panel and handed to [`matmul_tile`], so the dispatch overhead
-    /// amortizes over the whole candidate set instead of being paid per
-    /// dot. Scores are bit-identical to `dot(prepared_query, row)` — the
-    /// reranking consumer in [`crate::pipeline`] relies on that to stay
-    /// comparable with first-round retrieval scores.
+    /// kernel invocation: the rows are packed into one contiguous panel
+    /// and handed to [`matmul_tile`], so the dispatch overhead amortizes
+    /// over the whole candidate set instead of being paid per dot. Scores
+    /// are bit-identical to `dot(prepared_query, row)` — the reranking
+    /// consumer in [`crate::pipeline`] relies on that to stay comparable
+    /// with first-round retrieval scores.
     ///
     /// Out-of-range ids score `0.0` (nothing stored to compare against),
     /// mirroring how zero vectors are "similar to nothing".
@@ -502,392 +321,16 @@ impl VectorIndex {
         matmul_tile(&q, 1, &rows, docs.len(), self.dim, &mut out);
         out
     }
-
-    /// An exact request: top-k of every query in **one arena pass**, the
-    /// per-query counters summed. Unless `k` is 0, every query scans all
-    /// `n_docs` rows.
-    fn exact_search(&self, queries: &[Vec<f32>], k: usize) -> SearchResult {
-        let mut stats = SearchStats {
-            batch_queries: queries.len(),
-            ..SearchStats::default()
-        };
-        if self.n_docs == 0 || k == 0 || queries.is_empty() {
-            let hits = vec![Vec::new(); queries.len()];
-            return SearchResult { hits, stats };
-        }
-        let qmat = self.prepare_batch(queries);
-        let hits = self
-            .batch_scan(&qmat, queries.len(), k)
-            .into_iter()
-            .map(|top| {
-                stats.vectors_scanned += self.n_docs;
-                stats.heap_pushes += top.pushes;
-                top.into_sorted()
-            })
-            .collect();
-        SearchResult { hits, stats }
-    }
-
-    /// Pack queries into a flat row-major `Q × dim` matrix, each row
-    /// prepared exactly like [`VectorIndex::prepare_query`] (zero-pad /
-    /// truncate to `dim`, unit-normalize).
-    fn prepare_batch(&self, queries: &[Vec<f32>]) -> Vec<f32> {
-        let mut qmat = vec![0.0f32; queries.len() * self.dim];
-        for (row, q) in qmat.chunks_exact_mut(self.dim.max(1)).zip(queries) {
-            let n = row.len().min(q.len());
-            row[..n].copy_from_slice(&q[..n]);
-            normalize(row);
-        }
-        qmat
-    }
-
-    /// Score every arena row against all `n_q` queries, tile-by-tile
-    /// through the blocked kernel, maintaining one bounded top-k heap per
-    /// query.
-    fn batch_scan(&self, qmat: &[f32], n_q: usize, k: usize) -> Vec<TopK> {
-        let mut tops: Vec<TopK> = (0..n_q).map(|_| TopK::new(k)).collect();
-        let mut scores = vec![0.0f32; n_q * BATCH_TILE.min(self.n_docs)];
-        let mut t0 = 0;
-        while t0 < self.n_docs {
-            let t1 = (t0 + BATCH_TILE).min(self.n_docs);
-            let n_rows = t1 - t0;
-            let rows = &self.data[t0 * self.dim..t1 * self.dim];
-            matmul_tile(
-                qmat,
-                n_q,
-                rows,
-                n_rows,
-                self.dim,
-                &mut scores[..n_q * n_rows],
-            );
-            for (qi, top) in tops.iter_mut().enumerate() {
-                // IEEE fast-reject against the cached worst: once the heap
-                // is full, a score `<=` the current worst loses under
-                // `cmp_hits` too (equal scores tie-break toward the heap's
-                // smaller doc id — rows arrive in ascending id order), so
-                // the O(1) f32 compare skips the f64 total-order compare
-                // without changing which offers succeed. NaN falls through
-                // (`NaN <= w` is false) and takes the slow path, where the
-                // total order ranks it. `first_above` skips a whole run of
-                // losers at once, several scores per compare.
-                let row_scores = &scores[qi * n_rows..(qi + 1) * n_rows];
-                let mut worst = top.worst_score_if_full();
-                let mut r = 0;
-                while r < n_rows {
-                    if let Some(w) = worst {
-                        match first_above(&row_scores[r..], w) {
-                            Some(skip) => r += skip,
-                            None => break,
-                        }
-                    }
-                    top.offer((t0 + r, row_scores[r]));
-                    worst = top.worst_score_if_full();
-                    r += 1;
-                }
-            }
-            t0 = t1;
-        }
-        tops
-    }
-
-    /// Approximate top-k for every query, one probe loop each.
-    fn ivf_search(&self, queries: &[Vec<f32>], k: usize, n_probe: usize) -> SearchResult {
-        let mut stats = SearchStats::default();
-        let hits = queries
-            .iter()
-            .map(|q| self.ivf_probe(q, k, n_probe, &mut stats))
-            .collect();
-        SearchResult { hits, stats }
-    }
-
-    /// One query's IVF probe: score the centroids, then the members of
-    /// the `n_probe` nearest clusters through one heap.
-    fn ivf_probe(
-        &self,
-        query: &[f32],
-        k: usize,
-        n_probe: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Hit> {
-        if self.n_docs == 0 || k == 0 {
-            return Vec::new();
-        }
-        let q = self.prepare_query(query);
-        let n_clusters = self.clusters.len();
-        // coarse quantizer: nearest centroids under the same kernel
-        let mut nearest = TopK::new(n_probe.max(1));
-        for (ci, c) in self.centroids.chunks_exact(self.dim).enumerate() {
-            nearest.offer((ci, dot(&q, c)));
-        }
-        stats.vectors_scanned += n_clusters;
-        let probed = nearest.into_sorted();
-        stats.ivf_probes += probed.len();
-        // fine scan: members of the probed clusters through one heap
-        let mut top = TopK::new(k);
-        for &(ci, _) in &probed {
-            for &doc in &self.clusters[ci] {
-                top.offer((doc, dot(&q, self.row(doc))));
-            }
-            stats.vectors_scanned += self.clusters[ci].len();
-        }
-        stats.heap_pushes += top.pushes;
-        top.into_sorted()
-    }
-}
-
-/// Record one [`VectorIndex::search`] on a `retrieval.search` child span
-/// and bump the `retrieval.*` counters (catalogue in
-/// `docs/observability.md`). Kernel invocations add
-/// `retrieval.batch.searches` / `retrieval.batch.queries`; IVF fallbacks
-/// carry their structured reason as the `ivf_fallback` attribute.
-fn record_search(
-    parent: &obs::Span,
-    kind: &str,
-    index: &VectorIndex,
-    req: &SearchRequest<'_>,
-    result: &SearchResult,
-) {
-    let stats = &result.stats;
-    let span = parent.child("retrieval.search");
-    span.set("kind", kind);
-    span.set("docs_indexed", index.len());
-    span.set("k", req.k);
-    span.set("queries", req.queries.len());
-    span.set("hits", result.hits.iter().map(Vec::len).sum::<usize>());
-    span.set("vectors_scanned", stats.vectors_scanned);
-    span.set("heap_pushes", stats.heap_pushes);
-    span.count("retrieval.searches", 1);
-    span.count("retrieval.vectors_scanned", stats.vectors_scanned as u64);
-    span.count("retrieval.heap_pushes", stats.heap_pushes as u64);
-    if stats.ivf_probes > 0 {
-        span.set("ivf_probes", stats.ivf_probes);
-        span.count("retrieval.ivf_probes", stats.ivf_probes as u64);
-    }
-    if stats.batch_queries > 0 {
-        span.set("batch_queries", stats.batch_queries);
-        span.count("retrieval.batch.searches", 1);
-        span.count("retrieval.batch.queries", stats.batch_queries as u64);
-    }
-    if let Some(fallback) = stats.ivf_fallback {
-        span.set("ivf_disabled", true);
-        span.set("ivf_fallback", fallback.reason());
-        span.count("retrieval.ivf_disabled", 1);
-    }
-}
-
-/// How the initial IVF centroids are chosen before Lloyd iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IvfSeeding {
-    /// First `k` documents of a seeded shuffle (the previous default;
-    /// kept as the regression baseline the bench gates against).
-    Shuffle,
-    /// k-means++: each next seed is drawn with probability proportional
-    /// to its squared distance from the already-chosen set, spreading
-    /// seeds across the corpus instead of landing several in one dense
-    /// region. This is what rescues recall on corpora without clean
-    /// cluster structure (the verbalized-KG case).
-    KmeansPP,
-}
-
-/// Lloyd iterations for a full k-means build.
-const KMEANS_ITERS: usize = 10;
-
-/// Lloyd iterations per candidate `k` during the elbow sweep — enough
-/// for inertia to be comparable across `k`, cheap enough to sweep.
-const ELBOW_ITERS: usize = 4;
-
-/// Minimum relative inertia improvement a doubling of `k` must deliver
-/// for the elbow sweep to keep it.
-const ELBOW_MIN_GAIN: f64 = 0.10;
-
-/// Seeded Lloyd's k-means over the arena (cosine space).
-///
-/// Rows are unit-normalized, so assignment is a plain dot against the
-/// centroid arena; centroids are normalized **once per update step**
-/// (cosine is scale-invariant, so ranking is unchanged while every
-/// assignment pass drops the per-pair norm recomputation the seed paid).
-/// Returns the final inertia (summed cosine distance of every document
-/// to its centroid) alongside the clustering, for the elbow sweep.
-fn kmeans_with(
-    data: &[f32],
-    dim: usize,
-    n_docs: usize,
-    k: usize,
-    seed: u64,
-    seeding: IvfSeeding,
-    iters: usize,
-) -> (Vec<f32>, Vec<Vec<usize>>, f64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut centroids = vec![0.0f32; k * dim];
-    match seeding {
-        IvfSeeding::Shuffle => {
-            let mut ids: Vec<usize> = (0..n_docs).collect();
-            ids.shuffle(&mut rng);
-            for (c, &i) in centroids.chunks_exact_mut(dim).zip(ids.iter().take(k)) {
-                c.copy_from_slice(&data[i * dim..(i + 1) * dim]);
-            }
-        }
-        IvfSeeding::KmeansPP => {
-            let chosen = kmeanspp_seeds(data, dim, n_docs, k, &mut rng);
-            for (c, &i) in centroids.chunks_exact_mut(dim).zip(&chosen) {
-                c.copy_from_slice(&data[i * dim..(i + 1) * dim]);
-            }
-        }
-    }
-    let mut assignment = vec![0usize; n_docs];
-    let mut inertia = 0.0f64;
-    for _ in 0..iters {
-        // assign: argmax dot, first centroid wins ties (seed behavior)
-        inertia = 0.0;
-        for (i, v) in data.chunks_exact(dim).enumerate() {
-            let mut best = (0usize, f32::NEG_INFINITY);
-            for (ci, c) in centroids.chunks_exact(dim).enumerate() {
-                let s = dot(v, c);
-                if s > best.1 {
-                    best = (ci, s);
-                }
-            }
-            assignment[i] = best.0;
-            inertia += f64::from(1.0 - best.1.clamp(-1.0, 1.0));
-        }
-        // update: mean of members, normalized once; empty clusters keep
-        // their previous centroid
-        let mut sums = vec![0.0f32; k * dim];
-        let mut counts = vec![0usize; k];
-        for (i, v) in data.chunks_exact(dim).enumerate() {
-            let c = assignment[i];
-            counts[c] += 1;
-            for (s, x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(v) {
-                *s += x;
-            }
-        }
-        for ci in 0..k {
-            if counts[ci] > 0 {
-                let c = &mut centroids[ci * dim..(ci + 1) * dim];
-                c.copy_from_slice(&sums[ci * dim..(ci + 1) * dim]);
-                normalize(c);
-            }
-        }
-    }
-    let mut clusters = vec![Vec::new(); k];
-    for (i, &c) in assignment.iter().enumerate() {
-        clusters[c].push(i);
-    }
-    (centroids, clusters, inertia)
-}
-
-/// The elbow sweep behind [`VectorIndex::build_auto`]: candidate `k`
-/// doubles from 2; a candidate is kept while it cuts inertia at least
-/// [`ELBOW_MIN_GAIN`] relative to the previous kept candidate. `k` is
-/// capped at `√n_docs` (and 256): on noisy corpora the inertia keeps
-/// dropping ≥ 10% per doubling essentially until `k ≈ n` — every pair
-/// of documents becomes its own "cluster" — so without the cap the
-/// sweep degenerates into memorization instead of structure discovery.
-fn elbow_n_clusters(data: &[f32], dim: usize, n_docs: usize, seed: u64) -> usize {
-    let sqrt_cap = (n_docs as f64).sqrt() as usize;
-    let mut chosen = 2;
-    let mut prev_inertia: Option<f64> = None;
-    let mut k = 2;
-    while k * 2 <= n_docs && k <= sqrt_cap.min(256) {
-        let (_, _, inertia) = kmeans_with(
-            data,
-            dim,
-            n_docs,
-            k,
-            seed,
-            IvfSeeding::KmeansPP,
-            ELBOW_ITERS,
-        );
-        match prev_inertia {
-            None => {
-                chosen = k;
-                prev_inertia = Some(inertia);
-            }
-            Some(prev) if prev <= 0.0 => break,
-            Some(prev) => {
-                if (prev - inertia) / prev >= ELBOW_MIN_GAIN {
-                    chosen = k;
-                    prev_inertia = Some(inertia);
-                } else {
-                    break;
-                }
-            }
-        }
-        k *= 2;
-    }
-    chosen
-}
-
-/// Backwards-shaped entry point: full iterations, chosen seeding.
-fn kmeans(
-    data: &[f32],
-    dim: usize,
-    n_docs: usize,
-    k: usize,
-    seed: u64,
-    seeding: IvfSeeding,
-) -> (Vec<f32>, Vec<Vec<usize>>) {
-    let (centroids, clusters, _) = kmeans_with(data, dim, n_docs, k, seed, seeding, KMEANS_ITERS);
-    (centroids, clusters)
-}
-
-/// k-means++ seed selection: the first seed is drawn uniformly; each
-/// subsequent seed with probability proportional to its distance from
-/// the nearest already-chosen seed (`‖a−b‖² = 2(1−a·b)` on unit rows, so
-/// `1 − dot` is the proportional weight). Deterministic for a given rng
-/// state.
-fn kmeanspp_seeds(
-    data: &[f32],
-    dim: usize,
-    n_docs: usize,
-    k: usize,
-    rng: &mut StdRng,
-) -> Vec<usize> {
-    use rand::Rng;
-    let row = |i: usize| &data[i * dim..(i + 1) * dim];
-    let mut chosen = Vec::with_capacity(k);
-    let first = rng.gen_range(0..n_docs);
-    chosen.push(first);
-    // weight[i]: cosine distance to the nearest chosen seed so far
-    let mut weight: Vec<f64> = (0..n_docs)
-        .map(|i| f64::from((1.0 - dot(row(i), row(first))).max(0.0)))
-        .collect();
-    while chosen.len() < k {
-        let total: f64 = weight.iter().sum();
-        let next = if total > 0.0 {
-            // walk the cumulative weights to the sampled mass point
-            let mut target = rng.gen::<f64>() * total;
-            let mut pick = n_docs - 1;
-            for (i, w) in weight.iter().enumerate() {
-                target -= w;
-                if target <= 0.0 {
-                    pick = i;
-                    break;
-                }
-            }
-            pick
-        } else {
-            // all remaining mass is zero (duplicate rows): uniform
-            rng.gen_range(0..n_docs)
-        };
-        chosen.push(next);
-        for (i, w) in weight.iter_mut().enumerate() {
-            let d = f64::from((1.0 - dot(row(i), row(next))).max(0.0));
-            if d < *w {
-                *w = d;
-            }
-        }
-    }
-    chosen
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::scan_exact;
+    use slm::embedding::{dot, hash_vector};
     use slm::Embedder;
 
-    fn corpus_index(n_clusters: usize) -> (VectorIndex, Embedder, Vec<String>) {
+    fn corpus_index() -> (VectorIndex, Embedder, Vec<String>) {
         let docs: Vec<String> = (0..40)
             .map(|i| {
                 if i % 2 == 0 {
@@ -899,28 +342,12 @@ mod tests {
             .collect();
         let e = Embedder::new();
         let vectors = docs.iter().map(|d| e.embed(d)).collect();
-        (VectorIndex::build(vectors, n_clusters, 7), e, docs)
+        (VectorIndex::build(vectors), e, docs)
     }
 
-    /// A one-query request under `strategy`, untraced.
-    fn search_one(idx: &VectorIndex, q: &[f32], k: usize, strategy: Strategy) -> SearchResult {
-        let queries = [q.to_vec()];
-        let req = SearchRequest {
-            queries: &queries,
-            k,
-            strategy,
-        };
-        idx.search(&req, &obs::Span::disabled())
-    }
-
+    /// The hits of one untraced search.
     fn exact(idx: &VectorIndex, q: &[f32], k: usize) -> Vec<Hit> {
-        search_one(idx, q, k, Strategy::Exact).into_single().0
-    }
-
-    fn ivf(idx: &VectorIndex, q: &[f32], k: usize, probes: usize) -> Vec<Hit> {
-        search_one(idx, q, k, Strategy::Ivf { probes })
-            .into_single()
-            .0
+        idx.search(q, k, &obs::Span::disabled()).0
     }
 
     fn ids(hits: &[Hit]) -> Vec<usize> {
@@ -933,7 +360,7 @@ mod tests {
 
     #[test]
     fn exact_search_finds_relevant_docs() {
-        let (idx, e, docs) = corpus_index(0);
+        let (idx, e, docs) = corpus_index();
         let hits = exact(&idx, &e.embed("a drama film about love"), 5);
         assert_eq!(hits.len(), 5);
         for (id, _) in &hits {
@@ -942,65 +369,15 @@ mod tests {
     }
 
     #[test]
-    fn ivf_recall_overlaps_exact() {
-        let (idx, e, _) = corpus_index(4);
-        let q = e.embed("database query papers");
-        let exact = ids(&exact(&idx, &q, 5));
-        let approx = ids(&ivf(&idx, &q, 5, 2));
-        let overlap = exact.iter().filter(|i| approx.contains(i)).count();
-        assert!(overlap >= 3, "IVF recall too low: {overlap}/5");
-    }
-
-    #[test]
-    fn ivf_probing_more_clusters_cannot_reduce_recall() {
-        let (idx, e, _) = corpus_index(4);
-        let q = e.embed("drama love story");
-        let exact = ids(&exact(&idx, &q, 5));
-        let few = ids(&ivf(&idx, &q, 5, 1));
-        let all = ids(&ivf(&idx, &q, 5, 4));
-        let recall = |v: &[usize]| exact.iter().filter(|i| v.contains(i)).count();
-        assert!(recall(&all) >= recall(&few));
-        assert_eq!(recall(&all), 5, "probing all clusters must equal exact");
-    }
-
-    #[test]
-    fn multi_query_ivf_request_probes_each_query() {
-        let (idx, e, _) = corpus_index(4);
-        let queries: Vec<Vec<f32>> = ["drama about love", "database query papers"]
-            .iter()
-            .map(|q| e.embed(q))
-            .collect();
-        let result = idx.search(&SearchRequest::ivf(&queries, 5, 2), &obs::Span::disabled());
-        let mut summed = SearchStats::default();
-        for (q, hits) in queries.iter().zip(&result.hits) {
-            let (solo, stats) = search_one(&idx, q, 5, Strategy::Ivf { probes: 2 }).into_single();
-            assert_eq!(hit_bits(hits), hit_bits(&solo));
-            summed.vectors_scanned += stats.vectors_scanned;
-            summed.ivf_probes += stats.ivf_probes;
-        }
-        assert_eq!(result.stats.vectors_scanned, summed.vectors_scanned);
-        assert_eq!(result.stats.ivf_probes, 4);
-        assert_eq!(result.stats.batch_queries, 0);
-    }
-
-    #[test]
     fn empty_index_returns_nothing() {
-        let idx = VectorIndex::build(Vec::new(), 0, 0);
+        let idx = VectorIndex::build(Vec::new());
         assert!(idx.is_empty());
         assert!(exact(&idx, &[0.0; 4], 3).is_empty());
     }
 
     #[test]
-    fn build_is_deterministic() {
-        let (a, e, _) = corpus_index(4);
-        let (b, _, _) = corpus_index(4);
-        let q = e.embed("drama");
-        assert_eq!(ivf(&a, &q, 3, 2), ivf(&b, &q, 3, 2));
-    }
-
-    #[test]
     fn heap_topk_equals_full_sort() {
-        let (idx, e, _) = corpus_index(0);
+        let (idx, e, _) = corpus_index();
         let q = idx.prepare_query(&e.embed("databases"));
         // full sort over every score, seed-style
         let mut all: Vec<Hit> = (0..idx.len()).map(|i| (i, dot(&q, idx.row(i)))).collect();
@@ -1012,7 +389,7 @@ mod tests {
 
     #[test]
     fn k_larger_than_corpus_returns_everything_ranked() {
-        let (idx, e, _) = corpus_index(0);
+        let (idx, e, _) = corpus_index();
         let hits = exact(&idx, &e.embed("anything"), 1000);
         assert_eq!(hits.len(), idx.len());
         for w in hits.windows(2) {
@@ -1022,7 +399,7 @@ mod tests {
 
     #[test]
     fn zero_query_ranks_by_doc_id() {
-        let (idx, _, _) = corpus_index(0);
+        let (idx, _, _) = corpus_index();
         let hits = exact(&idx, &vec![0.0; idx.dim()], 5);
         assert_eq!(ids(&hits), vec![0, 1, 2, 3, 4]);
         assert!(hits.iter().all(|&(_, s)| s == 0.0));
@@ -1041,7 +418,7 @@ mod tests {
                 .map(|i| vec![1.0, i as f32 * 0.1, 0.0, 0.0])
                 .collect();
             vs.insert(nan_at, nan_row.clone());
-            VectorIndex::build(vs, 0, 0)
+            VectorIndex::build(vs)
         };
         let q = [1.0, 0.2, 0.0, 0.0];
         for k in [2, 13] {
@@ -1061,7 +438,7 @@ mod tests {
 
     #[test]
     fn search_is_bit_identical_to_reference_scan() {
-        let (idx, e, _) = corpus_index(0);
+        let (idx, e, _) = corpus_index();
         let mut nan_q = e.embed("drama");
         nan_q[3] = f32::NAN;
         let queries: Vec<Vec<f32>> = [
@@ -1074,31 +451,64 @@ mod tests {
         .map(|q| e.embed(q))
         .chain([nan_q])
         .collect();
-        let result = idx.search(&SearchRequest::exact(&queries, 6), &obs::Span::disabled());
-        assert_eq!(result.hits.len(), queries.len());
-        for (q, hits) in queries.iter().zip(&result.hits) {
-            assert_eq!(hit_bits(hits), hit_bits(&scan_exact(&idx, q, 6)));
+        for q in &queries {
+            let (hits, stats) = idx.search(q, 6, &obs::Span::disabled());
+            assert_eq!(hit_bits(&hits), hit_bits(&scan_exact(&idx, q, 6)));
+            assert_eq!(stats.vectors_scanned, idx.len());
         }
-        assert_eq!(result.stats.vectors_scanned, idx.len() * queries.len());
     }
 
     #[test]
-    fn search_handles_empty_request_and_empty_index() {
-        let (idx, e, _) = corpus_index(0);
-        let none = idx.search(&SearchRequest::exact(&[], 5), &obs::Span::disabled());
-        assert!(none.hits.is_empty());
-        let empty = VectorIndex::build(Vec::new(), 0, 0);
-        let out = empty.search(
-            &SearchRequest::exact(&[e.embed("x")], 5),
-            &obs::Span::disabled(),
-        );
-        assert_eq!(out.hits, vec![Vec::new()]);
-        assert_eq!(out.stats.vectors_scanned, 0);
+    fn search_matches_reference_scan_across_tile_edges() {
+        // 2 × SCAN_TILE + 3 rows, so the scan runs two full tiles and a
+        // 3-row tail. Exact score ties straddle both tile boundaries, the
+        // second tile opens with a NaN row, and zero rows score 0 — each
+        // a case where offer order or the fast-reject could leak into the
+        // result.
+        let n = 2 * SCAN_TILE + 3;
+        let hot = hash_vector("tile-hot");
+        let mut warm = hot.clone();
+        warm[0] = -warm[0];
+        let mut rows: Vec<Vec<f32>> = (0..n)
+            .map(|i| hash_vector(&format!("tile-row-{i}")))
+            .collect();
+        let (b1, b2) = (SCAN_TILE, 2 * SCAN_TILE);
+        for i in [b1 - 2, b1 - 1, b1 + 1, b2 - 1, b2, b2 + 2] {
+            rows[i] = hot.clone();
+        }
+        for i in [b1 - 3, b1 + 2, b2 - 2, b2 + 1] {
+            rows[i] = warm.clone();
+        }
+        rows[b1] = vec![f32::NAN; hot.len()];
+        for i in [0, 7, b1 + 5, b2 - 9] {
+            rows[i] = vec![0.0; hot.len()];
+        }
+        let idx = VectorIndex::build(rows);
+        for q in [hot, hash_vector("tile-query")] {
+            for k in [1, 4, 10, n] {
+                let (hits, stats) = idx.search(&q, k, &obs::Span::disabled());
+                assert_eq!(hit_bits(&hits), hit_bits(&scan_exact(&idx, &q, k)), "k={k}");
+                assert_eq!(hits.len(), k);
+                assert_eq!(stats.vectors_scanned, n);
+            }
+        }
+    }
+
+    #[test]
+    fn search_handles_zero_k_and_empty_index() {
+        let (idx, e, _) = corpus_index();
+        let (none, stats) = idx.search(&e.embed("x"), 0, &obs::Span::disabled());
+        assert!(none.is_empty());
+        assert_eq!(stats, SearchStats::default());
+        let empty = VectorIndex::build(Vec::new());
+        let (hits, stats) = empty.search(&e.embed("x"), 5, &obs::Span::disabled());
+        assert!(hits.is_empty());
+        assert_eq!(stats.vectors_scanned, 0);
     }
 
     #[test]
     fn score_docs_is_bit_identical_to_exact_scores() {
-        let (idx, e, _) = corpus_index(0);
+        let (idx, e, _) = corpus_index();
         let q = e.embed("a drama about love");
         let exact = exact(&idx, &q, 8);
         let scores = idx.score_docs(&q, &ids(&exact));
@@ -1111,141 +521,20 @@ mod tests {
     }
 
     #[test]
-    fn multi_query_search_records_batch_counters() {
-        let (idx, e, _) = corpus_index(0);
-        let (tracer, recorder) = obs::Tracer::in_memory();
-        let root = tracer.span("test");
-        let queries = vec![e.embed("drama"), e.embed("papers")];
-        idx.search(&SearchRequest::exact(&queries, 5), &root);
-        root.finish();
-        assert_eq!(tracer.registry().counter("retrieval.batch.searches"), 1);
-        assert_eq!(tracer.registry().counter("retrieval.batch.queries"), 2);
-        assert_eq!(tracer.registry().counter("retrieval.searches"), 1);
-        assert_eq!(tracer.registry().counter("retrieval.vectors_scanned"), 80);
-        let span = recorder.take().pop().expect("root recorded");
-        let search = span.find("retrieval.search").expect("search span");
-        assert_eq!(
-            search.attr("kind").and_then(obs::AttrValue::as_str),
-            Some("exact")
-        );
-        assert_eq!(search.attr_u64("queries"), Some(2));
-        assert_eq!(search.attr_u64("batch_queries"), Some(2));
-    }
-
-    #[test]
-    fn kmeanspp_seeding_spreads_and_stays_deterministic() {
-        let (a, e, _) = corpus_index(4);
-        let q = e.embed("drama");
-        // deterministic: same seed, same clustering
-        let (b, _, _) = corpus_index(4);
-        assert_eq!(ivf(&a, &q, 3, 2), ivf(&b, &q, 3, 2));
-        // both seedings produce a working quantizer on this corpus
-        let docs: Vec<String> = (0..40).map(|i| format!("doc number {i}")).collect();
-        let vectors: Vec<Vec<f32>> = docs.iter().map(|d| e.embed(d)).collect();
-        for seeding in [IvfSeeding::Shuffle, IvfSeeding::KmeansPP] {
-            let idx = VectorIndex::build_with_seeding(vectors.clone(), 4, 7, seeding);
-            assert!(idx.ivf_enabled(), "{seeding:?}");
-        }
-    }
-
-    #[test]
-    fn build_auto_picks_topic_count_scale() {
-        // two clean topics: the elbow should stop early, not fragment
-        let e = Embedder::new();
-        let vectors: Vec<Vec<f32>> = (0..64)
-            .map(|i| {
-                if i % 2 == 0 {
-                    e.embed(&format!("films drama love cinema movie {}", i % 4))
-                } else {
-                    e.embed(&format!("databases queries tables index {}", i % 4))
-                }
-            })
-            .collect();
-        let idx = VectorIndex::build_auto(vectors, 7);
-        assert!(idx.ivf_enabled());
-        assert!(
-            (2..=16).contains(&idx.n_clusters()),
-            "chose {}",
-            idx.n_clusters()
-        );
-        // tiny corpora degrade to exact-only
-        let tiny = VectorIndex::build_auto(vec![vec![1.0, 0.0]; 3], 7);
-        assert!(!tiny.ivf_enabled());
-    }
-
-    #[test]
-    fn ivf_fallback_reason_is_structured() {
-        let vectors: Vec<Vec<f32>> = (0..6)
-            .map(|i| slm::embedding::hash_vector(&format!("doc-{i}")))
-            .collect();
-        let idx = VectorIndex::build(vectors, 4, 7);
-        let fallback = idx.ivf_fallback().expect("fallback recorded");
-        assert_eq!(
-            fallback,
-            IvfFallback::CorpusTooSmall {
-                n_docs: 6,
-                min_docs: 8
-            }
-        );
-        assert_eq!(fallback.reason(), "corpus_too_small");
-        assert!(fallback.describe().contains("6 docs < 8"));
-        let q = slm::embedding::hash_vector("q");
-        let stats = search_one(&idx, &q, 3, Strategy::Ivf { probes: 2 }).stats;
-        assert_eq!(stats.ivf_fallback, Some(fallback));
-        // exact requests, healthy IVF searches carry no reason
-        assert_eq!(
-            search_one(&idx, &q, 3, Strategy::Exact).stats.ivf_fallback,
-            None
-        );
-        let (healthy, _, _) = corpus_index(4);
-        assert_eq!(healthy.ivf_fallback(), None);
-        let stats = search_one(&healthy, &q, 3, Strategy::Ivf { probes: 2 }).stats;
-        assert_eq!(stats.ivf_fallback, None);
-    }
-
-    #[test]
-    fn ivf_disabled_fallback_is_observable() {
-        // 6 docs < 4 clusters * 2: IVF silently impossible
-        let vectors: Vec<Vec<f32>> = (0..6)
-            .map(|i| slm::embedding::hash_vector(&format!("doc-{i}")))
-            .collect();
-        let idx = VectorIndex::build(vectors, 4, 7);
-        assert!(idx.ivf_disabled());
-        assert!(!idx.ivf_enabled());
-        let (tracer, recorder) = obs::Tracer::in_memory();
-        let root = tracer.span("test");
-        let q = [slm::embedding::hash_vector("doc-0")];
-        let result = idx.search(&SearchRequest::ivf(&q, 3, 2), &root);
-        root.finish();
-        assert_eq!(result.hits[0].len(), 3);
-        assert_eq!(tracer.registry().counter("retrieval.ivf_disabled"), 1);
-        let span = recorder.take().pop().expect("root recorded");
-        let search = span.find("retrieval.search").expect("search span");
-        assert_eq!(
-            search.attr("ivf_disabled"),
-            Some(&obs::AttrValue::Bool(true))
-        );
-        assert_eq!(
-            search.attr("kind").and_then(obs::AttrValue::as_str),
-            Some("exact")
-        );
-    }
-
-    #[test]
     fn traced_search_records_counters() {
-        let (idx, e, _) = corpus_index(4);
+        let (idx, e, _) = corpus_index();
         let (tracer, recorder) = obs::Tracer::in_memory();
         let root = tracer.span("test");
-        idx.search(&SearchRequest::exact(&[e.embed("drama")], 5), &root);
-        idx.search(&SearchRequest::ivf(&[e.embed("papers")], 5, 2), &root);
+        idx.search(&e.embed("drama"), 5, &root);
         root.finish();
-        assert_eq!(tracer.registry().counter("retrieval.searches"), 2);
-        assert!(tracer.registry().counter("retrieval.vectors_scanned") >= 40);
+        assert_eq!(tracer.registry().counter("retrieval.searches"), 1);
+        assert_eq!(tracer.registry().counter("retrieval.vectors_scanned"), 40);
         assert!(tracer.registry().counter("retrieval.heap_pushes") >= 5);
-        assert_eq!(tracer.registry().counter("retrieval.ivf_disabled"), 0);
-        assert!(tracer.registry().counter("retrieval.ivf_probes") >= 2);
         let span = recorder.take().pop().expect("root recorded");
         let search = span.find("retrieval.search").expect("search span");
-        assert!(search.attr_u64("vectors_scanned").unwrap() >= 40);
+        assert_eq!(search.attr_u64("vectors_scanned"), Some(40));
+        assert_eq!(search.attr_u64("docs_indexed"), Some(40));
+        assert_eq!(search.attr_u64("k"), Some(5));
+        assert_eq!(search.attr_u64("hits"), Some(5));
     }
 }

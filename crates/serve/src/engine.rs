@@ -431,9 +431,8 @@ impl<'a> Engine<'a> {
             hists.insert(name.clone(), histogram_json(h));
         }
         // The retrieval block: serving-relevant facts about the shared
-        // vector index that counters alone can't carry — which SIMD path
-        // the batch kernel dispatched to, and whether (and why) IVF
-        // silently fell back to exact scans.
+        // vector index that counters alone can't carry — its size and
+        // which SIMD path the scan kernel dispatched to.
         let mut retrieval = Map::new();
         let vidx = self.rag.vector_index();
         retrieval.insert("docs_indexed".into(), Value::from(vidx.len() as u64));
@@ -441,11 +440,6 @@ impl<'a> Engine<'a> {
             "dispatch".into(),
             Value::String(slm::dispatch_path().label().into()),
         );
-        retrieval.insert("ivf_enabled".into(), Value::Bool(vidx.ivf_enabled()));
-        if let Some(fb) = vidx.ivf_fallback() {
-            retrieval.insert("ivf_fallback".into(), Value::String(fb.reason().into()));
-            retrieval.insert("ivf_fallback_detail".into(), Value::String(fb.describe()));
-        }
         let mut reply = base_reply(req, Tenant::from_id(&req.tenant), "normal");
         reply.insert("ok".into(), Value::Bool(true));
         reply.insert("shed".into(), Value::Bool(false));
@@ -893,7 +887,7 @@ mod tests {
     #[test]
     fn rag_requests_count_their_retrieval_work() {
         // every naive `rag` request lands on the retrieval counters the
-        // stats reply reports, as one one-query kernel pass
+        // stats reply reports, as one search over the whole index
         let wb = wb();
         let engine = Engine::new(&wb);
         let cancel = CancelToken::new();
@@ -919,8 +913,6 @@ mod tests {
         let counters = obj.get("counters").and_then(Value::as_object).unwrap();
         let counter = |name: &str| counters.get(name).and_then(Value::as_u64).unwrap_or(0);
         assert_eq!(counter("retrieval.searches"), n);
-        assert_eq!(counter("retrieval.batch.searches"), n);
-        assert_eq!(counter("retrieval.batch.queries"), n);
         assert_eq!(counter("retrieval.vectors_scanned"), n * docs);
         assert!(counter("retrieval.heap_pushes") >= n);
     }

@@ -106,7 +106,6 @@ fn rag_profile_reports_retrieval_and_generation_work() {
         profile.retrieval.vectors_scanned,
         profile.counters.counter("retrieval.vectors_scanned")
     );
-    assert_eq!(profile.counters.counter("retrieval.ivf_disabled"), 0);
 
     // Counters and spans.
     assert_eq!(profile.counters.counter("rag.answers"), 1);

@@ -754,13 +754,10 @@ proptest! {
         k in 0usize..12,
     ) {
         use llmkg::kgrag::reference::seed_search_exact;
-        use llmkg::kgrag::{SearchRequest, VectorIndex};
-        let index = VectorIndex::build(vectors.clone(), 0, 0);
-        let queries = [query];
-        let (arena, _) = index
-            .search(&SearchRequest::exact(&queries, k), &llmkg::obs::Span::disabled())
-            .into_single();
-        let seed = seed_search_exact(&vectors, &queries[0], k);
+        use llmkg::kgrag::VectorIndex;
+        let index = VectorIndex::build(vectors.clone());
+        let (arena, _) = index.search(&query, k, &llmkg::obs::Span::disabled());
+        let seed = seed_search_exact(&vectors, &query, k);
         prop_assert_eq!(arena.len(), seed.len());
         for (pos, (a, s)) in arena.iter().zip(&seed).enumerate() {
             if a.0 != s.0 {
@@ -773,38 +770,34 @@ proptest! {
         }
     }
 
-    /// A Q-query exact `search` (Q = 0..6, so one-query requests are
-    /// covered) is bit-identical to running each query through the
-    /// sequential per-query scan in `kgrag::reference` — same ids, same
-    /// score bit patterns — over corpora that include exact zero vectors
-    /// and queries that include NaN components. The kernel tiles queries
-    /// through `matmul_tile` and fast-rejects against a cached heap
-    /// floor, so any rounding or comparator drift shows up here as a bit
-    /// mismatch rather than a near-tie.
+    /// `search` is bit-identical to the sequential per-row scan in
+    /// `kgrag::reference` — same ids, same score bit patterns — for
+    /// every query of a generated set, over corpora that include exact
+    /// zero vectors and queries that include NaN components. The search
+    /// scores tiles through `matmul_tile` and fast-rejects against a
+    /// cached heap floor, so any rounding or comparator drift shows up
+    /// here as a bit mismatch rather than a near-tie.
     #[test]
-    fn search_batch_matches_per_query_exact_bitwise(
+    fn search_matches_reference_scan_bitwise(
         vectors in doc_vectors_strategy(),
         queries in proptest::collection::vec(query_strategy(), 0..6),
         k in 0usize..10,
     ) {
         use llmkg::kgrag::reference::scan_exact;
-        use llmkg::kgrag::{SearchRequest, VectorIndex};
-        let index = VectorIndex::build(vectors, 0, 0);
-        let batch = index
-            .search(&SearchRequest::exact(&queries, k), &llmkg::obs::Span::disabled())
-            .hits;
-        prop_assert_eq!(batch.len(), queries.len());
-        for (qi, (q, hits)) in queries.iter().zip(&batch).enumerate() {
-            let single: Vec<(usize, u32)> = scan_exact(&index, q, k)
+        use llmkg::kgrag::VectorIndex;
+        let index = VectorIndex::build(vectors);
+        for (qi, q) in queries.iter().enumerate() {
+            let (hits, _) = index.search(q, k, &llmkg::obs::Span::disabled());
+            let want: Vec<(usize, u32)> = scan_exact(&index, q, k)
                 .into_iter()
                 .map(|(i, s)| (i, s.to_bits()))
                 .collect();
-            let batched: Vec<(usize, u32)> =
+            let got: Vec<(usize, u32)> =
                 hits.iter().map(|&(i, s)| (i, s.to_bits())).collect();
             prop_assert!(
-                single == batched,
-                "query {} diverged: single {:?} vs batched {:?}",
-                qi, single, batched
+                want == got,
+                "query {} diverged: scan {:?} vs search {:?}",
+                qi, want, got
             );
         }
     }
@@ -871,8 +864,8 @@ proptest! {
     }
 }
 
-/// Queries for the batch differential tests: the document distribution
-/// plus an occasional NaN component, which must flow through the batch
+/// Queries for the search differential test: the document distribution
+/// plus an occasional NaN component, which must flow through the scan's
 /// fast-reject without reordering hits (NaN fails `<=`, so poisoned
 /// scores always take the slow comparator path).
 fn query_strategy() -> impl Strategy<Value = Vec<f32>> {
