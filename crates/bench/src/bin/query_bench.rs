@@ -6,8 +6,9 @@
 //! 1. the seed's reference evaluator (map-based bindings, per-binding
 //!    join ordering, preserved in `kgquery::reference`) vs the compiled
 //!    slot-based executor on the standard query workload;
-//! 2. `ORDER BY`-free `LIMIT k` queries: full materialization (the PR 1
-//!    compiled executor, `streaming: false`) vs row-budget streaming;
+//! 2. `ORDER BY`-free `LIMIT k` queries: the depth-first driver, which
+//!    stops after `OFFSET + LIMIT` solutions, vs full materialization of
+//!    the same query without `LIMIT`/`OFFSET` through the staged driver;
 //! 3. `encoded_join` — the flat sorted-arena store vs the seed's
 //!    BTreeSet index graph at million-triple scale: bytes per triple
 //!    (live-heap deltas) and two-hop join throughput (per-binding
@@ -40,12 +41,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use kg::synth::{movies, FreebaseLikeConfig, Scale};
 use kg::{BaselineGraph, Graph, Sym, TriplePattern};
-use kgquery::ast::Query;
+use kgquery::ast::{Query, QueryKind};
 use kgquery::exec::ExecOptions;
 use kgquery::{exec, parser, reference, QueryError, ResultSet};
 use kgrag::RagMode;
 use llmkg::{Workbench, WorkbenchConfig};
-use llmkg_bench::{calibrate, header, time_ns, write_report, Timing};
+use llmkg_bench::{calibrate, header, time_ns, write_report, Spread};
 use serde_json::{json, Value};
 
 /// Heap meter: every allocation and free updates one relaxed live-bytes
@@ -146,7 +147,7 @@ const QUERIES: [(&str, &str); 6] = [
 ];
 
 /// `ORDER BY`-free `LIMIT k`: any k solutions are a correct answer, so
-/// the streaming evaluator may stop after k extension chains instead of
+/// the depth-first driver may stop after k extension chains instead of
 /// materializing the full join frontier.
 const LIMIT_QUERIES: [(&str, &str); 3] = [
     (
@@ -182,7 +183,7 @@ fn run<'g>(g: &'g Graph, q: &Query, opts: &ExecOptions) -> Result<ResultSet<'g>,
 }
 
 /// Measure one evaluation mode of the compiled executor.
-fn time_exec(smoke: bool, g: &Graph, q: &Query, opts: &ExecOptions) -> Timing {
+fn time_exec(smoke: bool, g: &Graph, q: &Query, opts: &ExecOptions) -> Spread {
     let iters = calibrate(smoke, PASS_NS, PASS_ITERS, || {
         black_box(run(g, q, opts).expect("compiled runs"));
     });
@@ -644,14 +645,6 @@ fn result_allocs_series(g: &Graph) -> Value {
     })
 }
 
-/// The PR 1 compiled executor: full materialization.
-fn materializing() -> ExecOptions {
-    ExecOptions {
-        streaming: false,
-        ..ExecOptions::default()
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
@@ -732,22 +725,45 @@ fn main() {
         }));
     }
 
-    // -- streaming: LIMIT k without ORDER BY stops after k extensions ----
+    // -- limit_streaming: LIMIT k without ORDER BY stops after k solutions
     println!(
         "\n{:<22} {:>14} {:>14} {:>9}",
         "limit query", "materialize ns", "streamed ns", "speedup"
     );
-    let streaming_only = ExecOptions::default();
+    let opts = ExecOptions::default();
     let mut limit_entries: Vec<Value> = Vec::new();
     for (name, text) in LIMIT_QUERIES {
         let q = parser::parse(text).expect("query parses");
-        // gate: streaming returns exactly the materialized executor's rows
-        let full = run(&g, &q, &materializing()).expect("materialized runs");
-        let streamed = run(&g, &q, &streaming_only).expect("streamed runs");
-        assert_eq!(streamed, full, "streaming diverges on {name}");
+        // the materialized side: the same query without LIMIT/OFFSET,
+        // which runs staged (an ASK's pattern as SELECT *)
+        let mut unlimited = q.clone();
+        unlimited.limit = None;
+        unlimited.offset = 0;
+        if unlimited.kind == QueryKind::Ask {
+            unlimited.kind = QueryKind::Select {
+                vars: Vec::new(),
+                distinct: false,
+            };
+        }
+        let full = run(&g, &unlimited, &opts).expect("materialized runs");
+        let streamed = run(&g, &q, &opts).expect("streamed runs");
+        // gate: streaming returns exactly the slice of the full answer
+        if q.kind == QueryKind::Ask {
+            assert_eq!(
+                streamed.ask,
+                Some(!full.is_empty()),
+                "ASK diverges on {name}"
+            );
+        } else {
+            let rows = full.to_terms();
+            let end = q.offset.saturating_add(q.limit.unwrap_or(usize::MAX));
+            let window = &rows[q.offset.min(rows.len())..end.min(rows.len())];
+            assert_eq!(streamed.vars, full.vars, "streaming diverges on {name}");
+            assert_eq!(streamed.to_terms(), window, "streaming diverges on {name}");
+        }
 
-        let full_t = time_exec(smoke, &g, &q, &materializing());
-        let stream_t = time_exec(smoke, &g, &q, &streaming_only);
+        let full_t = time_exec(smoke, &g, &unlimited, &opts);
+        let stream_t = time_exec(smoke, &g, &q, &opts);
         let (full_ns, stream_ns) = (full_t.median, stream_t.median);
         let speedup = full_ns / stream_ns;
         println!("{name:<22} {full_ns:>14.0} {stream_ns:>14.0} {speedup:>8.2}x");
@@ -843,8 +859,8 @@ fn main() {
             "candidate": "compiled executor (slot bindings, histogram join ordering, streaming LIMIT)",
             "queries": entries,
             "limit_streaming": {
-                "baseline": "compiled executor, full materialization (PR 1 behavior)",
-                "candidate": "compiled executor, row-budget streaming",
+                "baseline": "compiled executor, staged driver, the query without LIMIT/OFFSET",
+                "candidate": "compiled executor, depth-first driver under the row budget",
                 "queries": limit_entries,
             },
             "encoded_join": encoded_entry,

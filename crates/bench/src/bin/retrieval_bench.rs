@@ -24,7 +24,7 @@ use std::ops::RangeInclusive;
 use kgrag::reference::{scan_exact, seed_search_exact};
 use kgrag::vector::Hit;
 use kgrag::VectorIndex;
-use llmkg_bench::{calibrate, header, time_ns, write_report, Timing, EXP_SEED};
+use llmkg_bench::{calibrate, header, time_ns, write_report, Spread, EXP_SEED};
 use serde_json::{json, Value};
 use slm::embedding::{hash_vector, normalize, DIM};
 
@@ -151,7 +151,7 @@ fn exact_series(sizes: &[usize], n_queries: usize, smoke: bool) -> Vec<Value> {
         .per(n_queries);
 
         let speedup = seed.median / arena.median;
-        let cell = |t: Timing| format!("{:.0} ({:.0}-{:.0})", t.median, t.q1, t.q3);
+        let cell = |t: Spread| format!("{:.0} ({:.0}-{:.0})", t.median, t.q1, t.q3);
         println!(
             "{n:<10} {:>24} {:>24} {speedup:>8.2}x {scanned:>16} {pushes:>12}",
             cell(seed),

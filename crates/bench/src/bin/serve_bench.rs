@@ -18,14 +18,21 @@
 //!    at rising offered rates, measuring send-to-reply latency including
 //!    queueing.
 //!
+//! Every rung and every rate runs five times (three in `--smoke`): a
+//! load run does not repeat, so the report writes, per rung, the median
+//! of the throughput and of each class's p50, p95, p99, shed and degraded
+//! counts under the field's name, with `[q1, q3]` beside it as
+//! `<field>_quartiles`.
+//!
 //! Latency percentiles here are exact (computed from the client's own
 //! sample vectors), unlike the octave-resolution `/stats` histograms the
 //! server reports about itself — the final `server_stats` section of the
 //! report captures those too, for cross-checking.
 //!
-//! Flags: `--smoke` — CI mode: one tiny rung per series against a
-//! 1-worker server, report to `reports/serve_bench_smoke.json`.
-//! Validates harness + schema + the overload contract, not the numbers.
+//! Flags: `--smoke` — CI mode: two closed-loop rungs and one open-loop
+//! rate against a 1-worker server, report to
+//! `reports/serve_bench_smoke.json`. Validates harness + schema + the
+//! overload contract, not the numbers.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -36,7 +43,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use llmkg::{Workbench, WorkbenchConfig};
-use llmkg_bench::{header, write_report, EXP_SEED};
+use llmkg_bench::{header, percentile, write_report, Spread, EXP_SEED};
 use serde_json::{json, Value};
 use serve::{AdmissionPolicy, ServeConfig, Server, ServerHandle};
 
@@ -63,6 +70,12 @@ struct Sample {
     shed: bool,
     degraded: bool,
     ok: bool,
+}
+
+/// One load run: every reply's sample, and the run's wall time.
+struct Run {
+    samples: Vec<Sample>,
+    wall: Duration,
 }
 
 /// The deterministic mixed-traffic schedule: request `i` of connection
@@ -250,48 +263,101 @@ fn open_loop(
     (samples, start.elapsed())
 }
 
-/// Exact percentile from a sorted sample vector (nearest-rank).
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-    sorted[idx]
+/// The statistics each class reports as a median and quartiles over the
+/// repeated runs of one rung.
+const SPREAD_FIELDS: [&str; 5] = ["p50_us", "p95_us", "p99_us", "shed", "degraded"];
+
+/// One class's share of one run.
+struct ClassRun {
+    count: usize,
+    ok: usize,
+    max_us: u64,
+    /// The values of [`SPREAD_FIELDS`], in order.
+    spread: [u64; 5],
 }
 
-/// Aggregate samples into the per-traffic-class report object.
-fn per_class(samples: &[Sample]) -> Value {
+/// Split one run's samples by traffic class.
+fn class_runs(samples: &[Sample]) -> BTreeMap<&'static str, ClassRun> {
     let mut by_class: BTreeMap<&'static str, Vec<&Sample>> = BTreeMap::new();
     for s in samples {
         by_class.entry(s.class).or_default().push(s);
     }
-    let mut out = serde_json::Map::new();
-    for (class, group) in by_class {
-        let mut lat: Vec<u64> = group.iter().map(|s| s.latency_us).collect();
-        lat.sort_unstable();
-        out.insert(
-            class.to_string(),
-            json!({
-                "count": group.len(),
-                "ok": group.iter().filter(|s| s.ok).count(),
-                "shed": group.iter().filter(|s| s.shed).count(),
-                "degraded": group.iter().filter(|s| s.degraded).count(),
-                "p50_us": percentile(&lat, 0.50),
-                "p95_us": percentile(&lat, 0.95),
-                "p99_us": percentile(&lat, 0.99),
-                "max_us": *lat.last().unwrap_or(&0),
-            }),
-        );
-    }
-    Value::Object(out)
+    by_class
+        .into_iter()
+        .map(|(class, group)| {
+            let mut lat: Vec<u64> = group.iter().map(|s| s.latency_us).collect();
+            lat.sort_unstable();
+            let count = |f: fn(&Sample) -> bool| group.iter().filter(|s| f(s)).count();
+            let run = ClassRun {
+                count: group.len(),
+                ok: count(|s| s.ok),
+                max_us: *lat.last().unwrap_or(&0),
+                spread: [
+                    percentile(&lat, 0.50),
+                    percentile(&lat, 0.95),
+                    percentile(&lat, 0.99),
+                    count(|s| s.shed) as u64,
+                    count(|s| s.degraded) as u64,
+                ],
+            };
+            (class, run)
+        })
+        .collect()
 }
 
-fn print_rung(tag: &str, samples: &[Sample], wall: Duration) {
+/// Write the median of `values` under `field` and `[q1, q3]` beside it.
+fn put_spread(out: &mut serde_json::Map<String, Value>, field: &str, values: &[f64]) {
+    let s = Spread::of(values);
+    out.insert(field.to_string(), json!(s.median));
+    out.insert(format!("{field}_quartiles"), s.quartiles());
+}
+
+/// Aggregate a rung's repeated runs into its report object: the `head`
+/// fields, `runs`, the total `requests`, the median and quartiles of the
+/// per-run rate under `rate_field`, and per traffic class the answered
+/// totals, the spread of [`SPREAD_FIELDS`] and the largest latency of
+/// any run.
+fn rung_json(head: [(&str, Value); 2], rate_field: &str, runs: &[Run]) -> Value {
+    let mut rung = serde_json::Map::new();
+    for (field, value) in head {
+        rung.insert(field.to_string(), value);
+    }
+    let rates: Vec<f64> = runs
+        .iter()
+        .map(|r| r.samples.len() as f64 / r.wall.as_secs_f64())
+        .collect();
+    rung.insert("runs".into(), json!(runs.len()));
+    let requests: usize = runs.iter().map(|r| r.samples.len()).sum();
+    rung.insert("requests".into(), json!(requests));
+    put_spread(&mut rung, rate_field, &rates);
+    let per_run: Vec<_> = runs.iter().map(|r| class_runs(&r.samples)).collect();
+    let mut classes = serde_json::Map::new();
+    for class in per_run[0].keys() {
+        let rows: Vec<&ClassRun> = per_run.iter().filter_map(|m| m.get(class)).collect();
+        let mut c = serde_json::Map::new();
+        c.insert(
+            "count".into(),
+            json!(rows.iter().map(|r| r.count).sum::<usize>()),
+        );
+        c.insert("ok".into(), json!(rows.iter().map(|r| r.ok).sum::<usize>()));
+        for (i, field) in SPREAD_FIELDS.iter().enumerate() {
+            let values: Vec<f64> = rows.iter().map(|r| r.spread[i] as f64).collect();
+            put_spread(&mut c, field, &values);
+        }
+        c.insert("max_us".into(), json!(rows.iter().map(|r| r.max_us).max()));
+        classes.insert(class.to_string(), Value::Object(c));
+    }
+    rung.insert("classes".into(), Value::Object(classes));
+    Value::Object(rung)
+}
+
+fn print_run(tag: &str, run: &Run) {
+    let samples = &run.samples;
     let mut lat: Vec<u64> = samples.iter().map(|s| s.latency_us).collect();
     lat.sort_unstable();
     let shed = samples.iter().filter(|s| s.shed).count();
     let degraded = samples.iter().filter(|s| s.degraded).count();
-    let rps = samples.len() as f64 / wall.as_secs_f64();
+    let rps = samples.len() as f64 / run.wall.as_secs_f64();
     println!(
         "{tag:<24} {:>7} req {:>8.0} rps  p50 {:>7}µs  p95 {:>7}µs  p99 {:>7}µs  shed {:>5}  degraded {:>5}",
         samples.len(),
@@ -351,6 +417,8 @@ fn main() {
     let handle: ServerHandle = Server::spawn(config).expect("spawn server");
     let addr = handle.addr();
     let mix = TrafficMix::new(&workbench);
+    // a load run does not repeat: every rung and rate runs this often
+    let runs = if smoke { 3 } else { 5 };
 
     // --- closed loop, rising concurrency; last rung = 10× the workers ---
     header("Closed loop: rising concurrency (mixed chat/rag/sparql/complete)");
@@ -362,21 +430,27 @@ fn main() {
     let per_conn = if smoke { 6 } else { 40 };
     let mut closed = Vec::new();
     for &connections in &rungs {
-        let (samples, wall) = closed_loop(addr, &mix, connections, per_conn);
-        assert_eq!(
-            samples.len(),
-            connections * per_conn,
-            "every request must be answered"
-        );
-        print_rung(&format!("connections={connections}"), &samples, wall);
-        closed.push(json!({
-            "connections": connections,
-            "overload_factor": connections as f64 / workers as f64,
-            "requests": samples.len(),
-            "wall_ms": wall.as_millis() as u64,
-            "throughput_rps": samples.len() as f64 / wall.as_secs_f64(),
-            "classes": per_class(&samples),
-        }));
+        let repeats: Vec<Run> = (0..runs)
+            .map(|i| {
+                let (samples, wall) = closed_loop(addr, &mix, connections, per_conn);
+                assert_eq!(
+                    samples.len(),
+                    connections * per_conn,
+                    "every request must be answered"
+                );
+                let run = Run { samples, wall };
+                print_run(&format!("connections={connections} #{i}"), &run);
+                run
+            })
+            .collect();
+        let head = [
+            ("connections", json!(connections)),
+            (
+                "overload_factor",
+                json!(connections as f64 / workers as f64),
+            ),
+        ];
+        closed.push(rung_json(head, "throughput_rps", &repeats));
     }
 
     // The top rung is the acceptance point: 10× overload, everything
@@ -411,17 +485,17 @@ fn main() {
         } else {
             (per_conn_rate as usize).max(8)
         }; // ≈1s of traffic
-        let (samples, wall) = open_loop(addr, &mix, fleet, interval, n);
-        assert_eq!(samples.len(), fleet * n, "every request must be answered");
-        print_rung(&format!("offered={rate}rps"), &samples, wall);
-        open.push(json!({
-            "offered_rps": rate,
-            "connections": fleet,
-            "requests": samples.len(),
-            "wall_ms": wall.as_millis() as u64,
-            "achieved_rps": samples.len() as f64 / wall.as_secs_f64(),
-            "classes": per_class(&samples),
-        }));
+        let repeats: Vec<Run> = (0..runs)
+            .map(|i| {
+                let (samples, wall) = open_loop(addr, &mix, fleet, interval, n);
+                assert_eq!(samples.len(), fleet * n, "every request must be answered");
+                let run = Run { samples, wall };
+                print_run(&format!("offered={rate}rps #{i}"), &run);
+                run
+            })
+            .collect();
+        let head = [("offered_rps", json!(rate)), ("connections", json!(fleet))];
+        open.push(rung_json(head, "achieved_rps", &repeats));
     }
 
     // --- the server's own view, for cross-checking ---
@@ -432,6 +506,8 @@ fn main() {
         "serve.accepted",
         "serve.requests",
         "serve.shed",
+        "serve.protocol_errors",
+        "serve.stats_replies",
         "serve.degraded",
     ] {
         let v = counters.get(key).and_then(Value::as_u64).unwrap_or(0);

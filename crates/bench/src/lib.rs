@@ -36,25 +36,41 @@ pub fn write_report(experiment: &str, value: &Value) {
 /// and both quartiles are single passes.
 const TIMED_PASSES: usize = 7;
 
-/// Nanoseconds per call over the seven timed passes of [`time_ns`]. A
-/// report writes the median under the timed field's name and `[q1, q3]`
-/// beside it ([`Timing::quartiles`]); a speedup is a ratio of medians.
+/// The median and quartiles of repeated measurements: [`time_ns`]'s
+/// seven timed passes (nanoseconds per call), or one statistic of
+/// `serve_bench`'s repeated load runs. A report writes the median under
+/// the field's name and `[q1, q3]` beside it ([`Spread::quartiles`]); a
+/// speedup is a ratio of medians.
 #[derive(Debug, Clone, Copy)]
-pub struct Timing {
-    /// The middle pass.
+pub struct Spread {
+    /// The middle value (the upper middle of an even count).
     pub median: f64,
-    /// The median of the three fastest passes.
+    /// The value a quarter of the way up: the median of the three
+    /// smallest of seven.
     pub q1: f64,
-    /// The median of the three slowest passes.
+    /// The value a quarter of the way down from the top.
     pub q3: f64,
 }
 
-impl Timing {
+impl Spread {
+    /// The spread of `values`, which must not be empty.
+    pub fn of(values: &[f64]) -> Spread {
+        assert!(!values.is_empty(), "the spread of no values");
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        Spread {
+            median: sorted[n / 2],
+            q1: sorted[n / 4],
+            q3: sorted[n - 1 - n / 4],
+        }
+    }
+
     /// Each statistic divided by `n`: the per-item cost of a pass over
     /// `n` items.
-    pub fn per(self, n: usize) -> Timing {
+    pub fn per(self, n: usize) -> Spread {
         let n = n as f64;
-        Timing {
+        Spread {
             median: self.median / n,
             q1: self.q1 / n,
             q3: self.q3 / n,
@@ -67,10 +83,20 @@ impl Timing {
     }
 }
 
+/// Exact nearest-rank percentile `q` (in `0..=1`) of an ascending
+/// sample; 0 for an empty one.
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
+    sorted[idx]
+}
+
 /// Time `f`: a warmup of a quarter of `iters` calls, then seven timed
 /// passes of `iters` calls each, so scheduler noise on a shared host
 /// shows as spread instead of moving a single reading.
-pub fn time_ns(iters: u32, mut f: impl FnMut()) -> Timing {
+pub fn time_ns(iters: u32, mut f: impl FnMut()) -> Spread {
     for _ in 0..iters.div_ceil(4) {
         f();
     }
@@ -82,12 +108,7 @@ pub fn time_ns(iters: u32, mut f: impl FnMut()) -> Timing {
         }
         *pass = start.elapsed().as_nanos() as f64 / f64::from(iters);
     }
-    passes.sort_by(f64::total_cmp);
-    Timing {
-        median: passes[TIMED_PASSES / 2],
-        q1: passes[TIMED_PASSES / 4],
-        q3: passes[TIMED_PASSES - 1 - TIMED_PASSES / 4],
-    }
+    Spread::of(&passes)
 }
 
 /// Pick an iteration count so each timed pass of [`time_ns`] runs about
@@ -130,6 +151,25 @@ mod tests {
         let half = t.per(2);
         assert_eq!(half.median, t.median / 2.0);
         assert_eq!(t.quartiles(), serde_json::json!([t.q1, t.q3]));
+    }
+
+    #[test]
+    fn spread_picks_the_middle_and_quarter_values() {
+        let s = Spread::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!((s.q1, s.median, s.q3), (2.0, 3.0, 4.0));
+        let s = Spread::of(&[3.0, 1.0, 2.0]);
+        assert_eq!((s.q1, s.median, s.q3), (1.0, 2.0, 3.0));
+        let s = Spread::of(&[7.0]);
+        assert_eq!((s.q1, s.median, s.q3), (7.0, 7.0, 7.0));
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let sorted: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&sorted, 0.50), 51);
+        assert_eq!(percentile(&sorted, 0.99), 99);
+        assert_eq!(percentile(&sorted, 1.0), 100);
+        assert_eq!(percentile(&[], 0.5), 0);
     }
 
     #[test]

@@ -51,15 +51,6 @@ pub fn stats(g: &Graph) -> GraphStats {
     }
 }
 
-/// Degree histogram: `degree → number of entities with that degree`.
-pub fn degree_histogram(g: &Graph) -> BTreeMap<usize, usize> {
-    let mut h = BTreeMap::new();
-    for e in g.entities() {
-        *h.entry(g.degree(e)).or_insert(0) += 1;
-    }
-    h
-}
-
 /// Weakly connected components over entities (edges treated as undirected).
 /// Returns components sorted by decreasing size, each sorted by id.
 pub fn connected_components(g: &Graph) -> Vec<Vec<Sym>> {

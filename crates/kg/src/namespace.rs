@@ -6,8 +6,6 @@ pub const RDF: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#";
 pub const RDFS: &str = "http://www.w3.org/2000/01/rdf-schema#";
 /// OWL namespace prefix.
 pub const OWL: &str = "http://www.w3.org/2002/07/owl#";
-/// XSD namespace prefix.
-pub const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
 
 /// `rdf:type`.
 pub const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
@@ -33,8 +31,6 @@ pub const OWL_FUNCTIONAL: &str = "http://www.w3.org/2002/07/owl#FunctionalProper
 pub const OWL_INVERSE_FUNCTIONAL: &str = "http://www.w3.org/2002/07/owl#InverseFunctionalProperty";
 /// `owl:inverseOf`.
 pub const OWL_INVERSE_OF: &str = "http://www.w3.org/2002/07/owl#inverseOf";
-/// `owl:sameAs`.
-pub const OWL_SAME_AS: &str = "http://www.w3.org/2002/07/owl#sameAs";
 /// `owl:TransitiveProperty`.
 pub const OWL_TRANSITIVE: &str = "http://www.w3.org/2002/07/owl#TransitiveProperty";
 /// `owl:SymmetricProperty`.
@@ -46,10 +42,6 @@ pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
 pub const XSD_DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
 /// `xsd:boolean`.
 pub const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
-/// `xsd:string`.
-pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
-/// `xsd:date`.
-pub const XSD_DATE: &str = "http://www.w3.org/2001/XMLSchema#date";
 
 /// Base namespace used by the synthetic generators for entities.
 pub const SYNTH_ENTITY: &str = "http://llmkg.dev/entity/";

@@ -135,16 +135,6 @@ impl Ontology {
         self.cardinality.push(r);
     }
 
-    /// Is `iri` a declared class?
-    pub fn has_class(&self, iri: &str) -> bool {
-        self.classes.contains_key(iri)
-    }
-
-    /// Is `iri` a declared property?
-    pub fn has_property(&self, iri: &str) -> bool {
-        self.properties.contains_key(iri)
-    }
-
     /// Declared classes, sorted.
     pub fn classes(&self) -> impl Iterator<Item = (&str, &ClassDecl)> {
         self.classes.iter().map(|(k, v)| (k.as_str(), v))

@@ -220,12 +220,6 @@ impl Graph {
         &self.pool
     }
 
-    /// Mutable access to the term pool (for callers that need to intern
-    /// query constants against this graph's id space).
-    pub fn pool_mut(&mut self) -> &mut TermPool {
-        &mut self.pool
-    }
-
     /// Intern a term in this graph's pool.
     pub fn intern(&mut self, term: Term) -> Sym {
         self.pool.intern(term)
@@ -746,11 +740,6 @@ impl Graph {
     /// Total degree (in + out) of a node.
     pub fn degree(&self, n: Sym) -> usize {
         self.out_degree(n) + self.in_degree(n)
-    }
-
-    /// Number of distinct predicates present.
-    pub fn predicate_count(&self) -> usize {
-        self.pred_stats.len()
     }
 
     /// Distinct predicates, sorted, with their triple counts.

@@ -140,11 +140,6 @@ impl Term {
         matches!(self, Term::Iri(_))
     }
 
-    /// Is this term a literal?
-    pub fn is_literal(&self) -> bool {
-        matches!(self, Term::Literal(_))
-    }
-
     /// The IRI string, if this is an IRI.
     pub fn as_iri(&self) -> Option<&str> {
         match self {
@@ -220,16 +215,6 @@ impl TermPool {
     /// Intern an IRI given as a string.
     pub fn intern_iri(&mut self, iri: impl Into<String>) -> Sym {
         self.intern(Term::Iri(iri.into()))
-    }
-
-    /// Intern a plain string literal.
-    pub fn intern_str(&mut self, s: impl Into<String>) -> Sym {
-        self.intern(Term::lit(s))
-    }
-
-    /// Intern an integer literal.
-    pub fn intern_int(&mut self, v: i64) -> Sym {
-        self.intern(Term::int(v))
     }
 
     /// Look up a term without interning it.

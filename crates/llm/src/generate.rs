@@ -24,56 +24,3 @@ impl Default for GenParams {
         }
     }
 }
-
-impl GenParams {
-    /// Greedy decoding (temperature ≈ 0, k = 1).
-    pub fn greedy() -> Self {
-        GenParams {
-            max_tokens: 32,
-            temperature: 0.01,
-            top_k: 1,
-            seed: 0,
-        }
-    }
-
-    /// Override the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Override the token budget.
-    pub fn with_max_tokens(mut self, n: usize) -> Self {
-        self.max_tokens = n;
-        self
-    }
-
-    /// Override the temperature.
-    pub fn with_temperature(mut self, t: f64) -> Self {
-        self.temperature = t;
-        self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builder_overrides_work() {
-        let p = GenParams::default()
-            .with_seed(9)
-            .with_max_tokens(5)
-            .with_temperature(0.2);
-        assert_eq!(p.seed, 9);
-        assert_eq!(p.max_tokens, 5);
-        assert_eq!(p.temperature, 0.2);
-    }
-
-    #[test]
-    fn greedy_is_cold_and_narrow() {
-        let p = GenParams::greedy();
-        assert!(p.temperature < 0.1);
-        assert_eq!(p.top_k, 1);
-    }
-}

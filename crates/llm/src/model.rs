@@ -470,7 +470,10 @@ mod tests {
     #[test]
     fn complete_free_text_is_deterministic() {
         let m = model(false);
-        let p = GenParams::default().with_seed(3);
+        let p = GenParams {
+            seed: 3,
+            ..GenParams::default()
+        };
         assert_eq!(m.complete("alice", &p), m.complete("alice", &p));
     }
 

@@ -3,8 +3,8 @@
 //! A zero-dependency tracing/metrics layer for the workspace: hierarchical
 //! [`Span`]s with monotonic timings, named counters and histograms in a
 //! thread-safe [`Registry`], and a [`Recorder`] trait that receives every
-//! finished root span (in-memory for tests and profiles, JSON lines for
-//! files and pipes).
+//! finished root span (in memory for tests and profiles, or discarded when
+//! only the counters matter).
 //!
 //! The design optimizes for *instrumentation that costs nothing when
 //! nobody is watching*: a [`Span::disabled`] handle is a `None` and every
@@ -33,11 +33,10 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod metrics;
 pub mod record;
 pub mod span;
 
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, Registry};
-pub use record::{JsonLinesSink, MemoryRecorder, NullRecorder, Recorder};
+pub use record::{MemoryRecorder, NullRecorder, Recorder};
 pub use span::{AttrValue, Span, SpanRecord, Tracer};

@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::json;
-
 /// Number of power-of-two histogram buckets (the last one is unbounded).
 const BUCKETS: usize = 32;
 
@@ -219,42 +217,6 @@ impl MetricsSnapshot {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
-
-    /// Render as a JSON object:
-    /// `{"counters": {...}, "histograms": {name: {count, sum, min, max, mean}}}`
-    /// (buckets are elided from the JSON form — they exist for in-process
-    /// percentile math, not for reports).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_str(&mut out, k);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_str(&mut out, k);
-            out.push_str(":{\"count\":");
-            out.push_str(&h.count.to_string());
-            out.push_str(",\"sum\":");
-            json::push_f64(&mut out, h.sum);
-            out.push_str(",\"min\":");
-            json::push_f64(&mut out, h.min);
-            out.push_str(",\"max\":");
-            json::push_f64(&mut out, h.max);
-            out.push_str(",\"mean\":");
-            json::push_f64(&mut out, h.mean());
-            out.push('}');
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -364,17 +326,6 @@ mod tests {
             buckets: vec![0; 32],
         };
         assert_eq!(empty.quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn snapshot_json_is_stable_and_escaped() {
-        let reg = Registry::new();
-        reg.incr("a\"b", 1);
-        reg.observe("h", 1.5);
-        let s = reg.snapshot().to_json();
-        assert!(s.starts_with("{\"counters\":{"));
-        assert!(s.contains("\"a\\\"b\":1"));
-        assert!(s.contains("\"mean\":1.5"));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Where finished spans go: the [`Recorder`] trait and its sinks.
 
-use std::io::Write;
 use std::sync::Mutex;
 
 use crate::span::SpanRecord;
@@ -56,52 +55,6 @@ impl Recorder for MemoryRecorder {
     }
 }
 
-/// Writes each finished root span as one JSON object per line — the
-/// streaming-friendly format for files and pipes.
-///
-/// ```
-/// use obs::{JsonLinesSink, Recorder, Tracer};
-/// use std::sync::Arc;
-///
-/// let sink = Arc::new(JsonLinesSink::new(Vec::new()));
-/// let tracer = Tracer::new(sink.clone());
-/// tracer.span("a").finish();
-/// tracer.span("b").finish();
-/// let bytes = sink.with_writer(|w| w.clone());
-/// let text = String::from_utf8(bytes).unwrap();
-/// assert_eq!(text.lines().count(), 2);
-/// assert!(text.starts_with("{\"name\":\"a\""));
-/// ```
-#[derive(Debug)]
-pub struct JsonLinesSink<W: Write + Send> {
-    writer: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonLinesSink<W> {
-    /// Wrap a writer.
-    pub fn new(writer: W) -> JsonLinesSink<W> {
-        JsonLinesSink {
-            writer: Mutex::new(writer),
-        }
-    }
-
-    /// Run `f` with exclusive access to the underlying writer (to flush,
-    /// inspect a buffer in tests, …).
-    pub fn with_writer<R>(&self, f: impl FnOnce(&mut W) -> R) -> R {
-        f(&mut self.writer.lock().expect("sink poisoned"))
-    }
-}
-
-impl<W: Write + Send> Recorder for JsonLinesSink<W> {
-    fn record(&self, span: &SpanRecord) {
-        let mut line = span.to_json();
-        line.push('\n');
-        let mut w = self.writer.lock().expect("sink poisoned");
-        // a full disk must not take the query path down with it
-        let _ = w.write_all(line.as_bytes());
-    }
-}
-
 /// Discards everything — for tracers whose only purpose is counters.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;
@@ -126,24 +79,6 @@ mod tests {
         assert_eq!(spans[0].name, "one");
         assert_eq!(spans[1].name, "two");
         assert!(recorder.is_empty());
-    }
-
-    #[test]
-    fn json_lines_sink_emits_one_valid_line_per_root() {
-        let sink = Arc::new(JsonLinesSink::new(Vec::new()));
-        let tracer = Tracer::new(sink.clone());
-        let root = tracer.span("root");
-        root.child("inner").finish();
-        root.finish();
-        tracer.span("next").finish();
-        let text = String::from_utf8(sink.with_writer(|w| w.clone())).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"inner\""));
-        assert!(lines[1].starts_with("{\"name\":\"next\""));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
     }
 
     #[test]

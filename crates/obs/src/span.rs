@@ -10,7 +10,6 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json;
 use crate::metrics::Registry;
 use crate::record::{MemoryRecorder, Recorder};
 
@@ -43,16 +42,6 @@ impl AttrValue {
         match self {
             AttrValue::Str(s) => Some(s),
             _ => None,
-        }
-    }
-
-    fn push_json(&self, out: &mut String) {
-        match self {
-            AttrValue::U64(v) => out.push_str(&v.to_string()),
-            AttrValue::I64(v) => out.push_str(&v.to_string()),
-            AttrValue::F64(v) => json::push_f64(out, *v),
-            AttrValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            AttrValue::Str(s) => json::push_str(out, s),
         }
     }
 }
@@ -339,40 +328,6 @@ impl SpanRecord {
         }
         self.children.iter().find_map(|c| c.find(name))
     }
-
-    /// Render the span tree as one JSON object:
-    /// `{"name", "start_ns", "elapsed_ns", "attrs": {...}, "children": [...]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.push_json(&mut out);
-        out
-    }
-
-    fn push_json(&self, out: &mut String) {
-        out.push_str("{\"name\":");
-        json::push_str(out, &self.name);
-        out.push_str(",\"start_ns\":");
-        out.push_str(&self.start_ns.to_string());
-        out.push_str(",\"elapsed_ns\":");
-        out.push_str(&self.elapsed_ns.to_string());
-        out.push_str(",\"attrs\":{");
-        for (i, (k, v)) in self.attrs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_str(out, k);
-            out.push(':');
-            v.push_json(out);
-        }
-        out.push_str("},\"children\":[");
-        for (i, c) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            c.push_json(out);
-        }
-        out.push_str("]}");
-    }
 }
 
 #[cfg(test)]
@@ -475,24 +430,5 @@ mod tests {
         child.observe("d", 1.0);
         child.finish();
         span.finish();
-    }
-
-    #[test]
-    fn span_record_json_round_trips_structure() {
-        let (tracer, recorder) = Tracer::in_memory();
-        let root = tracer.span("r\"t");
-        root.set("mode", "naive");
-        root.set("n", 3u64);
-        root.set("frac", 0.5);
-        root.set("flag", true);
-        root.child("c").finish();
-        root.finish();
-        let json = recorder.take().pop().unwrap().to_json();
-        assert!(json.starts_with("{\"name\":\"r\\\"t\""));
-        assert!(json.contains("\"mode\":\"naive\""));
-        assert!(json.contains("\"n\":3"));
-        assert!(json.contains("\"frac\":0.5"));
-        assert!(json.contains("\"flag\":true"));
-        assert!(json.contains("\"children\":[{\"name\":\"c\""));
     }
 }

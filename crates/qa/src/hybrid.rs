@@ -12,7 +12,7 @@ use std::collections::{BTreeSet, HashSet};
 
 use kg::term::Term;
 use kg::Graph;
-use kgquery::ast::{NodeRef, PatternElem, PropPath, Query, QueryKind};
+use kgquery::ast::{GroupPattern, NodeRef, PatternElem, PropPath, Query, QueryKind};
 use kgquery::exec::{execute, ExecOptions};
 use kgquery::results::ResultSet;
 use kgquery::QueryError;
@@ -66,11 +66,18 @@ impl<'a> HybridExecutor<'a> {
     }
 
     /// Execute a SPARQL string under hybrid semantics. Virtual patterns
-    /// must be simple `(subject, <virtualPred>, ?var)` triples.
+    /// must be simple `(subject, <virtualPred>, object)` triples at the
+    /// top level of the `WHERE` group, each with a subject that a store
+    /// pattern binds (or a constant one). Any other shape the split below
+    /// would answer wrongly is [`QueryError::Unsupported`]: a virtual
+    /// predicate inside `OPTIONAL`, a `UNION` branch or a composite
+    /// property path (the store would answer it), and a `FILTER` over a
+    /// variable only a virtual pattern binds (the store would drop every
+    /// row).
     ///
     /// Solution modifiers hold as in plain SPARQL. `ORDER BY` runs on the
     /// store side, so a key bound only by a virtual pattern is
-    /// [`QueryError::Unsupported`]. Projection, `DISTINCT` (first
+    /// [`QueryError::Unsupported`] too. Projection, `DISTINCT` (first
     /// occurrence) and `OFFSET`/`LIMIT` apply after the LLM stage, which
     /// stops asking once `OFFSET + LIMIT` output rows (one for `ASK`) are
     /// kept.
@@ -103,6 +110,7 @@ impl<'a> HybridExecutor<'a> {
         query: &Query,
         span: &obs::Span,
     ) -> Result<(ResultSet<'a>, HybridStats), QueryError> {
+        self.reject_nested_virtuals(&query.pattern)?;
         // split the pattern into store-answered and LLM-answered parts
         let mut base = query.clone();
         // object spec of a virtual pattern: bind a variable, or check a constant
@@ -126,19 +134,31 @@ impl<'a> HybridExecutor<'a> {
                 HybridStats::default(),
             ));
         }
-        // ORDER BY runs on the store side, so no key may be bound by a
-        // virtual pattern alone
+        // the LLM is asked per store row, so the store must bind every
+        // virtual subject; FILTER and ORDER BY run on the store side, so
+        // none of their variables may be bound by a virtual pattern alone
         let store_bound = base.pattern.bound_vars();
-        for (key, _) in &query.order_by {
-            let virtual_only = !store_bound.contains(key)
-                && virtuals
-                    .iter()
-                    .any(|(_, _, o)| matches!(o, NodeRef::Var(v) if v == key));
-            if virtual_only {
+        let store_binds = |v: &str| store_bound.iter().any(|b| b == v);
+        for (subject, _, _) in &virtuals {
+            if let Some(v) = subject.as_var().filter(|v| !store_binds(v)) {
                 return Err(QueryError::Unsupported(format!(
-                    "ORDER BY ?{key}: only a virtual pattern binds it"
+                    "virtual pattern subject ?{v}: no store pattern binds it"
                 )));
             }
+        }
+        let virtual_only =
+            |v: &str| !store_binds(v) && virtuals.iter().any(|(_, _, o)| o.as_var() == Some(v));
+        let mut filter_vars = Vec::new();
+        collect_filter_vars(&query.pattern, &mut filter_vars);
+        if let Some(v) = filter_vars.into_iter().find(|v| virtual_only(v)) {
+            return Err(QueryError::Unsupported(format!(
+                "FILTER over ?{v}: only a virtual pattern binds it"
+            )));
+        }
+        if let Some((key, _)) = query.order_by.iter().find(|(k, _)| virtual_only(k)) {
+            return Err(QueryError::Unsupported(format!(
+                "ORDER BY ?{key}: only a virtual pattern binds it"
+            )));
         }
         // project everything from the base query so we can resolve
         // subjects; rows arrive in ORDER BY order, which the LLM stage
@@ -261,6 +281,70 @@ impl<'a> HybridExecutor<'a> {
             }
         };
         Ok((rs, stats))
+    }
+
+    /// Reject a virtual predicate anywhere but a top-level plain triple:
+    /// the split only lifts those out, so the store would answer any other.
+    fn reject_nested_virtuals(&self, group: &GroupPattern) -> Result<(), QueryError> {
+        for elem in &group.elems {
+            let shape = match elem {
+                PatternElem::Triple(t)
+                    if !matches!(t.p, PropPath::Iri(_)) && self.names_virtual(&t.p) =>
+                {
+                    "a property path"
+                }
+                PatternElem::Optional(g) if self.group_names_virtual(g) => "OPTIONAL",
+                PatternElem::Union(l, r)
+                    if self.group_names_virtual(l) || self.group_names_virtual(r) =>
+                {
+                    "UNION"
+                }
+                _ => continue,
+            };
+            return Err(QueryError::Unsupported(format!(
+                "a virtual predicate inside {shape}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Does any triple of `group`, at any depth, name a virtual predicate?
+    fn group_names_virtual(&self, group: &GroupPattern) -> bool {
+        group.elems.iter().any(|elem| match elem {
+            PatternElem::Triple(t) => self.names_virtual(&t.p),
+            PatternElem::Optional(g) => self.group_names_virtual(g),
+            PatternElem::Union(l, r) => self.group_names_virtual(l) || self.group_names_virtual(r),
+            PatternElem::Filter(_) | PatternElem::Values(..) => false,
+        })
+    }
+
+    /// Does `path` name a virtual predicate anywhere?
+    fn names_virtual(&self, path: &PropPath) -> bool {
+        match path {
+            PropPath::Iri(p) => self.virtual_preds.contains(p),
+            PropPath::Var(_) => false,
+            PropPath::Inverse(p) | PropPath::OneOrMore(p) | PropPath::ZeroOrMore(p) => {
+                self.names_virtual(p)
+            }
+            PropPath::Seq(a, b) | PropPath::Alt(a, b) => {
+                self.names_virtual(a) || self.names_virtual(b)
+            }
+        }
+    }
+}
+
+/// The variables of every `FILTER` in `group`, at any depth.
+fn collect_filter_vars(group: &GroupPattern, out: &mut Vec<String>) {
+    for elem in &group.elems {
+        match elem {
+            PatternElem::Filter(e) => out.extend(e.vars().into_iter().map(str::to_string)),
+            PatternElem::Optional(g) => collect_filter_vars(g, out),
+            PatternElem::Union(l, r) => {
+                collect_filter_vars(l, out);
+                collect_filter_vars(r, out);
+            }
+            PatternElem::Triple(_) | PatternElem::Values(..) => {}
+        }
     }
 }
 
@@ -553,6 +637,58 @@ mod tests {
             Err(QueryError::Unsupported(msg)) => assert!(msg.contains("?y"), "{msg}"),
             other => panic!("expected Unsupported, got {other:?}"),
         }
+    }
+
+    /// Run `query` (with `{film}` and `{vpred}` substituted) and return
+    /// the message of the `Unsupported` error it must fail with.
+    fn unsupported_shape(query: &str) -> String {
+        let (kg, slm, vpred) = fixture();
+        let exec = HybridExecutor::new(&kg.graph, &slm, BTreeSet::from([vpred.clone()]));
+        let v = kg::namespace::SYNTH_VOCAB;
+        let q = query
+            .replace("{film}", &format!("<{v}Film>"))
+            .replace("{vpred}", &format!("<{vpred}>"))
+            .replace("{v}", v);
+        match exec.execute(&q, &obs::Span::disabled()) {
+            Err(QueryError::Unsupported(msg)) => msg,
+            other => panic!("expected Unsupported for {q}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn virtual_triple_inside_optional_is_unsupported() {
+        let msg =
+            unsupported_shape("SELECT ?f ?y WHERE { ?f a {film} . OPTIONAL { ?f {vpred} ?y } }");
+        assert!(msg.contains("OPTIONAL"), "{msg}");
+    }
+
+    #[test]
+    fn virtual_triple_inside_union_is_unsupported() {
+        let msg = unsupported_shape(
+            "SELECT ?f ?y WHERE { ?f a {film} . { ?f {vpred} ?y } UNION { ?f <{v}hasGenre> ?y } }",
+        );
+        assert!(msg.contains("UNION"), "{msg}");
+    }
+
+    #[test]
+    fn virtual_predicate_inside_a_path_is_unsupported() {
+        let msg =
+            unsupported_shape("SELECT ?f ?s WHERE { ?f a {film} . ?f {vpred}/<{v}spouse> ?s }");
+        assert!(msg.contains("property path"), "{msg}");
+    }
+
+    #[test]
+    fn filter_over_a_virtual_variable_is_unsupported() {
+        let msg = unsupported_shape(
+            r#"SELECT ?f ?y WHERE { ?f a {film} . ?f {vpred} ?y FILTER(CONTAINS(?y, "a")) }"#,
+        );
+        assert!(msg.contains("FILTER") && msg.contains("?y"), "{msg}");
+    }
+
+    #[test]
+    fn virtual_subject_no_store_pattern_binds_is_unsupported() {
+        let msg = unsupported_shape("SELECT ?f ?y WHERE { ?f {vpred} ?y }");
+        assert!(msg.contains("subject ?f"), "{msg}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! variables are **definitely** bound ([`definite_vars`]). Because the
 //! executor threads bindings left-to-right and evaluates filters with
 //! three-valued logic, pushing a filter below a join never changes the
-//! result rows — it only lets streaming row budgets engage earlier.
+//! result rows — it only lets row budgets engage earlier.
 
 use std::collections::BTreeSet;
 

@@ -11,9 +11,8 @@
 //!
 //! Patterns compile onto the same [`Query`] AST as SPARQL: labels become
 //! `rdf:type` triples, `{name: "…"}` and `.name` become `rdfs:label`
-//! lookups, every other property/relationship name resolves against a
-//! configurable vocabulary namespace (defaulting to the synthetic
-//! generators' namespace).
+//! lookups, every other property/relationship name resolves against the
+//! synthetic generators' vocabulary namespace ([`ns::SYNTH_VOCAB`]).
 
 use kg::namespace as ns;
 use kg::term::{Literal, Term};
@@ -23,34 +22,13 @@ use crate::error::QueryError;
 
 type Result<T> = std::result::Result<T, QueryError>;
 
-/// Namespace configuration for resolving Cypher names to IRIs.
-#[derive(Debug, Clone)]
-pub struct CypherConfig {
-    /// Namespace for labels, relationship types, and property keys.
-    pub vocab_ns: String,
-}
-
-impl Default for CypherConfig {
-    fn default() -> Self {
-        CypherConfig {
-            vocab_ns: ns::SYNTH_VOCAB.to_string(),
-        }
-    }
-}
-
-/// Parse a Cypher-lite query with the default namespace config.
+/// Parse a Cypher-lite query.
 pub fn parse(input: &str) -> Result<Query> {
-    parse_with(input, &CypherConfig::default())
-}
-
-/// Parse a Cypher-lite query with explicit namespaces.
-pub fn parse_with(input: &str, config: &CypherConfig) -> Result<Query> {
     let mut p = CypherParser {
         chars: input.chars().collect(),
         pos: 0,
         line: 1,
         col: 1,
-        config: config.clone(),
         elems: Vec::new(),
         fresh: 0,
         projections: Vec::new(),
@@ -63,7 +41,6 @@ struct CypherParser {
     pos: usize,
     line: usize,
     col: usize,
-    config: CypherConfig,
     elems: Vec<PatternElem>,
     fresh: usize,
     projections: Vec<String>,
@@ -150,7 +127,7 @@ impl CypherParser {
     }
 
     fn vocab_iri(&self, name: &str) -> String {
-        format!("{}{}", self.config.vocab_ns, name)
+        format!("{}{}", ns::SYNTH_VOCAB, name)
     }
 
     fn prop_iri(&self, key: &str) -> String {

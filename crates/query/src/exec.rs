@@ -59,32 +59,21 @@ use crate::results::{Cell, ExecStats, ResultSet, Terms};
 /// A solution mapping: one cell per compiled variable slot.
 pub type Binding = Vec<Option<Sym>>;
 
-/// Default binding-vector size at which an eligible BGP extension stage
-/// switches from per-binding index probes to one sorted-merge pass over
-/// the predicate's index ([`ExecOptions::merge_threshold`]). Small on
-/// purpose: the merge costs one sort of the frontier keys plus a single
-/// monotone index walk, which already beats `n` independent binary
-/// searches at modest `n`.
-pub const DEFAULT_MERGE_THRESHOLD: usize = 16;
+/// Binding-vector size at which an eligible BGP extension stage (see
+/// [`merge_plan`]) switches from per-binding index probes to one
+/// sorted-merge pass over the predicate's index. Small on purpose: the
+/// merge costs one sort of the frontier keys plus a single monotone index
+/// walk, which already beats `n` independent binary searches at modest
+/// `n`. Results are bit-identical to the probe loop; only
+/// [`ExecStats::index_probes`] (counted per distinct key) and
+/// [`ExecStats::merge_joins`] differ.
+const MERGE_THRESHOLD: usize = 16;
 
-/// Knobs controlling how [`execute`] evaluates a query.
-///
-/// The defaults (merge joins and streaming on, no budgets) suit serving;
-/// benchmarks and differential tests pin individual knobs to isolate one
-/// evaluation mode.
-#[derive(Debug, Clone)]
+/// What a caller may set when [`execute`] evaluates a query: budgets,
+/// cancellation and the clock. How a query is evaluated follows from its
+/// shape and the graph alone (see the module docs).
+#[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// Evaluate an eligible BGP extension stage (constant predicate, one
-    /// endpoint bound in every binding, the other free in every binding,
-    /// compacted graph) as one sorted-merge pass against the predicate
-    /// index once its input binding vector reaches this size; `None`
-    /// disables merge joins. Results are bit-identical to the per-binding
-    /// probe loop; only [`ExecStats::index_probes`] (counted per distinct
-    /// key) and [`ExecStats::merge_joins`] differ.
-    pub merge_threshold: Option<usize>,
-    /// Allow `ORDER BY`-free `LIMIT`/`ASK` queries to stop early under a
-    /// row budget instead of materializing every solution.
-    pub streaming: bool,
     /// Resource budgets (rows, wall-clock, path expansions) enforced
     /// cooperatively during evaluation. Default: unlimited.
     pub limits: ResourceLimits,
@@ -95,18 +84,6 @@ pub struct ExecOptions {
     /// monotonic clock. Tests inject a [`resilience::ManualClock`] here to
     /// make deadline behavior deterministic.
     pub clock: Option<resilience::Clock>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            merge_threshold: Some(DEFAULT_MERGE_THRESHOLD),
-            streaming: true,
-            limits: ResourceLimits::unlimited(),
-            cancel: None,
-            clock: None,
-        }
-    }
 }
 
 impl ExecOptions {
@@ -123,7 +100,7 @@ impl ExecOptions {
     ///         .with_wall(Duration::from_millis(250)),
     /// );
     /// assert_eq!(opts.limits.max_rows, Some(10_000));
-    /// assert!(opts.streaming);
+    /// assert!(opts.cancel.is_none());
     /// ```
     pub fn with_limits(limits: ResourceLimits) -> Self {
         ExecOptions {
@@ -152,7 +129,7 @@ impl ExecOptions {
 /// [`obs::Span::disabled`] to run without recording anything.
 ///
 /// When [`ExecOptions::limits`] carries budgets, evaluation checks them
-/// cooperatively at stage boundaries and inside the streaming DFS loop. A
+/// cooperatively at stage boundaries and inside the depth-first driver. A
 /// tripped budget surfaces as [`QueryError::LimitExceeded`] — except for
 /// query shapes whose prefix is meaningful (`ASK` and `ORDER BY`-free,
 /// non-`DISTINCT` `LIMIT` selects), which instead return the rows produced
@@ -350,10 +327,9 @@ fn evaluate<'g>(
     }
     let mut stats = ExecStats::default();
     let rc = opts.exec_context();
-    let budget = row_budget(query, opts);
+    let budget = row_budget(query);
     let ctx = EvalCtx {
         graph,
-        opts,
         paths: &compiled.paths,
         path_memo: PathCache::default(),
         rc: &rc,
@@ -1098,13 +1074,12 @@ fn avg_fanout(total: usize, distinct: usize) -> usize {
 // Evaluation over slot bindings
 // ---------------------------------------------------------------------------
 
-/// Per-query evaluation state: the graph, the options, the path memo
-/// table, and the resource-governance context that evaluation checks
-/// cooperatively. The memo table is single-threaded (`RefCell`), so an
-/// `EvalCtx` cannot be shared across threads.
+/// Per-query evaluation state: the graph, the path memo table, and the
+/// resource-governance context that evaluation checks cooperatively. The
+/// memo table is single-threaded (`RefCell`), so an `EvalCtx` cannot be
+/// shared across threads.
 struct EvalCtx<'a> {
     graph: &'a Graph,
-    opts: &'a ExecOptions,
     /// The query's compiled property paths.
     paths: &'a [CPath],
     path_memo: PathCache,
@@ -1157,8 +1132,8 @@ impl PathCache {
 /// sorting, an aggregate must see every solution before counting, and
 /// `DISTINCT` may collapse any number of solutions into one row, so all
 /// three disable the budget.
-fn row_budget(query: &Query, opts: &ExecOptions) -> Option<usize> {
-    if !opts.streaming || query.aggregate.is_some() || !query.order_by.is_empty() {
+fn row_budget(query: &Query) -> Option<usize> {
+    if query.aggregate.is_some() || !query.order_by.is_empty() {
         return None;
     }
     match &query.kind {
@@ -1171,12 +1146,12 @@ fn row_budget(query: &Query, opts: &ExecOptions) -> Option<usize> {
 /// Evaluate a plan node. `budget` is an upper bound on how many output
 /// rows the caller will consume: when `Some(k)`, the node returns exactly
 /// the first `min(n, k)` rows of its unbudgeted output, in the same
-/// order — the invariant that makes streaming `LIMIT` slicing exact.
+/// order — the invariant that makes budgeted `LIMIT` slicing exact.
 ///
 /// `Err` means a resource budget tripped mid-evaluation; the partial rows
 /// are discarded and the violation propagates to [`execute`], except
-/// in the streaming BGP path, which can absorb it (see
-/// [`eval_bgp_streaming`]).
+/// in the depth-first BGP driver, which can absorb it (see
+/// [`eval_bgp_depth_first`]).
 fn eval(
     ctx: &EvalCtx,
     plan: &CPlan,
@@ -1190,7 +1165,7 @@ fn eval(
             _ => input,
         }),
         CPlan::Bgp(patterns) => match budget {
-            Some(k) => eval_bgp_streaming(ctx, patterns, input, k, stats),
+            Some(k) => eval_bgp_depth_first(ctx, patterns, input, k, stats),
             None => eval_bgp(ctx, patterns, input, stats),
         },
         CPlan::Sequence(parts) => {
@@ -1362,8 +1337,7 @@ struct MergePlan {
 /// `OPTIONAL` and `UNION` branches can leave a slot bound in some rows
 /// and free in others; such mixed stages fall back to the probe loop.
 fn merge_plan(ctx: &EvalCtx, pat: &SlotPattern, bindings: &[Binding]) -> Option<MergePlan> {
-    let threshold = ctx.opts.merge_threshold?;
-    if bindings.len() < threshold.max(1) || !ctx.graph.is_compacted() {
+    if bindings.len() < MERGE_THRESHOLD || !ctx.graph.is_compacted() {
         return None;
     }
     let SlotPath::Pred(Some(p)) = &pat.p else {
@@ -1464,7 +1438,7 @@ fn extend_stage_merge(
 /// pre-ordered BGP in exactly the staged order but one full solution at a
 /// time, stopping after `budget` rows instead of materializing the whole
 /// join frontier.
-fn eval_bgp_streaming(
+fn eval_bgp_depth_first(
     ctx: &EvalCtx,
     patterns: &[SlotPattern],
     input: Vec<Binding>,
@@ -1496,7 +1470,7 @@ fn eval_bgp_streaming(
     Ok(out)
 }
 
-/// Recursive step of [`eval_bgp_streaming`]: extend `binding` through
+/// Recursive step of [`eval_bgp_depth_first`]: extend `binding` through
 /// `patterns[0]`, recursing on the rest, appending completed solutions to
 /// `out` until the budget fills.
 fn dfs_extend(
@@ -2390,54 +2364,61 @@ mod tests {
         }
     }
 
+    /// Twenty people, each knowing the next and the third next: a 40-row
+    /// first stage, so the second stage of a two-hop `knows` join is past
+    /// the merge threshold.
+    fn knows_ring() -> Graph {
+        let mut g = Graph::new();
+        for i in 0..20 {
+            for step in [1, 3] {
+                g.insert_iri(
+                    &format!("http://e/n{i}"),
+                    "http://v/knows",
+                    &format!("http://e/n{}", (i + step) % 20),
+                );
+            }
+        }
+        g
+    }
+
+    const TWO_HOPS: &str =
+        "PREFIX v: <http://v/> SELECT ?x ?z WHERE { ?x v:knows ?y . ?y v:knows ?z }";
+
     #[test]
     fn merge_join_matches_probe_loop() {
-        let mut g = graph();
+        let mut g = knows_ring();
         g.compact();
-        let q = "PREFIX v: <http://v/> SELECT ?x ?z WHERE { ?x v:knows ?y . ?y v:knows ?z }";
-        let parsed = parse(q).unwrap();
-        let merged = run_with_opts(
-            &g,
-            &parsed,
-            &ExecOptions {
-                merge_threshold: Some(1),
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        let probed = run_with_opts(
-            &g,
-            &parsed,
-            &ExecOptions {
-                merge_threshold: None,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let merged = run_with_opts(&g, &parse(TWO_HOPS).unwrap(), &ExecOptions::default()).unwrap();
+        // the same BGP under a LIMIT that covers every row runs the
+        // depth-first probe driver
+        let limited = format!("{TWO_HOPS} LIMIT {}", merged.len());
+        let probed = run_default(&g, &parse(&limited).unwrap()).unwrap();
         assert!(merged.stats.merge_joins > 0, "{:?}", merged.stats);
         assert_eq!(probed.stats.merge_joins, 0, "{:?}", probed.stats);
         assert_eq!(merged.vars, probed.vars);
+        assert_eq!(merged.len(), 80);
         assert_eq!(merged.to_terms(), probed.to_terms());
     }
 
     #[test]
     fn merge_join_requires_compacted_graph() {
-        // the turtle fixture builds through the delta overlay, so the
-        // graph is uncompacted and the stage must fall back to probes
-        let g = graph();
+        // insert_iri builds through the delta overlay, so the graph is
+        // uncompacted and the stage must fall back to probes
+        let g = knows_ring();
         assert!(!g.is_compacted());
-        let q = "PREFIX v: <http://v/> SELECT ?x ?z WHERE { ?x v:knows ?y . ?y v:knows ?z }";
-        let rs = run_with_opts(
-            &g,
-            &parse(q).unwrap(),
-            &ExecOptions {
-                merge_threshold: Some(1),
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let q = parse(TWO_HOPS).unwrap();
+        let rs = run_default(&g, &q).unwrap();
         assert_eq!(rs.stats.merge_joins, 0, "{:?}", rs.stats);
-        assert_eq!(rs.len(), 2);
+        let mut compacted = knows_ring();
+        compacted.compact();
+        let merged = run_default(&compacted, &q).unwrap();
+        assert!(merged.stats.merge_joins > 0, "{:?}", merged.stats);
+        let sorted = |rs: &ResultSet| {
+            let mut rows = rs.to_terms();
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(&rs), sorted(&merged));
     }
 
     #[test]
@@ -2727,53 +2708,38 @@ mod tests {
                 &format!("http://e/o{}", i % 10),
             );
         }
-        let q = parse("SELECT DISTINCT ?o WHERE { ?s <http://v/p> ?o } OFFSET 2 LIMIT 3").unwrap();
-        let fast = run_with_opts(&g, &q, &ExecOptions::default()).unwrap();
-        let slow = run_with_opts(
-            &g,
-            &q,
-            &ExecOptions {
-                streaming: false,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fast.to_terms(), slow.to_terms());
-        assert_eq!(fast.len(), 3);
+        let all = "SELECT DISTINCT ?o WHERE { ?s <http://v/p> ?o }";
+        let sliced = run_default(&g, &parse(&format!("{all} OFFSET 2 LIMIT 3")).unwrap()).unwrap();
+        let every = run_default(&g, &parse(all).unwrap()).unwrap();
+        assert_eq!(every.len(), 10);
+        assert_eq!(sliced.to_terms(), every.to_terms()[2..5].to_vec());
     }
 
     #[test]
     fn distinct_shortcircuit_ineligible_shapes_still_agree() {
         let g = graph();
-        // composite path / predicate variable: streaming on and off take
-        // the same staged route and agree
+        // composite path / predicate variable: DISTINCT keeps the first
+        // occurrence of each row of the same query without DISTINCT
         for q in [
             "PREFIX v: <http://v/> PREFIX e: <http://e/> SELECT DISTINCT ?z WHERE { e:a v:knows+ ?z }",
             "SELECT DISTINCT ?p WHERE { ?s ?p ?o }",
         ] {
-            let parsed = parse(q).unwrap();
-            let fast = run_with_opts(&g, &parsed, &ExecOptions::default()).unwrap();
-            let slow = run_with_opts(
-                &g,
-                &parsed,
-                &ExecOptions {
-                    streaming: false,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            let mut fr = fast.to_terms();
-            let mut sr = slow.to_terms();
-            fr.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            sr.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            assert_eq!(fr, sr, "divergence on {q}");
+            let distinct = run_default(&g, &parse(q).unwrap()).unwrap();
+            let all = run_default(&g, &parse(&q.replace("DISTINCT ", "")).unwrap()).unwrap();
+            let mut first: Vec<Vec<Option<Term>>> = Vec::new();
+            for row in all.to_terms() {
+                if !first.contains(&row) {
+                    first.push(row);
+                }
+            }
+            assert_eq!(distinct.to_terms(), first, "divergence on {q}");
         }
     }
 
     #[test]
     fn exec_stats_are_pinned_per_route() {
         // Every work counter of every evaluation route, pinned exactly
-        // (`DISTINCT` takes the staged route, as with `streaming: false`).
+        // (`DISTINCT` takes the staged route, as an unlimited query does).
         // Counters: patterns_scanned, index_probes, intermediate_bindings,
         // path_cache_hits, merge_joins.
         let mut synth = kg::synth::movies(

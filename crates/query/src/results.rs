@@ -26,10 +26,10 @@ pub struct ExecStats {
     pub path_cache_hits: usize,
     /// BGP extension stages evaluated as sorted-merge joins against a
     /// compacted graph's predicate index instead of per-binding probes
-    /// (see [`crate::exec::ExecOptions::merge_threshold`]). Each merged
-    /// stage counts its *distinct* join keys under
-    /// [`ExecStats::index_probes`], so probe counts can differ from a
-    /// merge-disabled run of the same query.
+    /// (an eligible stage of at least 16 bindings; see
+    /// `docs/query-executor.md`). Each merged stage counts its *distinct*
+    /// join keys under [`ExecStats::index_probes`], so probe counts can
+    /// differ from the depth-first run of the same query.
     pub merge_joins: usize,
 }
 

@@ -9,7 +9,7 @@
 
 use kg::namespace as ns;
 use kg::Graph;
-use resilience::{CancelToken, DegradationTrace, FaultInjector, FaultPoint, NoFaults};
+use resilience::{DegradationTrace, FaultInjector, FaultPoint, NoFaults};
 use slm::Slm;
 
 use crate::chunk::Chunk;
@@ -97,7 +97,6 @@ pub struct RagPipeline<'a> {
     index: VectorIndex,
     graph: Option<&'a Graph>,
     faults: &'a dyn FaultInjector,
-    cancel: Option<CancelToken>,
     /// Top-k chunks to retrieve.
     pub k: usize,
 }
@@ -113,7 +112,6 @@ impl<'a> RagPipeline<'a> {
             index,
             graph,
             faults: &NO_FAULTS,
-            cancel: None,
             k: 4,
         }
     }
@@ -138,16 +136,6 @@ impl<'a> RagPipeline<'a> {
         &self.index
     }
 
-    /// Attach a cancellation token, checked before each answer's ladder
-    /// runs. A serving front end trips it when the client disconnects, so
-    /// an abandoned question degrades straight to the apology rung
-    /// instead of paying for retrieval + generation (see
-    /// `docs/serving.md`).
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
     /// Answer a question under a mode.
     pub fn answer(&self, mode: RagMode, question: &str) -> RagAnswer {
         self.answer_observed(mode, question, &obs::Span::disabled())
@@ -166,12 +154,7 @@ impl<'a> RagPipeline<'a> {
         span.set("k", self.k);
         span.count("rag.answers", 1);
         let mut trace = DegradationTrace::new();
-        let mut answer = if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            fall(&span, &mut trace, mode.name(), "cancelled by caller");
-            self.apology_rung(&span, &mut trace)
-        } else {
-            self.answer_inner(mode, question, &span, &mut trace)
-        };
+        let mut answer = self.answer_inner(mode, question, &span, &mut trace);
         if trace.degraded() {
             span.set("degraded", true);
             span.set("degradation", trace.render());

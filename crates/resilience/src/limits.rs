@@ -112,11 +112,6 @@ impl ResourceLimits {
         self.max_path_expansions = Some(expansions);
         self
     }
-
-    /// True when every budget is `None`.
-    pub fn is_unlimited(&self) -> bool {
-        self.wall.is_none() && self.max_rows.is_none() && self.max_path_expansions.is_none()
-    }
 }
 
 /// The cooperative enforcement context threaded through an execution.

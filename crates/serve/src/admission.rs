@@ -10,7 +10,7 @@
 //! * depth = `queue_capacity` — **shed**: the job is handed straight back
 //!   to the caller, who must still write a well-formed apology reply.
 //!
-//! On top of the global watermarks, [`submit_keyed`] enforces a
+//! On top of the global watermarks, [`submit`] enforces a
 //! **per-key occupancy cap** (`per_tenant_cap`): one tenant class may
 //! hold at most that many queued slots at once, so a free-tier flood
 //! fills its own allowance and is shed with
@@ -23,7 +23,7 @@
 //! protocol degrades, it never drops connections or emits protocol
 //! errors.
 //!
-//! [`submit_keyed`]: AdmissionController::submit_keyed
+//! [`submit`]: AdmissionController::submit
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -78,8 +78,8 @@ pub struct AdmissionPolicy {
     /// Depth at and above which admitted work is [`Grade::Degraded`].
     pub degrade_depth: usize,
     /// Most queued slots one key may hold at once
-    /// ([`AdmissionController::submit_keyed`]); unkeyed submissions are
-    /// exempt. Clamped into `1..=queue_capacity`.
+    /// ([`AdmissionController::submit`]). Clamped into
+    /// `1..=queue_capacity`.
     pub per_tenant_cap: usize,
 }
 
@@ -96,9 +96,9 @@ impl Default for AdmissionPolicy {
 }
 
 struct Queue<T> {
-    jobs: VecDeque<(T, Grade, Option<String>)>,
+    jobs: VecDeque<(T, Grade, &'static str)>,
     /// Queued-slot count per submission key; entries are removed at zero.
-    held: HashMap<String, usize>,
+    held: HashMap<&'static str, usize>,
     closed: bool,
 }
 
@@ -140,24 +140,14 @@ impl<T> AdmissionController<T> {
         self.policy
     }
 
-    /// Try to enqueue a job with no per-tenant accounting. Returns the
-    /// admission grade, or the job back when the queue is full (shed) or
-    /// the controller is closed — either way the caller still owes the
-    /// client a reply.
-    pub fn submit(&self, job: T) -> Result<Grade, T> {
-        self.submit_inner(job, None).map_err(|(job, _)| job)
-    }
-
     /// Try to enqueue a job charged against `key`'s queued-slot
-    /// allowance (`per_tenant_cap`). On shed the job comes back with the
-    /// [`ShedReason`], so the apology reply can say *why* — a
-    /// `tenant_cap` shed under a half-empty queue is the fairness valve
-    /// working, not overload.
-    pub fn submit_keyed(&self, job: T, key: &str) -> Result<Grade, (T, ShedReason)> {
-        self.submit_inner(job, Some(key))
-    }
-
-    fn submit_inner(&self, job: T, key: Option<&str>) -> Result<Grade, (T, ShedReason)> {
+    /// allowance (`per_tenant_cap`). Returns the admission grade, or the
+    /// job back with the [`ShedReason`] when the queue is full, the key's
+    /// allowance is used up, or the controller is closed — either way the
+    /// caller still owes the client a reply, and the apology can say
+    /// *why*: a `tenant_cap` shed under a half-empty queue is the fairness
+    /// valve working, not overload.
+    pub fn submit(&self, job: T, key: &'static str) -> Result<Grade, (T, ShedReason)> {
         let mut q = self.queue.lock().unwrap();
         if q.closed {
             return Err((job, ShedReason::Closed));
@@ -165,18 +155,17 @@ impl<T> AdmissionController<T> {
         if q.jobs.len() >= self.policy.queue_capacity {
             return Err((job, ShedReason::QueueFull));
         }
-        if let Some(key) = key {
-            if q.held.get(key).copied().unwrap_or(0) >= self.policy.per_tenant_cap {
-                return Err((job, ShedReason::TenantCap));
-            }
-            *q.held.entry(key.to_string()).or_insert(0) += 1;
+        let held = q.held.entry(key).or_insert(0);
+        if *held >= self.policy.per_tenant_cap {
+            return Err((job, ShedReason::TenantCap));
         }
+        *held += 1;
         let grade = if q.jobs.len() >= self.policy.degrade_depth {
             Grade::Degraded
         } else {
             Grade::Normal
         };
-        q.jobs.push_back((job, grade, key.map(str::to_string)));
+        q.jobs.push_back((job, grade, key));
         drop(q);
         self.wake.notify_one();
         Ok(grade)
@@ -190,12 +179,10 @@ impl<T> AdmissionController<T> {
         let mut q = self.queue.lock().unwrap();
         loop {
             if let Some((job, grade, key)) = q.jobs.pop_front() {
-                if let Some(key) = key {
-                    if let Some(held) = q.held.get_mut(&key) {
-                        *held -= 1;
-                        if *held == 0 {
-                            q.held.remove(&key);
-                        }
+                if let Some(held) = q.held.get_mut(key) {
+                    *held -= 1;
+                    if *held == 0 {
+                        q.held.remove(key);
                     }
                 }
                 return Some((job, grade));
@@ -234,26 +221,27 @@ mod tests {
 
     #[test]
     fn grades_follow_the_watermarks_deterministically() {
+        // one key: its allowance is clamped to the whole queue
         let c = controller(4, 2);
-        assert_eq!(c.submit(0), Ok(Grade::Normal)); // depth 0
-        assert_eq!(c.submit(1), Ok(Grade::Normal)); // depth 1
-        assert_eq!(c.submit(2), Ok(Grade::Degraded)); // depth 2 == degrade
-        assert_eq!(c.submit(3), Ok(Grade::Degraded)); // depth 3
-        assert_eq!(c.submit(4), Err(4)); // depth 4 == capacity: shed
+        assert_eq!(c.submit(0, "t"), Ok(Grade::Normal)); // depth 0
+        assert_eq!(c.submit(1, "t"), Ok(Grade::Normal)); // depth 1
+        assert_eq!(c.submit(2, "t"), Ok(Grade::Degraded)); // depth 2 == degrade
+        assert_eq!(c.submit(3, "t"), Ok(Grade::Degraded)); // depth 3
+        assert_eq!(c.submit(4, "t"), Err((4, ShedReason::QueueFull))); // capacity: shed
         assert_eq!(c.depth(), 4);
         // Draining one slot readmits — at degraded grade (depth 3).
         assert_eq!(c.next(), Some((0, Grade::Normal)));
-        assert_eq!(c.submit(5), Ok(Grade::Degraded));
+        assert_eq!(c.submit(5, "t"), Ok(Grade::Degraded));
     }
 
     #[test]
     fn queue_is_fifo_and_drains_after_close() {
         let c = controller(8, 8);
         for i in 0..3 {
-            c.submit(i).unwrap();
+            c.submit(i, "t").unwrap();
         }
         c.close();
-        assert!(c.submit(99).is_err(), "closed controller must shed");
+        assert_eq!(c.submit(99, "t"), Err((99, ShedReason::Closed)));
         assert_eq!(c.next(), Some((0, Grade::Normal)));
         assert_eq!(c.next(), Some((1, Grade::Normal)));
         assert_eq!(c.next(), Some((2, Grade::Normal)));
@@ -279,8 +267,8 @@ mod tests {
         assert_eq!(c.policy().queue_capacity, 1);
         assert_eq!(c.policy().degrade_depth, 1);
         assert_eq!(c.policy().per_tenant_cap, 1);
-        assert_eq!(c.submit(1), Ok(Grade::Normal));
-        assert_eq!(c.submit(2), Err(2));
+        assert_eq!(c.submit(1, "t"), Ok(Grade::Normal));
+        assert_eq!(c.submit(2, "u"), Err((2, ShedReason::QueueFull)));
         let wide = controller(4, 100);
         assert_eq!(wide.policy().degrade_depth, 4);
         assert_eq!(wide.policy().per_tenant_cap, 4, "cap clamped to capacity");
@@ -295,16 +283,16 @@ mod tests {
         });
         // "free" fills its allowance, then is shed with TenantCap while
         // the global queue still has six slots free
-        assert_eq!(c.submit_keyed(0, "free"), Ok(Grade::Normal));
-        assert_eq!(c.submit_keyed(1, "free"), Ok(Grade::Normal));
-        assert_eq!(c.submit_keyed(2, "free"), Err((2, ShedReason::TenantCap)));
+        assert_eq!(c.submit(0, "free"), Ok(Grade::Normal));
+        assert_eq!(c.submit(1, "free"), Ok(Grade::Normal));
+        assert_eq!(c.submit(2, "free"), Err((2, ShedReason::TenantCap)));
         assert_eq!(c.depth(), 2);
         // another key is unaffected
-        assert_eq!(c.submit_keyed(3, "pro"), Ok(Grade::Normal));
+        assert_eq!(c.submit(3, "pro"), Ok(Grade::Normal));
         // dequeuing a "free" job releases one slot for that key
         assert_eq!(c.next(), Some((0, Grade::Normal)));
-        assert_eq!(c.submit_keyed(4, "free"), Ok(Grade::Normal));
-        assert_eq!(c.submit_keyed(5, "free"), Err((5, ShedReason::TenantCap)));
+        assert_eq!(c.submit(4, "free"), Ok(Grade::Normal));
+        assert_eq!(c.submit(5, "free"), Err((5, ShedReason::TenantCap)));
     }
 
     #[test]
@@ -314,11 +302,11 @@ mod tests {
             degrade_depth: 2,
             per_tenant_cap: 2,
         });
-        assert_eq!(c.submit_keyed(0, "a"), Ok(Grade::Normal));
-        assert_eq!(c.submit_keyed(1, "b"), Ok(Grade::Normal));
+        assert_eq!(c.submit(0, "a"), Ok(Grade::Normal));
+        assert_eq!(c.submit(1, "b"), Ok(Grade::Normal));
         // capacity, not the per-key cap, is the binding constraint here
-        assert_eq!(c.submit_keyed(2, "c"), Err((2, ShedReason::QueueFull)));
+        assert_eq!(c.submit(2, "c"), Err((2, ShedReason::QueueFull)));
         c.close();
-        assert_eq!(c.submit_keyed(3, "a"), Err((3, ShedReason::Closed)));
+        assert_eq!(c.submit(3, "a"), Err((3, ShedReason::Closed)));
     }
 }

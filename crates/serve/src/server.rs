@@ -67,9 +67,6 @@ pub struct ServeConfig {
     pub admission: AdmissionPolicy,
     /// The workbench (domain, scale, seed) to serve.
     pub workbench: WorkbenchConfig,
-    /// Socket read timeout; bounds how fast handlers notice shutdown and
-    /// client disconnects.
-    pub poll_interval: Duration,
     /// Optional durable store backing the `ingest` scenario. Recovery
     /// runs inside [`Server::spawn`] (so corruption surfaces as an error
     /// there, not a half-started server); recovered triples are merged
@@ -85,11 +82,15 @@ impl Default for ServeConfig {
             workers: 4,
             admission: AdmissionPolicy::default(),
             workbench: WorkbenchConfig::default(),
-            poll_interval: Duration::from_millis(50),
             durable: None,
         }
     }
 }
+
+/// Socket read timeout of a connection handler, and how often it polls
+/// for a client disconnect while a request is in flight; bounds how fast
+/// handlers notice shutdown and client disconnects.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// An admitted unit of work: the request, its cancel token, and the
 /// channel its reply goes back on.
@@ -211,14 +212,7 @@ fn run(
             let handler = thread::Builder::new()
                 .name("serve-conn".to_string())
                 .spawn_scoped(s, || {
-                    handle_connection(
-                        sock,
-                        &engine,
-                        &admission,
-                        &inflight,
-                        stop,
-                        config.poll_interval,
-                    )
+                    handle_connection(sock, &engine, &admission, &inflight, stop)
                 });
             if handler.is_err() {
                 // Could not spawn a handler (resource pressure): the
@@ -302,9 +296,8 @@ fn handle_connection(
     admission: &AdmissionController<Job>,
     inflight: &AtomicU64,
     stop: &AtomicBool,
-    poll: Duration,
 ) {
-    let _ = sock.set_read_timeout(Some(poll));
+    let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
     let _ = sock.set_nodelay(true);
     let Ok(read_half) = sock.try_clone() else {
         return;
@@ -317,6 +310,9 @@ fn handle_connection(
         match read_request_line(&mut reader, &mut line, stop) {
             LineOutcome::Eof => return,
             LineOutcome::Oversized => {
+                // counted as accepted too, so the ledger balances:
+                // accepted = requests + shed + protocol_errors + stats_replies
+                engine.registry().incr("serve.accepted", 1);
                 engine.registry().incr("serve.protocol_errors", 1);
                 let reply =
                     Engine::error_reply(&format!("request line exceeds {MAX_REQUEST_BYTES} bytes"));
@@ -345,6 +341,8 @@ fn handle_connection(
         // Stats is introspection, answered inline: it must work *during*
         // overload, so it never competes for the queue it is reporting on.
         if req.scenario == Scenario::Stats {
+            // counted before the snapshot, so the reply's ledger balances
+            engine.registry().incr("serve.stats_replies", 1);
             let reply = engine.stats_reply(
                 &req,
                 inflight.load(Ordering::SeqCst),
@@ -371,7 +369,7 @@ fn handle_connection(
         // Admission is keyed by tenant class, so one class's flood fills
         // its own per-tenant allowance instead of the whole queue.
         let tenant_class = Tenant::from_id(&job.req.tenant).label();
-        let reply = match admission.submit_keyed(job, tenant_class) {
+        let reply = match admission.submit(job, tenant_class) {
             Err((job, reason)) => {
                 engine.registry().incr("serve.shed", 1);
                 engine
@@ -379,7 +377,7 @@ fn handle_connection(
                     .incr(&format!("serve.shed.{}", reason.label()), 1);
                 Engine::shed_reply(&job.req, reason.label())
             }
-            Ok(_grade) => await_reply(&rx, &sock, &cancel, poll),
+            Ok(_grade) => await_reply(&rx, &sock, &cancel),
         };
         guard.disarm();
         if write_reply(&mut writer, &reply).is_err() {
@@ -395,14 +393,9 @@ fn handle_connection(
 /// Wait for the worker's reply, polling the socket for EOF; a vanished
 /// client cancels the in-flight work (the worker still sends a reply —
 /// it is written into the void and the handler exits).
-fn await_reply(
-    rx: &mpsc::Receiver<Value>,
-    sock: &TcpStream,
-    cancel: &CancelToken,
-    poll: Duration,
-) -> Value {
+fn await_reply(rx: &mpsc::Receiver<Value>, sock: &TcpStream, cancel: &CancelToken) -> Value {
     loop {
-        match rx.recv_timeout(poll) {
+        match rx.recv_timeout(POLL_INTERVAL) {
             Ok(reply) => return reply,
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 if !cancel.is_cancelled() && peer_gone(sock) {

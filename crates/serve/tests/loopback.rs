@@ -258,6 +258,77 @@ fn overload_degrades_and_sheds_but_every_request_is_answered() {
 }
 
 #[test]
+fn every_accepted_line_is_served_shed_rejected_or_a_stats_reply() {
+    // One worker and a one-slot queue, so concurrent clients get shed.
+    let handle = Server::spawn(ServeConfig {
+        workers: 1,
+        admission: AdmissionPolicy {
+            queue_capacity: 1,
+            degrade_depth: 1,
+            ..AdmissionPolicy::default()
+        },
+        ..small_config()
+    })
+    .unwrap();
+    let mut c = Client::connect(&handle);
+    for line in [
+        r#"{"scenario":"complete","input":"the film"}"#,
+        "not json",
+        r#"{"scenario":"stats"}"#,
+        r#"{"scenario":"warp","input":"x"}"#,
+        r#"{"scenario":"sparql","input":"SELECT ?f WHERE { ?f ?p ?o } LIMIT 3"}"#,
+        r#"{"scenario":"stats"}"#,
+    ] {
+        c.roundtrip(line);
+    }
+    // an oversized line is answered, counted, and closes its connection
+    let mut big = Client::connect(&handle);
+    big.send(&"x".repeat(80 * 1024));
+    assert_eq!(big.recv().get("ok").and_then(Value::as_bool), Some(false));
+    let barrier = Arc::new(Barrier::new(8));
+    let flood: Vec<_> = (0..8)
+        .map(|t| {
+            let (barrier, addr) = (Arc::clone(&barrier), handle.addr());
+            std::thread::spawn(move || {
+                let sock = TcpStream::connect(addr).expect("connect");
+                sock.set_nodelay(true).unwrap();
+                let mut c = Client {
+                    reader: BufReader::new(sock.try_clone().unwrap()),
+                    sock,
+                };
+                barrier.wait();
+                for i in 0..4 {
+                    c.roundtrip(&format!(
+                        r#"{{"id":{i},"tenant":"free:{t}","scenario":"rag","input":"Who directed the film?"}}"#
+                    ));
+                }
+            })
+        })
+        .collect();
+    for j in flood {
+        j.join().expect("client thread");
+    }
+    let stats = c.stats();
+    let [accepted, requests, shed, protocol_errors, stats_replies] = [
+        "serve.accepted",
+        "serve.requests",
+        "serve.shed",
+        "serve.protocol_errors",
+        "serve.stats_replies",
+    ]
+    .map(|name| counter(&stats, name));
+    assert_eq!(
+        accepted,
+        requests + shed + protocol_errors + stats_replies,
+        "{stats:?}"
+    );
+    assert_eq!(accepted, 6 + 1 + 8 * 4 + 1);
+    assert_eq!((protocol_errors, stats_replies), (3, 3));
+    assert!(shed > 0, "8 concurrent clients must trip a 1-slot queue");
+    handle.shutdown();
+}
+
+#[test]
 fn per_tenant_cap_keeps_a_pro_tenant_served_under_a_free_flood() {
     // One worker; the queue is deep enough that global capacity never
     // binds, so the only shedding force is the per-tenant cap: the free

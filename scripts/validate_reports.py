@@ -12,6 +12,7 @@ inline python blocks in .github/workflows/ci.yml):
                                          (also the committed full report)
     validate_reports.py plan-cache       [reports/query_bench_smoke.json]
     validate_reports.py recovery         [reports/recovery_bench.json]
+    validate_reports.py recovery-counters <committed.json> <fresh.json>
 
 Each subcommand loads one report (the -counters checks: two), asserts
 its schema and invariants, and prints a one-line OK summary. Any assertion
@@ -204,6 +205,18 @@ def validate_retrieval_counters(committed_path, fresh_path):
     print("retrieval counters OK: %d entries match %s" % (len(want), committed_path))
 
 
+def assert_spread(obj, field):
+    """A repeated measurement: the median under `field`, `[q1, q3]` under
+    `field_quartiles`, and Q1 <= median <= Q3."""
+    q1, q3 = obj[field + "_quartiles"]
+    assert q1 <= obj[field] <= q3, (field, obj)
+
+
+# The per-class statistics serve_bench reports as a median and quartiles
+# over the repeated runs of a rung.
+SERVE_CLASS_SPREADS = ("p50_us", "p95_us", "p99_us", "shed", "degraded")
+
+
 def validate_serve_smoke(path):
     r = load(path)
     # the committed full report has the same schema; these checks are
@@ -211,7 +224,11 @@ def validate_serve_smoke(path):
     assert r["mode"] in ("smoke", "full"), r["mode"]
     assert "never errors" in r["contract"], r["contract"]
     assert r["closed_loop"] and r["open_loop"], "missing series"
+    runs = 3 if r["mode"] == "smoke" else 5
     for rung in r["closed_loop"] + r["open_loop"]:
+        # every rung repeats; its totals cover every run
+        assert rung["runs"] == runs, rung
+        assert_spread(rung, "throughput_rps" if "throughput_rps" in rung else "achieved_rps")
         classes = rung["classes"]
         total = sum(c["count"] for c in classes.values())
         answered = sum(c["ok"] for c in classes.values())
@@ -220,6 +237,8 @@ def validate_serve_smoke(path):
         assert answered == total, rung
         for c in classes.values():
             assert c["p99_us"] >= c["p50_us"] >= 0, c
+            for field in SERVE_CLASS_SPREADS:
+                assert_spread(c, field)
     first, last = r["closed_loop"][0], r["closed_loop"][-1]
     # an unloaded single closed-loop client never sheds...
     assert sum(c["shed"] for c in first["classes"].values()) == 0, first
@@ -228,10 +247,12 @@ def validate_serve_smoke(path):
     pressure = sum(c["shed"] + c["degraded"] for c in last["classes"].values())
     assert pressure > 0, last
     counters = r["server_stats"]["counters"]
-    # the server's own ledger must balance: every accepted request
-    # line either ran, was shed, or was the final stats probe
-    assert counters["serve.accepted"] == (
-        counters["serve.requests"] + counters.get("serve.shed", 0) + 1
+    # the server's own ledger must balance: every accepted request line
+    # ran, was shed, was rejected as malformed, or was answered inline as
+    # `stats` (an absent counter reads 0)
+    assert counters["serve.accepted"] == sum(
+        counters.get(k, 0) for k in ("serve.requests", "serve.shed",
+                                     "serve.protocol_errors", "serve.stats_replies")
     ), counters
     assert counters.get("serve.protocol_errors", 0) == 0, counters
     assert counters.get("serve.client_errors", 0) == 0, counters
@@ -288,6 +309,35 @@ def validate_recovery(path):
           % (len(commit), len(series), ckpt["speedup"]))
 
 
+# recovery_bench's deterministic fields, per section: batch counts, WAL
+# bytes, fsyncs and what recovery rebuilt depend only on the seeded
+# batches and the WAL format, never on the runner. Times are left out.
+RECOVERY_COUNTERS = {
+    "group_commit": ("window", "batches", "fsyncs", "wal_bytes", "recovered_batches"),
+    "recovery_vs_wal_length": ("batches", "wal_bytes", "batches_replayed", "triples"),
+    "checkpoint": ("batches", "checkpoint_triples"),
+    "torn_tail": ("keep_pct", "bytes", "recovered_batches", "truncated_segments"),
+}
+
+
+def validate_recovery_counters(committed_path, fresh_path):
+    """A fresh recovery_bench run must reproduce the committed report's
+    deterministic fields exactly, row for row."""
+    committed, fresh = load(committed_path), load(fresh_path)
+    assert committed["mode"] == fresh["mode"], (committed["mode"], fresh["mode"])
+    checked = 0
+    for section, keys in RECOVERY_COUNTERS.items():
+        def rows(r):
+            value = r[section]
+            return [{k: row[k] for k in keys}
+                    for row in (value if isinstance(value, list) else [value])]
+        want, got = rows(committed), rows(fresh)
+        assert want, (section, "no rows")
+        assert want == got, (section, want, got)
+        checked += len(want)
+    print("recovery counters OK: %d rows match %s" % (checked, committed_path))
+
+
 # subcommand -> (check, default report paths); the arguments given on
 # the command line replace the defaults, and there must be as many.
 COMMANDS = {
@@ -298,6 +348,7 @@ COMMANDS = {
     "serve-smoke": (validate_serve_smoke, ["reports/serve_bench_smoke.json"]),
     "plan-cache": (validate_plan_cache, ["reports/query_bench_smoke.json"]),
     "recovery": (validate_recovery, ["reports/recovery_bench.json"]),
+    "recovery-counters": (validate_recovery_counters, [None, None]),
 }
 
 

@@ -32,6 +32,16 @@ fn triples_strategy() -> impl Strategy<Value = Vec<(String, String, String)>> {
     )
 }
 
+/// Graphs dense enough that a join stage often reaches the executor's
+/// merge threshold (16 bindings): 200 to 400 draws over the same 20
+/// entities and 5 predicates, about 40 to 80 triples per predicate.
+fn dense_triples_strategy() -> impl Strategy<Value = Vec<(String, String, String)>> {
+    proptest::collection::vec(
+        (entity_strategy(), predicate_strategy(), entity_strategy()),
+        200..400,
+    )
+}
+
 // --- random BGP/filter queries for the executor differential test ------
 
 /// Subject/object position: a variable from a small shared pool (so joins
@@ -44,6 +54,21 @@ fn node_strategy() -> impl Strategy<Value = NodeRef> {
         } else {
             NodeRef::Const(Term::iri(format!("http://e/n{e}")))
         }
+    })
+}
+
+/// A join pattern: variables at both ends (from a pool of four, so
+/// patterns chain), mostly a concrete predicate — the shape a merge stage
+/// serves once the frontier binds one end.
+fn join_pattern_strategy() -> impl Strategy<Value = TriplePatternAst> {
+    (0u8..4, 0u8..6, 0u8..4).prop_map(|(s, p, o)| TriplePatternAst {
+        s: NodeRef::Var(format!("v{s}")),
+        p: if p < 5 {
+            PropPath::Iri(format!("http://p/r{p}"))
+        } else {
+            PropPath::Var("vp".into())
+        },
+        o: NodeRef::Var(format!("v{o}")),
     })
 }
 
@@ -108,12 +133,12 @@ proptest! {
         prop_assert_eq!(normalized_rows(&fast), normalized_rows(&slow));
     }
 
-    /// `SELECT DISTINCT` dedups exactly once, after staged evaluation,
-    /// whether streaming is on or off (the name recalls the histogram
-    /// short-circuit that streaming once enabled): both keep the first
-    /// occurrence of each projected row and agree with the reference
-    /// oracle — also under `LIMIT`/`OFFSET`, and under an `ORDER BY` on
-    /// every projected variable, where the answer's order is unique.
+    /// `SELECT DISTINCT` dedups exactly once, after staged evaluation
+    /// (the name recalls a histogram short-circuit that once skipped the
+    /// dedup): it keeps the first occurrence of each row the same query
+    /// without `DISTINCT` projects, and agrees with the reference oracle
+    /// — also under `LIMIT`/`OFFSET`, and under an `ORDER BY` on every
+    /// projected variable, where the answer's order is unique.
     #[test]
     fn distinct_agrees_with_reference_with_and_without_shortcircuit(
         triples in triples_strategy(),
@@ -134,25 +159,26 @@ proptest! {
         // width 0 projects every bound variable (SELECT DISTINCT *)
         let vars: Vec<String> = bound.iter().take(width).cloned().collect();
         let keys = if width == 0 { bound.clone() } else { vars.clone() };
-        q.kind = QueryKind::Select { vars, distinct: true };
-        let pinned = |streaming| ExecOptions {
-            streaming,
-            ..ExecOptions::default()
-        };
+        q.kind = QueryKind::Select { vars: vars.clone(), distinct: true };
+        let opts = ExecOptions::default();
         let mut sliced = q.clone();
         sliced.limit = Some(limit);
         sliced.offset = offset;
-        for query in [&q, &sliced] {
-            let short = run(&g, query, &pinned(true)).expect("streaming-on route runs");
-            let full = run(&g, query, &pinned(false)).expect("streaming-off route runs");
-            // same staged enumeration, same first occurrences
-            prop_assert_eq!(&short, &full);
+        let all = run(&g, &q, &opts).expect("unsliced run");
+        // same staged enumeration as without DISTINCT, first occurrences kept
+        let mut plain = q.clone();
+        plain.kind = QueryKind::Select { vars, distinct: false };
+        let mut first: Vec<Vec<Option<Term>>> = Vec::new();
+        for row in run(&g, &plain, &opts).expect("non-distinct run").to_terms() {
+            if !first.contains(&row) {
+                first.push(row);
+            }
         }
-        let all = run(&g, &q, &pinned(true)).expect("unsliced run");
+        prop_assert_eq!(all.to_terms(), first);
         let oracle = reference::execute(&g, &q).expect("reference runs");
         prop_assert_eq!(&all.vars, &oracle.vars);
         prop_assert_eq!(normalized_rows(&all), normalized_rows(&oracle));
-        let window = run(&g, &sliced, &pinned(true)).expect("sliced run");
+        let window = run(&g, &sliced, &opts).expect("sliced run");
         let rows = all.to_terms();
         let end = offset.saturating_add(limit).min(rows.len());
         prop_assert_eq!(window.to_terms(), rows[offset.min(end)..end].to_vec());
@@ -169,11 +195,11 @@ proptest! {
         }
     }
 
-    /// Streaming evaluation of an `ORDER BY`-free `LIMIT`/`OFFSET` query
-    /// returns exactly the rows the fully-materializing evaluator would,
-    /// never does more join work, obeys the count law against the
-    /// unlimited query, and only ever emits rows the reference oracle
-    /// also produces.
+    /// An `ORDER BY`-free `LIMIT`/`OFFSET` query, which runs the
+    /// depth-first driver, returns exactly the matching slice of the rows
+    /// the unlimited query materializes through the staged driver, never
+    /// does more join work, obeys the count law, and only ever emits rows
+    /// the reference oracle also produces.
     #[test]
     fn streaming_limit_agrees_with_full_evaluation(
         triples in triples_strategy(),
@@ -187,35 +213,27 @@ proptest! {
         }
         let elems: Vec<PatternElem> =
             patterns.into_iter().map(PatternElem::Triple).collect();
-        let mut q = Query::select_all(GroupPattern { elems });
+        let unlimited = Query::select_all(GroupPattern { elems });
+        let mut q = unlimited.clone();
         q.limit = Some(limit);
         q.offset = offset;
-        let sequential = ExecOptions {
-            streaming: false,
-            ..ExecOptions::default()
-        };
-        let streaming = ExecOptions {
-            streaming: true,
-            ..ExecOptions::default()
-        };
-        let streamed = run(&g, &q, &streaming).expect("streamed run");
-        let full = run(&g, &q, &sequential).expect("materialized run");
-        // identical answer, row for row: the budgeted evaluator enumerates
+        let opts = ExecOptions::default();
+        let streamed = run(&g, &q, &opts).expect("streamed run");
+        let all = run(&g, &unlimited, &opts).expect("unlimited run");
+        // identical answer, row for row: the depth-first driver enumerates
         // solutions in exactly the staged order, so the LIMIT slice matches
-        prop_assert_eq!(&streamed.vars, &full.vars);
-        prop_assert_eq!(streamed.to_terms(), full.to_terms());
+        prop_assert_eq!(&streamed.vars, &all.vars);
+        let rows = all.to_terms();
+        let end = offset.saturating_add(limit).min(rows.len());
+        prop_assert_eq!(streamed.to_terms(), rows[offset.min(end)..end].to_vec());
         // streaming never does more join work than full materialization
         prop_assert!(
-            streamed.stats.intermediate_bindings <= full.stats.intermediate_bindings,
+            streamed.stats.intermediate_bindings <= all.stats.intermediate_bindings,
             "streamed {} > full {}",
             streamed.stats.intermediate_bindings,
-            full.stats.intermediate_bindings,
+            all.stats.intermediate_bindings,
         );
         // count law against the unlimited query
-        let mut unlimited = q.clone();
-        unlimited.limit = None;
-        unlimited.offset = 0;
-        let all = run(&g, &unlimited, &sequential).expect("unlimited run");
         prop_assert_eq!(streamed.len(), all.len().saturating_sub(offset).min(limit));
         // every streamed row exists in the reference oracle's full result
         // (with multiplicity): LIMIT without ORDER BY may pick different
@@ -371,7 +389,8 @@ proptest! {
 
 /// On a compacted graph, the sorted-merge join path engages for an
 /// eligible stage and produces rows bit-identical to the per-binding
-/// probe loop it replaces.
+/// probe loop it replaces: the same BGP under a `LIMIT` that covers every
+/// row runs the depth-first probe driver.
 #[test]
 fn merge_join_engages_and_preserves_results() {
     let kg = llmkg::kg::synth::movies(7, llmkg::kg::synth::Scale::default());
@@ -379,29 +398,15 @@ fn merge_join_engages_and_preserves_results() {
         kg.graph.is_compacted(),
         "synth generators compact on finish"
     );
-    let q = llmkg::kgquery::parser::parse(
-        "PREFIX v: <http://llmkg.dev/vocab/>
-         SELECT ?a ?f ?d WHERE { ?f v:starring ?a . ?f v:directedBy ?d }",
-    )
-    .unwrap();
-    let merged = run(
-        &kg.graph,
-        &q,
-        &ExecOptions {
-            merge_threshold: Some(1),
-            streaming: false,
-            ..ExecOptions::default()
-        },
-    )
-    .unwrap();
+    let q = "PREFIX v: <http://llmkg.dev/vocab/>
+         SELECT ?a ?f ?d WHERE { ?f v:starring ?a . ?f v:directedBy ?d }";
+    let parse = llmkg::kgquery::parser::parse;
+    let merged = run(&kg.graph, &parse(q).unwrap(), &ExecOptions::default()).unwrap();
+    let limited = format!("{q} LIMIT {}", merged.len());
     let probed = run(
         &kg.graph,
-        &q,
-        &ExecOptions {
-            merge_threshold: None,
-            streaming: false,
-            ..ExecOptions::default()
-        },
+        &parse(&limited).unwrap(),
+        &ExecOptions::default(),
     )
     .unwrap();
     assert!(
@@ -416,6 +421,32 @@ fn merge_join_engages_and_preserves_results() {
         probed.to_terms(),
         "merge join must be bit-identical"
     );
+}
+
+/// The deterministic companion of `merge_join_agrees_with_reference`: on
+/// a dense compacted graph the default threshold engages the merge join
+/// for a two-hop join, and the merged rows agree with the oracle.
+#[test]
+fn merge_join_engages_on_a_dense_graph() {
+    let mut g = Graph::new();
+    for i in 0..200u32 {
+        let (s, p, o) = (i % 20, i % 5, (i * 7 + i / 20) % 20);
+        g.insert_iri(
+            &format!("http://e/n{s}"),
+            &format!("http://p/r{p}"),
+            &format!("http://e/n{o}"),
+        );
+    }
+    g.compact();
+    let q = llmkg::kgquery::parser::parse(
+        "SELECT * WHERE { ?a <http://p/r1> ?b . ?b <http://p/r2> ?c }",
+    )
+    .unwrap();
+    let merged = run(&g, &q, &ExecOptions::default()).unwrap();
+    assert!(merged.stats.merge_joins > 0, "{:?}", merged.stats);
+    assert!(!merged.is_empty());
+    let oracle = reference::execute(&g, &q).unwrap();
+    assert_eq!(normalized_rows(&merged), normalized_rows(&oracle));
 }
 
 /// From-scratch statistics recount over a triple list, for comparing
@@ -530,12 +561,15 @@ proptest! {
     }
 
     /// The merge-join evaluator agrees with the reference oracle on
-    /// arbitrary compacted graphs and BGP queries (merge forced on from
-    /// frontier size 1, so eligible stages always take the merged path).
+    /// arbitrary dense compacted graphs and two- to four-pattern joins:
+    /// at 40 to 80 triples per predicate a join stage often reaches the
+    /// merge threshold (in 29 of the 64 cases), so eligible stages take
+    /// the merged path and the rest the probe loop
+    /// (`merge_join_engages_on_a_dense_graph` pins that it engages).
     #[test]
     fn merge_join_agrees_with_reference(
-        triples in triples_strategy(),
-        patterns in proptest::collection::vec(bgp_pattern_strategy(), 1..4),
+        triples in dense_triples_strategy(),
+        patterns in proptest::collection::vec(join_pattern_strategy(), 2..5),
     ) {
         let mut g = Graph::new();
         for (s, p, o) in &triples {
@@ -545,16 +579,7 @@ proptest! {
         let elems: Vec<PatternElem> =
             patterns.into_iter().map(PatternElem::Triple).collect();
         let q = Query::select_all(GroupPattern { elems });
-        let merged = run(
-            &g,
-            &q,
-            &ExecOptions {
-                merge_threshold: Some(1),
-                streaming: false,
-                ..ExecOptions::default()
-            },
-        )
-        .expect("merged run");
+        let merged = run(&g, &q, &ExecOptions::default()).expect("merged run");
         let slow = reference::execute(&g, &q).expect("reference executor runs");
         prop_assert_eq!(&merged.vars, &slow.vars);
         prop_assert_eq!(normalized_rows(&merged), normalized_rows(&slow));
