@@ -271,6 +271,7 @@ const SPREAD_FIELDS: [&str; 5] = ["p50_us", "p95_us", "p99_us", "shed", "degrade
 struct ClassRun {
     count: usize,
     ok: usize,
+    shed: usize,
     max_us: u64,
     /// The values of [`SPREAD_FIELDS`], in order.
     spread: [u64; 5],
@@ -288,15 +289,17 @@ fn class_runs(samples: &[Sample]) -> BTreeMap<&'static str, ClassRun> {
             let mut lat: Vec<u64> = group.iter().map(|s| s.latency_us).collect();
             lat.sort_unstable();
             let count = |f: fn(&Sample) -> bool| group.iter().filter(|s| f(s)).count();
+            let shed = count(|s| s.shed);
             let run = ClassRun {
                 count: group.len(),
                 ok: count(|s| s.ok),
+                shed,
                 max_us: *lat.last().unwrap_or(&0),
                 spread: [
                     percentile(&lat, 0.50),
                     percentile(&lat, 0.95),
                     percentile(&lat, 0.99),
-                    count(|s| s.shed) as u64,
+                    shed as u64,
                     count(|s| s.degraded) as u64,
                 ],
             };
@@ -314,9 +317,9 @@ fn put_spread(out: &mut serde_json::Map<String, Value>, field: &str, values: &[f
 
 /// Aggregate a rung's repeated runs into its report object: the `head`
 /// fields, `runs`, the total `requests`, the median and quartiles of the
-/// per-run rate under `rate_field`, and per traffic class the answered
-/// totals, the spread of [`SPREAD_FIELDS`] and the largest latency of
-/// any run.
+/// per-run rate under `rate_field`, and per traffic class the request,
+/// answered and shed totals over all runs, the spread of
+/// [`SPREAD_FIELDS`] and the largest latency of any run.
 fn rung_json(head: [(&str, Value); 2], rate_field: &str, runs: &[Run]) -> Value {
     let mut rung = serde_json::Map::new();
     for (field, value) in head {
@@ -340,6 +343,10 @@ fn rung_json(head: [(&str, Value); 2], rate_field: &str, runs: &[Run]) -> Value 
             json!(rows.iter().map(|r| r.count).sum::<usize>()),
         );
         c.insert("ok".into(), json!(rows.iter().map(|r| r.ok).sum::<usize>()));
+        c.insert(
+            "shed_total".into(),
+            json!(rows.iter().map(|r| r.shed).sum::<usize>()),
+        );
         for (i, field) in SPREAD_FIELDS.iter().enumerate() {
             let values: Vec<f64> = rows.iter().map(|r| r.spread[i] as f64).collect();
             put_spread(&mut c, field, &values);
@@ -456,17 +463,19 @@ fn main() {
     // The top rung is the acceptance point: 10× overload, everything
     // answered (asserted above), degradation visible in the counters.
     let top = closed.last().expect("rungs");
-    let overload_shed: u64 = top
+    let overload_shed: f64 = top
         .get("classes")
         .and_then(Value::as_object)
         .expect("classes")
         .values()
         .map(|c| {
-            c.get("shed").and_then(Value::as_u64).unwrap_or(0)
-                + c.get("degraded").and_then(Value::as_u64).unwrap_or(0)
+            c.get("shed").and_then(Value::as_f64).unwrap_or(0.0)
+                + c.get("degraded").and_then(Value::as_f64).unwrap_or(0.0)
         })
         .sum();
-    println!("\n10× overload rung: shed+degraded = {overload_shed} (admission valve engaged)");
+    println!(
+        "\n10× overload rung: shed+degraded = {overload_shed} per run, summed over the class medians (admission valve engaged)"
+    );
 
     // --- open loop, rising offered rate ---
     header("Open loop: offered-rate sweep (pipelined, clocked senders)");

@@ -67,11 +67,13 @@ impl<'a> HybridExecutor<'a> {
 
     /// Execute a SPARQL string under hybrid semantics. Virtual patterns
     /// must be simple `(subject, <virtualPred>, object)` triples at the
-    /// top level of the `WHERE` group, each with a subject that a store
-    /// pattern binds (or a constant one). Any other shape the split below
-    /// would answer wrongly is [`QueryError::Unsupported`]: a virtual
-    /// predicate inside `OPTIONAL`, a `UNION` branch or a composite
-    /// property path (the store would answer it), and a `FILTER` over a
+    /// top level of the `WHERE` group, each with a constant subject or one
+    /// that a top-level store triple or `VALUES` binds in every row. Any
+    /// other shape the split below would answer wrongly is
+    /// [`QueryError::Unsupported`]: a virtual predicate inside `OPTIONAL`,
+    /// a `UNION` branch or a composite property path (the store would
+    /// answer it), a subject bound only inside `OPTIONAL` or `UNION` (rows
+    /// that leave it unbound would be dropped), and a `FILTER` over a
     /// variable only a virtual pattern binds (the store would drop every
     /// row).
     ///
@@ -134,18 +136,19 @@ impl<'a> HybridExecutor<'a> {
                 HybridStats::default(),
             ));
         }
-        // the LLM is asked per store row, so the store must bind every
+        // the LLM is asked per store row, so every row must bind each
         // virtual subject; FILTER and ORDER BY run on the store side, so
         // none of their variables may be bound by a virtual pattern alone
-        let store_bound = base.pattern.bound_vars();
-        let store_binds = |v: &str| store_bound.iter().any(|b| b == v);
+        let always_bound = always_bound_vars(&base.pattern);
         for (subject, _, _) in &virtuals {
-            if let Some(v) = subject.as_var().filter(|v| !store_binds(v)) {
+            if let Some(v) = subject.as_var().filter(|v| !always_bound.contains(v)) {
                 return Err(QueryError::Unsupported(format!(
-                    "virtual pattern subject ?{v}: no store pattern binds it"
+                    "virtual pattern subject ?{v}: no top-level store triple or VALUES binds it"
                 )));
             }
         }
+        let store_bound = base.pattern.bound_vars();
+        let store_binds = |v: &str| store_bound.iter().any(|b| b == v);
         let virtual_only =
             |v: &str| !store_binds(v) && virtuals.iter().any(|(_, _, o)| o.as_var() == Some(v));
         let mut filter_vars = Vec::new();
@@ -331,6 +334,25 @@ impl<'a> HybridExecutor<'a> {
             }
         }
     }
+}
+
+/// The variables every solution of `group` binds: those of its top-level
+/// triples and `VALUES`. A variable bound only inside `OPTIONAL` or one
+/// `UNION` branch may be unbound in some rows.
+fn always_bound_vars(group: &GroupPattern) -> Vec<&str> {
+    let mut out = Vec::new();
+    for elem in &group.elems {
+        match elem {
+            PatternElem::Triple(t) => {
+                out.extend(t.s.as_var());
+                out.extend(t.p.vars());
+                out.extend(t.o.as_var());
+            }
+            PatternElem::Values(v, _) => out.push(v.as_str()),
+            PatternElem::Filter(_) | PatternElem::Optional(_) | PatternElem::Union(..) => {}
+        }
+    }
+    out
 }
 
 /// The variables of every `FILTER` in `group`, at any depth.
@@ -687,8 +709,15 @@ mod tests {
 
     #[test]
     fn virtual_subject_no_store_pattern_binds_is_unsupported() {
-        let msg = unsupported_shape("SELECT ?f ?y WHERE { ?f {vpred} ?y }");
-        assert!(msg.contains("subject ?f"), "{msg}");
+        // bound nowhere, or only inside OPTIONAL, which leaves some rows
+        // without it
+        for query in [
+            "SELECT ?f ?y WHERE { ?f {vpred} ?y }",
+            "SELECT ?f ?y WHERE { ?d a <{v}Person> . OPTIONAL { ?f <{v}directedBy> ?d } ?f {vpred} ?y }",
+        ] {
+            let msg = unsupported_shape(query);
+            assert!(msg.contains("subject ?f"), "{msg}");
+        }
     }
 
     #[test]

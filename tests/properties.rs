@@ -25,20 +25,15 @@ fn predicate_strategy() -> impl Strategy<Value = String> {
     (0u8..5).prop_map(|i| format!("http://p/r{i}"))
 }
 
-fn triples_strategy() -> impl Strategy<Value = Vec<(String, String, String)>> {
+/// `len` triples over 20 entities and 5 predicates. At 200 to 400 draws
+/// (40 to 80 triples per predicate) a join stage often reaches the
+/// executor's merge threshold of 16 bindings.
+fn triples_strategy(
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<(String, String, String)>> {
     proptest::collection::vec(
         (entity_strategy(), predicate_strategy(), entity_strategy()),
-        0..60,
-    )
-}
-
-/// Graphs dense enough that a join stage often reaches the executor's
-/// merge threshold (16 bindings): 200 to 400 draws over the same 20
-/// entities and 5 predicates, about 40 to 80 triples per predicate.
-fn dense_triples_strategy() -> impl Strategy<Value = Vec<(String, String, String)>> {
-    proptest::collection::vec(
-        (entity_strategy(), predicate_strategy(), entity_strategy()),
-        200..400,
+        len,
     )
 }
 
@@ -57,32 +52,31 @@ fn node_strategy() -> impl Strategy<Value = NodeRef> {
     })
 }
 
-/// A join pattern: variables at both ends (from a pool of four, so
-/// patterns chain), mostly a concrete predicate — the shape a merge stage
-/// serves once the frontier binds one end.
-fn join_pattern_strategy() -> impl Strategy<Value = TriplePatternAst> {
-    (0u8..4, 0u8..6, 0u8..4).prop_map(|(s, p, o)| TriplePatternAst {
-        s: NodeRef::Var(format!("v{s}")),
-        p: if p < 5 {
+/// Mostly a concrete predicate, occasionally a predicate variable.
+fn predicate_path_strategy() -> impl Strategy<Value = PropPath> {
+    (0u8..6).prop_map(|p| {
+        if p < 5 {
             PropPath::Iri(format!("http://p/r{p}"))
         } else {
             PropPath::Var("vp".into())
-        },
+        }
+    })
+}
+
+/// A join pattern: variables at both ends (from a pool of four, so
+/// patterns chain) — the shape a merge stage serves once the frontier
+/// binds one end.
+fn join_pattern_strategy() -> impl Strategy<Value = TriplePatternAst> {
+    (0u8..4, predicate_path_strategy(), 0u8..4).prop_map(|(s, p, o)| TriplePatternAst {
+        s: NodeRef::Var(format!("v{s}")),
+        p,
         o: NodeRef::Var(format!("v{o}")),
     })
 }
 
 fn bgp_pattern_strategy() -> impl Strategy<Value = TriplePatternAst> {
-    (node_strategy(), 0u8..6, node_strategy()).prop_map(|(s, p, o)| TriplePatternAst {
-        s,
-        // mostly concrete predicates, occasionally a predicate variable
-        p: if p < 5 {
-            PropPath::Iri(format!("http://p/r{p}"))
-        } else {
-            PropPath::Var("vp".into())
-        },
-        o,
-    })
+    (node_strategy(), predicate_path_strategy(), node_strategy())
+        .prop_map(|(s, p, o)| TriplePatternAst { s, p, o })
 }
 
 /// Execute a parsed query with `opts` and no span.
@@ -102,7 +96,7 @@ proptest! {
     /// (map-based) evaluator on arbitrary graphs and BGP/filter queries.
     #[test]
     fn compiled_executor_agrees_with_reference(
-        triples in triples_strategy(),
+        triples in triples_strategy(0..60),
         patterns in proptest::collection::vec(bgp_pattern_strategy(), 1..4),
         shape in 0u8..6,
     ) {
@@ -141,7 +135,7 @@ proptest! {
     /// projected variable, where the answer's order is unique.
     #[test]
     fn distinct_agrees_with_reference_with_and_without_shortcircuit(
-        triples in triples_strategy(),
+        triples in triples_strategy(0..60),
         patterns in proptest::collection::vec(bgp_pattern_strategy(), 1..4),
         width in 0usize..3,
         order in 0u8..3,
@@ -202,7 +196,7 @@ proptest! {
     /// the reference oracle also produces.
     #[test]
     fn streaming_limit_agrees_with_full_evaluation(
-        triples in triples_strategy(),
+        triples in triples_strategy(0..60),
         patterns in proptest::collection::vec(bgp_pattern_strategy(), 1..4),
         limit in 0usize..12,
         offset in 0usize..6,
@@ -251,7 +245,7 @@ proptest! {
 proptest! {
     /// Every pattern shape agrees with the naive filter over all triples.
     #[test]
-    fn pattern_matching_agrees_with_naive_filter(triples in triples_strategy()) {
+    fn pattern_matching_agrees_with_naive_filter(triples in triples_strategy(0..60)) {
         let mut g = Graph::new();
         for (s, p, o) in &triples {
             g.insert_iri(s, p, o);
@@ -279,7 +273,7 @@ proptest! {
     /// Insert/remove keeps all indexes consistent: removing everything
     /// empties the graph.
     #[test]
-    fn insert_remove_is_clean(triples in triples_strategy()) {
+    fn insert_remove_is_clean(triples in triples_strategy(0..60)) {
         let mut g = Graph::new();
         let mut inserted = Vec::new();
         for (s, p, o) in &triples {
@@ -297,7 +291,7 @@ proptest! {
     /// string literals.
     #[test]
     fn ntriples_round_trip(
-        triples in triples_strategy(),
+        triples in triples_strategy(0..60),
         lit_num in -1000i64..1000,
         lit_str in "[a-zA-Z ]{0,20}",
     ) {
@@ -560,29 +554,34 @@ proptest! {
         }
     }
 
-    /// The merge-join evaluator agrees with the reference oracle on
-    /// arbitrary dense compacted graphs and two- to four-pattern joins:
-    /// at 40 to 80 triples per predicate a join stage often reaches the
-    /// merge threshold (in 29 of the 64 cases), so eligible stages take
-    /// the merged path and the rest the probe loop
+    /// The executor agrees with the reference oracle on compacted graphs,
+    /// for two draws per case. A sparse graph (possibly empty) under one
+    /// to three BGP patterns, some with constants absent from the graph,
+    /// covers the arena's probe path. A dense graph under two to four
+    /// variable-only joins often reaches the merge threshold (in 24 of
+    /// the 64 cases), so eligible stages take the merged path
     /// (`merge_join_engages_on_a_dense_graph` pins that it engages).
     #[test]
     fn merge_join_agrees_with_reference(
-        triples in dense_triples_strategy(),
-        patterns in proptest::collection::vec(join_pattern_strategy(), 2..5),
+        sparse in triples_strategy(0..60),
+        bgp in proptest::collection::vec(bgp_pattern_strategy(), 1..4),
+        dense in triples_strategy(200..400),
+        joins in proptest::collection::vec(join_pattern_strategy(), 2..5),
     ) {
-        let mut g = Graph::new();
-        for (s, p, o) in &triples {
-            g.insert_iri(s, p, o);
+        for (triples, patterns) in [(sparse, bgp), (dense, joins)] {
+            let mut g = Graph::new();
+            for (s, p, o) in &triples {
+                g.insert_iri(s, p, o);
+            }
+            g.compact();
+            let elems: Vec<PatternElem> =
+                patterns.into_iter().map(PatternElem::Triple).collect();
+            let q = Query::select_all(GroupPattern { elems });
+            let fast = run(&g, &q, &ExecOptions::default()).expect("executor runs");
+            let slow = reference::execute(&g, &q).expect("reference executor runs");
+            prop_assert_eq!(&fast.vars, &slow.vars);
+            prop_assert_eq!(normalized_rows(&fast), normalized_rows(&slow));
         }
-        g.compact();
-        let elems: Vec<PatternElem> =
-            patterns.into_iter().map(PatternElem::Triple).collect();
-        let q = Query::select_all(GroupPattern { elems });
-        let merged = run(&g, &q, &ExecOptions::default()).expect("merged run");
-        let slow = reference::execute(&g, &q).expect("reference executor runs");
-        prop_assert_eq!(&merged.vars, &slow.vars);
-        prop_assert_eq!(normalized_rows(&merged), normalized_rows(&slow));
     }
 
     /// A plan prepared through the cache returns exactly what a fresh
@@ -593,9 +592,9 @@ proptest! {
     /// agree with whether the epoch actually moved.
     #[test]
     fn prepared_query_agrees_with_fresh_planning_across_epochs(
-        triples in triples_strategy(),
+        triples in triples_strategy(0..60),
         patterns in proptest::collection::vec(bgp_pattern_strategy(), 1..4),
-        extra in triples_strategy(),
+        extra in triples_strategy(0..60),
     ) {
         use llmkg::kgquery::{parser, CacheOutcome, PlanCache};
 
